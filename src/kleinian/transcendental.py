@@ -7,13 +7,14 @@ points, and y = sqrt(P(x)) is continued along it by sign tracking.  The
 trapezoid rule on these closed analytic curves converges geometrically,
 so first- and second-kind periods reach 1e-12 with a few thousand nodes.
 
-Intersection numbers of the lifted contours are computed literally:
-planar crossings of the sampled curves count only when both lifts lie on
-the same sheet, signed by crossing orientation.  An integer symplectic
-reduction then produces canonical cycles; the orientation that makes
-Im(tau) positive definite is selected, and the Legendre relation is the
-exit gate certifying the whole construction (cycles, sheet tracking, and
-the associated second-kind numerators together).
+Intersection numbers of the lifted contours count planar crossings of the
+sampled polylines exactly: one counts only when both lifts lie on the same
+sheet, signed by crossing orientation, and only runs of segments whose
+bounding boxes overlap are tested, which drops no crossing.  An integer
+symplectic reduction then produces canonical cycles; the orientation that
+makes Im(tau) positive definite is selected, and the Legendre relation is
+the exit gate certifying the whole construction (cycles, sheet tracking,
+and the associated second-kind numerators together).
 
 The Abel map integrates from infinity: a series leg in the local
 parameter xi (x = 1/xi^2) down to a large circle, then a straight leg to
@@ -51,6 +52,8 @@ from .theta import (
 )
 
 LEGENDRE_TOL = 1e-8
+_LIFT_N = 1024  # contour samples of the polylines whose crossings are counted
+_BLOCK = 32  # segments per bounding box in the crossing search
 
 
 def _require_hyperelliptic(curve: CurveModel):
@@ -119,20 +122,21 @@ def _nn_path(e: np.ndarray, start: int) -> list:
     return path
 
 
-def _segment_clearance(a: complex, b: complex, others: np.ndarray) -> float:
-    if len(others) == 0:
+def _segment_distance(a: complex, b: complex, pts: np.ndarray) -> float:
+    """Distance from the segment a -> b to the nearest of pts (inf if none)."""
+    if len(pts) == 0:
         return np.inf
     u = b - a
     L2 = abs(u) ** 2
-    t = np.clip(((others - a) * np.conj(u)).real / L2, 0.0, 1.0)
-    return float(np.min(np.abs(others - (a + t * u))))
+    t = np.clip(((pts - a) * np.conj(u)).real / L2, 0.0, 1.0)
+    return float(np.min(np.abs(pts - (a + t * u))))
 
 
 def _path_quality(e: np.ndarray, path) -> float:
     worst = np.inf
     for j in range(len(path) - 1):
         others = np.delete(e, [path[j], path[j + 1]])
-        worst = min(worst, _segment_clearance(e[path[j]], e[path[j + 1]], others))
+        worst = min(worst, _segment_distance(e[path[j]], e[path[j + 1]], others))
     return worst
 
 
@@ -214,7 +218,8 @@ def _track_sqrt(P: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _cycle_integrals(curve: CurveModel, ellipse: _Ellipse, P: np.ndarray, tol: float = 1e-11):
-    """Integrals of (du_1..du_g, dr_1..dr_g) over the lifted contour."""
+    """Integrals of (du_1..du_g, dr_1..dr_g) over the lifted contour, and the
+    closed lifted polyline (z, y) at the _LIFT_N samples the doubling passes."""
     g = curve.genus
     rhos = curve.second_kind_numerators()
     rho_coeffs = []
@@ -230,6 +235,8 @@ def _cycle_integrals(curve: CurveModel, ellipse: _Ellipse, P: np.ndarray, tol: f
         z = ellipse.sample(N)
         dz = ellipse.sample_deriv(N)
         y = _track_sqrt(P, z)
+        if N == _LIFT_N:
+            lifted = np.append(z, z[0]), np.append(y, y[0])
         dy_inv = dz / (-2.0 * y)
         vals = np.empty(2 * g, dtype=complex)
         for i in range(g):
@@ -237,7 +244,7 @@ def _cycle_integrals(curve: CurveModel, ellipse: _Ellipse, P: np.ndarray, tol: f
         for i in range(g):
             vals[g + i] = np.sum(np.polyval(rho_coeffs[i], z) * dy_inv)
         if prev is not None and np.max(np.abs(vals - prev)) < tol * (1.0 + np.max(np.abs(vals))):
-            return vals
+            return vals, lifted
         prev = vals
         N *= 2
     raise PrecisionError(
@@ -245,34 +252,47 @@ def _cycle_integrals(curve: CurveModel, ellipse: _Ellipse, P: np.ndarray, tol: f
     )
 
 
-def _lifted_samples(curve: CurveModel, ellipse: _Ellipse, P: np.ndarray, N: int = 1024):
-    z = ellipse.sample(N)
-    y = _track_sqrt(P, z)
-    return np.append(z, z[0]), np.append(y, y[0])
+def _block_boxes(z: np.ndarray):
+    """Corners (lo, hi) of each run of _BLOCK segments; the 1e-12 padding only adds candidates."""
+    xy = np.column_stack([z.real, z.imag])
+    starts = np.arange(0, len(z) - 1, _BLOCK)
+    ends = np.minimum(starts + _BLOCK, len(z) - 1)
+    lo = np.minimum(np.minimum.reduceat(xy[:-1], starts), xy[ends])
+    hi = np.maximum(np.maximum.reduceat(xy[:-1], starts), xy[ends])
+    return lo - 1e-12, hi + 1e-12
 
 
 def _intersection_number(z1, y1, z2, y2) -> int:
-    """Signed same-sheet crossings of two closed lifted polylines."""
-    p1, p2 = z1[:-1], z1[1:]
-    q1, q2 = z2[:-1], z2[1:]
+    """Signed same-sheet crossings of two closed lifted polylines.
+
+    Only segments in block pairs with overlapping boxes are tested: a
+    crossing lies in the boxes of both its segments, so none is dropped.
+    """
+    lo1, hi1 = _block_boxes(z1)
+    lo2, hi2 = _block_boxes(z2)
+    overlap = np.all((lo1[:, None] <= hi2[None]) & (lo2[None] <= hi1[:, None]), axis=-1)
 
     def cross(a, b):
         return a.real * b.imag - a.imag * b.real
 
-    d1 = (p2 - p1)[:, None]
-    d2 = (q2 - q1)[None, :]
-    pq = q1[None, :] - p1[:, None]
-    denom = cross(d1, d2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = cross(pq, d2) / denom
-        u = cross(pq, d1) / denom
-    hits = (denom != 0) & (t >= 0) & (t < 1) & (u >= 0) & (u < 1)
     total = 0
-    for i, j in zip(*np.nonzero(hits)):
-        ya = y1[i] + t[i, j] * (y1[i + 1] - y1[i])
-        yb = y2[j] + u[i, j] * (y2[j + 1] - y2[j])
-        if abs(ya - yb) < abs(ya + yb):
-            total += 1 if denom[i, j] > 0 else -1
+    for i0, j0 in _BLOCK * np.argwhere(overlap):
+        p, q = z1[i0 : i0 + _BLOCK + 1], z2[j0 : j0 + _BLOCK + 1]
+        p1, p2, q1, q2 = p[:-1], p[1:], q[:-1], q[1:]
+        d1 = (p2 - p1)[:, None]
+        d2 = (q2 - q1)[None, :]
+        pq = q1[None, :] - p1[:, None]
+        denom = cross(d1, d2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = cross(pq, d2) / denom
+            u = cross(pq, d1) / denom
+        hits = (denom != 0) & (t >= 0) & (t < 1) & (u >= 0) & (u < 1)
+        for a, b in zip(*np.nonzero(hits)):
+            i, j = i0 + a, j0 + b
+            ya = y1[i] + t[a, b] * (y1[i + 1] - y1[i])
+            yb = y2[j] + u[a, b] * (y2[j + 1] - y2[j])
+            if abs(ya - yb) < abs(ya + yb):
+                total += 1 if denom[a, b] > 0 else -1
     return total
 
 
@@ -311,6 +331,24 @@ def _symplectic_rows(A: np.ndarray):
     return np.array(a_rows), np.array(b_rows)
 
 
+def _chain_homology(curve: CurveModel, e: np.ndarray):
+    """Integrals (2g x 2g), lifted polylines and intersection matrix of the
+    ellipses around consecutive branch points of the chain."""
+    P = x_polynomial(curve)
+    chain = e[_chain_order(e)]
+    ellipses = [
+        _Ellipse(chain[j], chain[j + 1], np.delete(chain, [j, j + 1]), 0.3 + 0.1 * (j % 2))
+        for j in range(2 * curve.genus)
+    ]
+    raw, lifted = zip(*(_cycle_integrals(curve, ell, P) for ell in ellipses))
+    A = np.zeros((len(lifted), len(lifted)), dtype=np.int64)
+    for i in range(len(lifted)):
+        for j in range(i + 1, len(lifted)):
+            A[i, j] = _intersection_number(*lifted[i], *lifted[j])
+            A[j, i] = -A[i, j]
+    return np.column_stack(raw), lifted, A
+
+
 def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> PeriodData:
     """First and second kind period matrices over a canonical homology basis.
 
@@ -326,23 +364,7 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
             raise InvalidCurveError("periods implemented for genus <= 3")
         raise InvalidCurveError("genus 3 periods are best-effort; pass best_effort_genus3=True")
     e = branch_points(curve)
-    P = x_polynomial(curve)
-    order = _chain_order(e)
-    chain = e[order]
-    ellipses = []
-    for j in range(2 * g):
-        others = np.delete(chain, [j, j + 1])
-        ellipses.append(_Ellipse(chain[j], chain[j + 1], others, pad_factor=0.3 + 0.1 * (j % 2)))
-    raw = np.column_stack([_cycle_integrals(curve, ell, P) for ell in ellipses])
-    lifted = [_lifted_samples(curve, ell, P) for ell in ellipses]
-    m = 2 * g
-    A = np.zeros((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            z1, y1 = lifted[i]
-            z2, y2 = lifted[j]
-            A[i, j] = _intersection_number(z1, y1, z2, y2)
-            A[j, i] = -A[i, j]
+    raw, _, A = _chain_homology(curve, e)
     if abs(round(float(np.linalg.det(A.astype(float))))) != 1:
         raise PrecisionError("chain loops failed to give a homology basis")
     a_rows, b_rows = _symplectic_rows(A)
@@ -456,7 +478,6 @@ class _SheetTracker:
         self.P = P
         w = np.sqrt(np.polyval(P, z_start))
         self.sign = 1.0 if abs(w - y_start) <= abs(w + y_start) else -1.0
-        self.z_ref = z_start
         self.w_ref = self.sign * w
 
     def at(self, z: np.ndarray) -> np.ndarray:
@@ -469,7 +490,6 @@ class _SheetTracker:
                 w = -w
             out[k] = w
             self.w_ref = w
-            self.z_ref = zz
         return out
 
 
@@ -497,7 +517,7 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData, series_order: int = 48) 
         base_phi = np.angle(pt.x) if pt.x != 0 else 0.0
         for dphi in (0.0, 0.35, -0.35, 0.7, -0.7, 1.1, -1.1):
             x0 = R0 * np.exp(1j * (base_phi + dphi))
-            dmin = _segment_branch_distance(x0, pt.x, e)
+            dmin = _segment_distance(x0, pt.x, e)
             if best is None or dmin > best[0]:
                 best = (dmin, x0)
         dmin, x0 = best
@@ -531,13 +551,6 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData, series_order: int = 48) 
             u_pt = -u_pt  # landed on the conjugate sheet
         total += u_pt
     return total
-
-
-def _segment_branch_distance(a: complex, b: complex, e: np.ndarray) -> float:
-    u = b - a
-    L2 = abs(u) ** 2
-    t = np.clip(((e - a) * np.conj(u)).real / L2, 0.0, 1.0)
-    return float(np.min(np.abs(e - (a + t * u))))
 
 
 def _adaptive_path(f, a: complex, b: complex, tracker: "_SheetTracker", panels: int = 24):

@@ -11,6 +11,10 @@ from kleinian.errors import (
 )
 from kleinian.sampling import random_curve, random_divisor
 from kleinian.transcendental import (
+    _chain_homology,
+    _Ellipse,
+    _intersection_number,
+    _track_sqrt,
     abel,
     branch_points,
     period_matrices,
@@ -184,3 +188,94 @@ def test_wp_theta_four_index_vs_jet_flow(rng):
     wp1113 = wp_theta(pd, ch, u, (1, 1, 1, 3))
     dq3 = basis_flow_derivative(curve, D, 3, "q", 1, 1)
     assert abs(wp1113 - dq3) < 1e-9 * (1 + abs(dq3))
+
+
+# -- intersection kernel against an all-pairs reference --------------------------
+
+
+def _all_pairs_intersection(z1, y1, z2, y2) -> int:
+    """Reference: the crossing test on every segment pair, no pruning."""
+    p1, p2 = z1[:-1], z1[1:]
+    q1, q2 = z2[:-1], z2[1:]
+
+    def cross(a, b):
+        return a.real * b.imag - a.imag * b.real
+
+    d1 = (p2 - p1)[:, None]
+    d2 = (q2 - q1)[None, :]
+    pq = q1[None, :] - p1[:, None]
+    denom = cross(d1, d2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = cross(pq, d2) / denom
+        u = cross(pq, d1) / denom
+    hits = (denom != 0) & (t >= 0) & (t < 1) & (u >= 0) & (u < 1)
+    total = 0
+    for i, j in zip(*np.nonzero(hits)):
+        ya = y1[i] + t[i, j] * (y1[i + 1] - y1[i])
+        yb = y2[j] + u[i, j] * (y2[j + 1] - y2[j])
+        if abs(ya - yb) < abs(ya + yb):
+            total += 1 if denom[i, j] > 0 else -1
+    return total
+
+
+def _lifted_ellipse(P, a, b, others, N=1024):
+    z = _Ellipse(a, b, np.asarray(others, dtype=complex), 0.3).sample(N)
+    y = _track_sqrt(P, z)
+    return np.append(z, z[0]), np.append(y, y[0])
+
+
+def _polyline(vertices, y):
+    z = np.array([complex(*v) for v in vertices])
+    return np.append(z, z[0]), np.append(np.asarray(y, dtype=complex), y[0])
+
+
+def _edge(a, b, steps):
+    """Equally spaced vertices from a (included) to b (excluded)."""
+    return [(a[0] + (b[0] - a[0]) * k / steps, a[1] + (b[1] - a[1]) * k / steps)
+            for k in range(steps)]
+
+
+@pytest.mark.parametrize("g, seed", [(1, 11), (2, 12), (3, 13)])
+def test_intersection_kernel_matches_all_pairs_on_chain(g, seed):
+    curve = random_curve(2, 2 * g + 1, np.random.default_rng(seed))
+    _, lifted, A = _chain_homology(curve, branch_points(curve))
+    for i in range(2 * g):
+        for j in range(i + 1, 2 * g):
+            assert A[i, j] == _all_pairs_intersection(*lifted[i], *lifted[j])
+    # consecutive chain loops meet once, the others not at all
+    chain = np.eye(2 * g, k=1, dtype=np.int64) - np.eye(2 * g, k=-1, dtype=np.int64)
+    assert A.tolist() == chain.tolist()
+    assert round(np.linalg.det(A.astype(float))) == 1
+
+
+def test_intersection_kernel_disjoint_and_shared_branch_point():
+    P = np.poly([-1.0, 0.0, 1.0, 4.0, 5.0]).astype(complex)
+    left = _lifted_ellipse(P, -1.0, 0.0, [1.0, 4.0, 5.0])
+    middle = _lifted_ellipse(P, 0.0, 1.0, [-1.0, 4.0, 5.0])
+    far = _lifted_ellipse(P, 4.0, 5.0, [-1.0, 0.0, 1.0])
+    assert _intersection_number(*left, *far) == 0 == _all_pairs_intersection(*left, *far)
+    shared = _intersection_number(*left, *middle)
+    assert abs(shared) == 1
+    assert shared == _all_pairs_intersection(*left, *middle)
+    assert _intersection_number(*middle, *left) == -shared
+
+
+@pytest.mark.parametrize("far_sheet, expected", [(-1.0, 1), (1.0, 0)])
+@pytest.mark.parametrize("shift", [0.0, -0.5])
+def test_intersection_kernel_crossing_on_block_boundary(shift, far_sheet, expected):
+    # 136 segments (not a multiple of the block size); vertex 32, the first
+    # vertex of the second block, sits at the origin
+    rect = (_edge((-32, 0), (32, 0), 64) + _edge((32, 0), (32, 4), 4)
+            + _edge((32, 4), (-32, 4), 64) + _edge((-32, 4), (-32, 0), 4))
+    z1, y1 = _polyline(rect, np.ones(len(rect)))
+    assert z1[32] == 0
+    # a clockwise loop crossing the rectangle twice: at x = shift on the
+    # bottom edge (sign +1, same sheet), either the shared vertex at the
+    # origin or inside the last segment of the first block, and at the
+    # rectangle's vertex (32, 2) (sign -1, sheet far_sheet)
+    loop = (_edge((shift, -2), (shift, 2), 4) + _edge((shift, 2), (shift + 40, 2), 40)
+            + _edge((shift + 40, 2), (shift + 40, -2), 4)
+            + _edge((shift + 40, -2), (shift, -2), 40))
+    z2, y2 = _polyline(loop, [1.0 if x < 16 else far_sheet for x, _ in loop])
+    n = _intersection_number(z1, y1, z2, y2)
+    assert n == expected == _all_pairs_intersection(z1, y1, z2, y2)
