@@ -12,6 +12,11 @@ is an exponential, partial derivatives of any order are termwise exact:
 a multi-index alpha contributes the factor prod_a (2 i pi (n+e')_a), and
 a directional derivative of order k the factor (2 i pi (n+e') . w)^k.
 
+At v = 0 the half-integer characteristics sharing e' share one lattice
+and one shift, and with m = n + e', b = 2e the e factor is
+exp(2 i pi e.e') (-1)^(b.n): theta_directional_table gets all 4^g rows
+from 2^g lattice passes, with signs in place of further exponentials.
+
 Values can overflow double range only for far-off-lattice arguments;
 callers that need wp-values reduce modulo the lattice first (the second
 logarithmic derivative is blind to the exponential factors involved).
@@ -80,20 +85,21 @@ def _lattice(v, tau, char, tol):
     return n + ep[:, None], e
 
 
-def _exponents(v, tau, m, e):
+def _terms(v, tau, char, tol):
+    """Lattice points m, shift = max Re(exponent), exp(exponent - shift); tau checked."""
+    m, e = _lattice(v, tau, char, tol)
     v = np.asarray(v, dtype=complex)
     quad = 1j * np.pi * np.einsum("ik,ij,jk->k", m, tau, m)
     lin = 2j * np.pi * (m.T @ (v + e))
-    return quad + lin
+    expo = quad + lin
+    shift = float(np.max(expo.real))
+    return m, shift, np.exp(expo - shift)
 
 
 def theta(v, tau, char: Characteristic | None = None, tol: float = 1e-14) -> complex:
     """theta[char](v; tau) by direct lattice summation."""
-    tau = _check_tau(tau)
-    m, e = _lattice(v, tau, char, tol)
-    expo = _exponents(v, tau, m, e)
-    shift = float(np.max(expo.real))
-    return complex(np.exp(shift) * np.sum(np.exp(expo - shift)))
+    _, shift, base = _terms(v, _check_tau(tau), char, tol)
+    return complex(np.exp(shift) * np.sum(base))
 
 
 def theta_derivatives(
@@ -105,11 +111,7 @@ def theta_derivatives(
     value, (0,) for d/dv_0, (0, 1, 1) for the third-order mixed partial.
     All requested values come from a single lattice pass.
     """
-    tau = _check_tau(tau)
-    m, e = _lattice(v, tau, char, tol)
-    expo = _exponents(v, tau, m, e)
-    shift = float(np.max(expo.real))
-    base = np.exp(expo - shift)
+    m, shift, base = _terms(v, _check_tau(tau), char, tol)
     scale = np.exp(shift)
     out = {}
     for alpha in orders:
@@ -124,11 +126,7 @@ def theta_directional(
     v, tau, direction, max_order: int, char: Characteristic | None = None, tol: float = 1e-14
 ) -> np.ndarray:
     """[theta, d theta/dt, ..., d^k theta/dt^k] along v + t*direction at t=0."""
-    tau = _check_tau(tau)
-    m, e = _lattice(v, tau, char, tol)
-    expo = _exponents(v, tau, m, e)
-    shift = float(np.max(expo.real))
-    base = np.exp(expo - shift)
+    m, shift, base = _terms(v, _check_tau(tau), char, tol)
     w = np.asarray(direction, dtype=complex)
     dots = 2j * np.pi * (m.T @ w)
     out = np.empty(max_order + 1, dtype=complex)
@@ -155,6 +153,33 @@ def all_half_characteristics(g: int):
     return out
 
 
+def theta_directional_table(tau, direction, max_order: int, tol: float = 1e-14) -> np.ndarray:
+    """theta_directional at v = 0 for every half-integer characteristic.
+
+    Row i is theta_directional(0, tau, direction, max_order, char=chars[i])
+    with chars = all_half_characteristics(g), summed over the same terms.
+    """
+    tau = _check_tau(tau)
+    g = tau.shape[0]
+    chars = all_half_characteristics(g)
+    w = np.asarray(direction, dtype=complex)
+    out = np.empty((len(chars), max_order + 1), dtype=complex)
+    for ep in {ch.eps_prime for ch in chars}:
+        rows = [i for i, ch in enumerate(chars) if ch.eps_prime == ep]
+        m, shift, base = _terms(np.zeros(g), tau, Characteristic(ep, (0.0,) * g), tol)
+        dots = 2j * np.pi * (m.T @ w)
+        terms = np.empty((m.shape[1], max_order + 1), dtype=complex)
+        terms[:, 0] = base
+        for k in range(max_order):
+            terms[:, k + 1] = terms[:, k] * dots
+        eps = np.array([chars[i].eps for i in rows])
+        b_dot_n = (2.0 * eps @ (m - np.array(ep)[:, None])).astype(np.int64)
+        # one real product: +-1 signs times the interleaved real/imaginary parts
+        sums = ((1.0 - 2.0 * (b_dot_n & 1)) @ terms.view(float)).view(complex)
+        out[rows] = np.exp(shift) * np.exp(2j * np.pi * (eps @ np.array(ep)))[:, None] * sums
+    return out
+
+
 # -- logarithmic derivatives ---------------------------------------------------
 
 
@@ -175,12 +200,7 @@ def log_theta_derivatives(v, tau, orders, char=None, tol: float = 1e-14) -> dict
     Uses the moment-to-cumulant recursion over set partitions:
     theta_A / theta = sum over partitions of A of prod_B L_B.
     """
-    need = set()
-    for alpha in orders:
-        for r in range(len(alpha) + 1):
-            # all sub-multisets appear in the recursion
-            pass
-        need.add(tuple(sorted(alpha)))
+    need = {tuple(sorted(alpha)) for alpha in orders}
     # close under subsets
     closure = set()
 

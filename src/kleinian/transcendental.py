@@ -46,9 +46,11 @@ from .errors import (
 from .roots import newton_polish
 from .theta import (
     Characteristic,
+    _check_tau,
+    _terms,
     all_half_characteristics,
     log_theta_derivatives,
-    theta_directional,
+    theta_directional_table,
 )
 
 LEGENDRE_TOL = 1e-8
@@ -417,25 +419,22 @@ def riemann_characteristic(pd: PeriodData, van_tol: float = 1e-5, nz_tol: float 
 
     Scans all 4^g half-integer characteristics; the winner has all
     directional derivatives along the u_1 line vanishing below order
-    d = (n^2-1)(s^2-1)/24 and a clearly nonzero order-d derivative.
+    d = (n^2-1)(s^2-1)/24 and a clearly nonzero order-d derivative.  The
+    4^g x (d+1) table of derivatives at 0 comes from one
+    theta_directional_table call: the characteristics sharing e' share a
+    lattice, and e enters as the signs (-1)^(b.n) times exp(2 i pi e.e').
     """
     if pd.char is not None:
         return pd.char
     curve = pd.curve
-    g = curve.genus
     d = vanishing_order_target(curve)
-    w = pd.omega_inv()[:, 0]
-    table = []
-    for ch in all_half_characteristics(g):
-        ders = theta_directional(np.zeros(g), pd.tau, w, d, char=ch)
-        table.append(np.abs(ders))
-    table = np.array(table)
+    table = np.abs(theta_directional_table(pd.tau, pd.omega_inv()[:, 0], d))
     ref = np.max(table, axis=0)
     winners = []
     for idx, row in enumerate(table):
         if np.all(row[:d] <= van_tol * ref[:d]) and row[d] >= nz_tol * ref[d]:
             winners.append(idx)
-    chars = all_half_characteristics(g)
+    chars = all_half_characteristics(curve.genus)
     if len(winners) == 1:
         pd.char = chars[winners[0]]
         return pd.char
@@ -573,13 +572,8 @@ def _adaptive_path(f, a: complex, b: complex, tracker: "_SheetTracker", panels: 
 
 def theta_sum_quality(v, tau, char) -> float:
     """|theta| in units of its largest lattice term (0 on the theta divisor)."""
-    from .theta import _check_tau, _exponents, _lattice
-
-    tau = _check_tau(tau)
-    m, e = _lattice(v, tau, char, 1e-14)
-    expo = _exponents(v, tau, m, e)
-    shift = float(np.max(expo.real))
-    return float(abs(np.sum(np.exp(expo - shift))))
+    _, _, base = _terms(v, _check_tau(tau), char, 1e-14)
+    return float(abs(np.sum(base)))
 
 
 def wp_theta(pd: PeriodData, char: Characteristic, u, indices) -> complex:

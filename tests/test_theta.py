@@ -9,9 +9,36 @@ from kleinian.theta import (
     theta,
     theta_derivatives,
     theta_directional,
+    theta_directional_table,
 )
 
 TAU1 = np.array([[1j]])
+
+# Period matrices tau, u_1 directions w and vanishing-order targets d of
+# fixed hyperelliptic curves, rounded to 6 digits: genus 1, genus 2, genus 2
+# with two branch points 1e-2 apart, and genus 3.
+FIXED_PERIODS = {
+    "g1": (np.array([[-0.420843 + 1.061161j]]), np.array([0.19354 - 0.359598j]), 1),
+    "g2": (
+        np.array([[-0.062264 + 1.421154j, -0.20747 - 0.753939j],
+                  [-0.20747 - 0.753939j, -0.223837 + 1.069229j]]),
+        np.array([-0.24901 + 0.068417j, -0.036485 - 0.334541j]),
+        3,
+    ),
+    "clustered": (
+        np.array([[0.119823 + 2.387884j, 0.113859 - 0.491055j],
+                  [0.113859 - 0.491055j, 0.434132 + 0.868971j]]),
+        np.array([-0.095994 - 0.14012j, -0.147801 + 0.275284j]),
+        3,
+    ),
+    "g3": (
+        np.array([[0.402117 + 1.343067j, -0.021122 - 0.645776j, -0.198139 - 0.161103j],
+                  [-0.021122 - 0.645776j, -0.11625 + 1.367585j, -0.057229 - 0.548811j],
+                  [-0.198139 - 0.161103j, -0.057229 - 0.548811j, -0.239642 + 0.988734j]]),
+        np.array([0.065494 - 0.173047j, 0.177809 + 0.070789j, 0.006141 + 0.340736j]),
+        6,
+    ),
+}
 
 
 def brute_theta(v, tau, char, N=30):
@@ -108,3 +135,22 @@ def test_invalid_tau_rejected():
         theta([0.0], np.array([[1.0]]))  # Im tau = 0
     with pytest.raises(InvalidCurveError):
         theta([0.0, 0.0], np.array([[1j, 0.5], [0.0, 1j]]))  # asymmetric
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_PERIODS))
+def test_directional_table_matches_per_characteristic_calls(name):
+    tau, w, d = FIXED_PERIODS[name]
+    g = tau.shape[0]
+    chars = all_half_characteristics(g)
+    table = theta_directional_table(tau, w, d)
+    stack = np.array([theta_directional(np.zeros(g), tau, w, d, char=ch) for ch in chars])
+    assert table.shape == stack.shape == (4**g, d + 1)
+    scale = np.max(np.abs(stack), axis=0)
+    assert np.all(np.abs(table - stack) <= 1e-13 * scale)
+    # rows follow all_half_characteristics: the odd ones vanish at 0, and of
+    # the even ones only the one a hyperelliptic genus-3 curve forces (its
+    # tau is rounded, hence the loose threshold)
+    odd = np.array([ch.parity() == -1 for ch in chars])
+    assert np.all(np.abs(table[odd, 0]) < 1e-12 * scale[0])
+    even_zeros = np.sum(np.abs(table[~odd, 0]) < 1e-5 * scale[0])
+    assert even_zeros == (1 if g == 3 else 0)

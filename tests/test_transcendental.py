@@ -4,12 +4,14 @@ import pytest
 from kleinian.curves import curve_model
 from kleinian.divisors import Divisor
 from kleinian.errors import (
+    CharacteristicSearchError,
     DegenerateCurveError,
     InvalidCurveError,
     PathError,
     ThetaDivisorError,
 )
 from kleinian.sampling import random_curve, random_divisor
+from kleinian.theta import all_half_characteristics, theta_directional
 from kleinian.transcendental import (
     _chain_homology,
     _Ellipse,
@@ -279,3 +281,62 @@ def test_intersection_kernel_crossing_on_block_boundary(shift, far_sheet, expect
     z2, y2 = _polyline(loop, [1.0 if x < 16 else far_sheet for x, _ in loop])
     n = _intersection_number(z1, y1, z2, y2)
     assert n == expected == _all_pairs_intersection(z1, y1, z2, y2)
+
+
+def _reference_riemann_characteristic(pd, van_tol=1e-5, nz_tol=1e-2):
+    """The search with one theta_directional call per characteristic."""
+    g = pd.curve.genus
+    d = vanishing_order_target(pd.curve)
+    w = pd.omega_inv()[:, 0]
+    chars = all_half_characteristics(g)
+    table = np.array([np.abs(theta_directional(np.zeros(g), pd.tau, w, d, char=ch))
+                      for ch in chars])
+    ref = np.max(table, axis=0)
+    winners = [i for i, row in enumerate(table)
+               if np.all(row[:d] <= van_tol * ref[:d]) and row[d] >= nz_tol * ref[d]]
+    if len(winners) == 1:
+        return chars[winners[0]]
+    ranked = sorted(range(len(chars)),
+                    key=lambda i: -float(np.sum(table[i, :d] <= van_tol * ref[:d])))
+    top = ", ".join(str(chars[i]) for i in ranked[:3])
+    raise CharacteristicSearchError(
+        f"{len(winners)} characteristics satisfy the criteria (top candidates: {top})"
+    )
+
+
+def _curve_from_branch_points(e):
+    """The (2, len(e)) curve whose finite branch points are e shifted to mean 0."""
+    e = np.asarray(e, dtype=complex)
+    c = np.poly(e - np.mean(e))
+    s = len(e)
+    return curve_model(2, s, {k: complex(c[s - i]) for (i, _, k) in curve_model(2, s).terms})
+
+
+FIXED_CURVES = {
+    "g1": lambda: random_curve(2, 3, np.random.default_rng(11)),
+    "g2": lambda: random_curve(2, 5, np.random.default_rng(12)),
+    # two branch points 1e-2 apart
+    "clustered": lambda: _curve_from_branch_points(
+        [-0.6 + 0.1j, 0.5j, 0.7 - 0.2j, -0.1 - 0.6j, -0.6 + 0.11j]
+    ),
+    "g3": lambda: random_curve(2, 7, np.random.default_rng(13)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_CURVES))
+def test_riemann_characteristic_matches_per_characteristic_search(name):
+    curve = FIXED_CURVES[name]()
+    pd = period_matrices(curve, best_effort_genus3=curve.genus == 3)
+    expected = _reference_riemann_characteristic(pd)
+    assert riemann_characteristic(pd) == expected
+    assert expected.parity() == (-1) ** (vanishing_order_target(curve) % 2)
+    # with van_tol = 0 nothing vanishes; which derivatives that vanish by
+    # symmetry come out as an exact 0.0 rather than ~1e-17 depends on the
+    # summation order, so the top candidates named may differ
+    with pytest.raises(CharacteristicSearchError) as ref_err:
+        _reference_riemann_characteristic(pd, van_tol=0.0)
+    pd.char = None
+    with pytest.raises(CharacteristicSearchError) as err:
+        riemann_characteristic(pd, van_tol=0.0)
+    head = "0 characteristics satisfy the criteria (top candidates: "
+    assert str(err.value).startswith(head) and str(ref_err.value).startswith(head)
