@@ -86,7 +86,7 @@ def _lattice(v, tau, char, tol):
 
 
 def _terms(v, tau, char, tol):
-    """Lattice points m, shift = max Re(exponent), exp(exponent - shift); tau checked."""
+    """Lattice m, shift = max Re(exponent), exp(exponent - shift); the caller checks tau."""
     m, e = _lattice(v, tau, char, tol)
     v = np.asarray(v, dtype=complex)
     quad = 1j * np.pi * np.einsum("ik,ij,jk->k", m, tau, m)
@@ -153,11 +153,11 @@ def all_half_characteristics(g: int):
     return out
 
 
-def theta_directional_table(tau, direction, max_order: int, tol: float = 1e-14) -> np.ndarray:
+def theta_directional_table(tau, direction, max_order: int) -> np.ndarray:
     """theta_directional at v = 0 for every half-integer characteristic.
 
     Row i is theta_directional(0, tau, direction, max_order, char=chars[i])
-    with chars = all_half_characteristics(g), summed over the same terms.
+    with chars = all_half_characteristics(g), summed over the same terms (tol 1e-14).
     """
     tau = _check_tau(tau)
     g = tau.shape[0]
@@ -166,7 +166,7 @@ def theta_directional_table(tau, direction, max_order: int, tol: float = 1e-14) 
     out = np.empty((len(chars), max_order + 1), dtype=complex)
     for ep in {ch.eps_prime for ch in chars}:
         rows = [i for i, ch in enumerate(chars) if ch.eps_prime == ep]
-        m, shift, base = _terms(np.zeros(g), tau, Characteristic(ep, (0.0,) * g), tol)
+        m, shift, base = _terms(np.zeros(g), tau, Characteristic(ep, (0.0,) * g), 1e-14)
         dots = 2j * np.pi * (m.T @ w)
         terms = np.empty((m.shape[1], max_order + 1), dtype=complex)
         terms[:, 0] = base

@@ -438,9 +438,9 @@ def riemann_characteristic(pd: PeriodData, van_tol: float = 1e-5, nz_tol: float 
     if len(winners) == 1:
         pd.char = chars[winners[0]]
         return pd.char
-    ranked = sorted(
-        range(len(chars)), key=lambda i: -float(np.sum(table[i, :d] <= van_tol * ref[:d]))
-    )
+    # rank by vanishing count; below 1e-13 of ref a derivative is rounding noise
+    floor = max(van_tol, 1e-13) * ref[:d]
+    ranked = sorted(range(len(chars)), key=lambda i: -float(np.sum(table[i, :d] <= floor)))
     top = ", ".join(str(chars[i]) for i in ranked[:3])
     raise CharacteristicSearchError(
         f"{len(winners)} characteristics satisfy the criteria (top candidates: {top})"
