@@ -177,10 +177,6 @@ class CurveModel:
             raise InvalidCurveError(f"point ({x}, {y}) off the curve: |f| = {res:.3e}")
         return CurvePoint(x, y, res)
 
-    def on_curve(self, x, y, tol: float = ON_CURVE_TOL) -> bool:
-        scale = max(1.0, abs(x) ** self.s, abs(y) ** self.n)
-        return abs(self.eval_f(x, y)) <= tol * scale
-
     # -- weighted combinatorics -------------------------------------------
 
     def monomials_up_to(self, wmax: int) -> list[Monomial]:
@@ -271,10 +267,6 @@ class InfinitySeries:
         xi = complex(xi)
         unit = complex(np.polyval(self.c[::-1], xi))
         return xi ** (-self.curve.s) * unit
-
-    def unit_jet(self) -> Jet:
-        """The jet of y * xi^s in the local parameter."""
-        return Jet(self.c.copy())
 
     def residual(self, xi) -> float:
         """|f(x(xi), y(xi)) xi^(n s)|, the scaled defect of the truncation."""

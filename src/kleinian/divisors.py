@@ -249,18 +249,6 @@ class Divisor:
             raise NonReducedDivisorError("divisor contains a full group of points in involution")
 
 
-def match_multisets(A: Divisor, B: Divisor, rel_tol: float = MATCH_TOL) -> float:
-    """Best pairing distance between equal-degree divisors (relative).
-
-    Raises InconsistencyError when degrees differ or the worst matched
-    pair exceeds the tolerance.
-    """
-    worst = multiset_distance(A, B)
-    if worst > rel_tol:
-        raise InconsistencyError(f"multiset mismatch: {worst:.3e} relative")
-    return worst
-
-
 def multiset_distance(A: Divisor, B: Divisor) -> float:
     """Hungarian-matched worst point distance, relative to the point scale."""
     if A.degree != B.degree:
@@ -286,9 +274,17 @@ def branch_jet(curve: CurveModel, x0: complex, y0: complex, order: int) -> serie
     scale = max(1.0, abs(x0), abs(y0)) ** (curve.n - 1)
     if abs(fy) < 1e-8 * scale:
         raise BranchPointError(f"branch point at x = {x0}: df/dy ~ {abs(fy):.2e}")
-    xj = series.var(x0, order)
-    yj = series.const(y0, order)
-    for _ in range(max(1, order).bit_length() + 2):
+    return y_jet(curve, series.var(x0, order), y0)
+
+
+def y_jet(curve: CurveModel, xj: series.Jet, y0: complex) -> series.Jet:
+    """Jet of y along the x-jet xj with f(xj, y) = 0 and y(0) = y0.
+
+    Newton doubles the number of correct coefficients per step; the
+    caller ensures d f/d y != 0 at (xj(0), y0).
+    """
+    yj = series.const(y0, xj.order)
+    for _ in range(max(1, xj.order).bit_length() + 2):
         g = curve.eval_f(xj, yj)
         if np.max(np.abs(g.c)) < 1e-13 * max(1.0, abs(y0)) ** curve.n:
             break

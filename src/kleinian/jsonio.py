@@ -14,7 +14,6 @@ import numpy as np
 from .curves import CurveModel, curve_model
 from .divisors import Divisor, PolyFunction
 from .errors import InputError, InvalidCurveError
-from .theta import Characteristic
 from .transcendental import PeriodData
 from .uniformization import BasisRecord
 
@@ -134,7 +133,3 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read JSON from {path}: {exc}") from exc
-
-
-def characteristic_from_json(data: dict) -> Characteristic:
-    return Characteristic(tuple(data["eps_prime"]), tuple(data["eps"]))

@@ -118,9 +118,6 @@ class Jet:
     def eval(self, t):
         return complex(np.polyval(self.c[::-1], t))
 
-    def taylor_coeff(self, k: int):
-        return self.c[k]
-
     def derivative_at_zero(self, k: int):
         """k-th derivative at t=0, i.e. k! times the k-th coefficient."""
         from math import factorial

@@ -3,7 +3,8 @@
 Everything rests on explicit closed contours in the x-plane.  The 2g+1
 finite branch points are chained by a nearest-neighbour path; around each
 consecutive pair an ellipse is drawn that excludes the other branch
-points, and y = sqrt(P(x)) is continued along it by sign tracking.  The
+points, and y = sqrt(P(x)) is continued along it by sign tracking
+(_continue_sqrt, which every sampled path in this module uses).  The
 trapezoid rule on these closed analytic curves converges geometrically,
 so first- and second-kind periods reach 1e-12 with a few thousand nodes.
 
@@ -18,12 +19,15 @@ and the associated second-kind numerators together).
 
 The Abel map integrates from infinity: a series leg in the local
 parameter xi (x = 1/xi^2) down to a large circle, then a straight leg to
-the target point with the sheet tracked; landing on the conjugate sheet
-flips the sign of the whole integral, which is the involution acting on
-the path.  wp-values come from second (and higher) logarithmic
-derivatives of theta with the Riemann-constant characteristic, found by
-the weighted-vanishing-order search over all half-integer
-characteristics.
+the target point under a fixed Gauss-Legendre rule (24 panels x 32
+nodes), with the sheet continued through all its nodes at once; landing
+on the conjugate sheet flips the sign of the whole integral, which is
+the involution acting on the path.  The straight leg carries no error
+estimate yet and loses digits within about 1e-3 of a branch point.
+
+wp-values come from second (and higher) logarithmic derivatives of theta
+with the Riemann-constant characteristic, found by the
+weighted-vanishing-order search over all half-integer characteristics.
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ from .theta import (
 LEGENDRE_TOL = 1e-8
 _LIFT_N = 1024  # contour samples of the polylines whose crossings are counted
 _BLOCK = 32  # segments per bounding box in the crossing search
+_SERIES_ORDER = 48  # terms of the series leg at infinity in the Abel map
+_PANELS = 24  # panels of the Abel map's straight leg
+_GL_SERIES = np.polynomial.legendre.leggauss(48)  # adaptive series-leg rule
+_GL_LEG = np.polynomial.legendre.leggauss(32)  # per-panel straight-leg rule
 
 
 def _require_hyperelliptic(curve: CurveModel):
@@ -202,21 +210,27 @@ class _Ellipse:
         return self.u * (-self.A * np.sin(th) + 1j * self.B * np.cos(th)) * (2.0 * np.pi / N)
 
 
-def _track_sqrt(P: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """y = sqrt(P(x)) continued along the closed path z (sign tracking)."""
+def _continue_sqrt(P: np.ndarray, z: np.ndarray, y0: complex) -> np.ndarray:
+    """y = sqrt(P(x)) continued along the nodes z, starting on the sheet nearest y0.
+
+    The sign flips wherever the principal root jumps to the other sheet
+    between consecutive nodes.
+    """
     w = np.sqrt(np.polyval(P, z))
-    dminus = np.abs(w[1:] - w[:-1])
-    dplus = np.abs(w[1:] + w[:-1])
-    ratio = np.minimum(dminus, dplus) / np.maximum(dminus, dplus + 1e-300)
-    if np.any(ratio > 0.7):
+    flips = np.where(np.abs(w[1:] - w[:-1]) > np.abs(w[1:] + w[:-1]), -1.0, 1.0)
+    start = 1.0 if abs(w[0] - y0) <= abs(w[0] + y0) else -1.0
+    return np.concatenate([[start], start * np.cumprod(flips)]) * w
+
+
+def _track_sqrt(P: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """y = sqrt(P(x)) continued along the closed path z from the principal root."""
+    y = _continue_sqrt(P, z, np.sqrt(np.polyval(P, z[0])))
+    if np.any(np.abs(y[1:] - y[:-1]) > 0.7 * np.abs(y[1:] + y[:-1])):
         raise PrecisionError("sheet tracking ambiguous; refine the contour sampling")
-    flips = np.where(dminus > dplus, -1.0, 1.0)
-    signs = np.concatenate([[1.0], np.cumprod(flips)])
     # closed lift around two branch points: the sign must return
-    wrap_minus, wrap_plus = abs(w[0] - signs[-1] * w[-1]), abs(w[0] + signs[-1] * w[-1])
-    if wrap_minus > wrap_plus:
+    if abs(y[0] - y[-1]) > abs(y[0] + y[-1]):
         raise PrecisionError("sheet tracking did not close; refine the contour sampling")
-    return signs * w
+    return y
 
 
 def _cycle_integrals(curve: CurveModel, ellipse: _Ellipse, P: np.ndarray, tol: float = 1e-11):
@@ -450,14 +464,9 @@ def riemann_characteristic(pd: PeriodData, van_tol: float = 1e-5, nz_tol: float 
 # -- Abel map ------------------------------------------------------------------
 
 
-def _gauss_legendre(n: int = 48):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
-
-
 def _segment_quad(f, a: complex, b: complex, tol: float = 1e-11, depth: int = 0):
     """Adaptive Gauss-Legendre along the straight segment a -> b."""
-    x, w = _gauss_legendre()
+    x, w = _GL_SERIES
     mid = 0.5 * (a + b)
     h = 0.5 * (b - a)
     whole = h * np.sum(w[:, None] * f(mid + h * x[:, None]), axis=0)
@@ -470,29 +479,7 @@ def _segment_quad(f, a: complex, b: complex, tol: float = 1e-11, depth: int = 0)
     return _segment_quad(f, a, mid, tol, depth + 1) + _segment_quad(f, mid, b, tol, depth + 1)
 
 
-class _SheetTracker:
-    """Continuous branch of sqrt(P) along a segment, quadrature-friendly."""
-
-    def __init__(self, P, y_start: complex, z_start: complex):
-        self.P = P
-        w = np.sqrt(np.polyval(P, z_start))
-        self.sign = 1.0 if abs(w - y_start) <= abs(w + y_start) else -1.0
-        self.w_ref = self.sign * w
-
-    def at(self, z: np.ndarray) -> np.ndarray:
-        # nodes arrive in path order within each panel; track against the
-        # last reference point, stepping through the panel nodes in order
-        out = np.empty(len(z), dtype=complex)
-        for k, zz in enumerate(z):
-            w = np.sqrt(np.polyval(self.P, zz))
-            if abs(w - self.w_ref) > abs(w + self.w_ref):
-                w = -w
-            out[k] = w
-            self.w_ref = w
-        return out
-
-
-def abel(curve: CurveModel, D: Divisor, pd: PeriodData, series_order: int = 48) -> np.ndarray:
+def abel(curve: CurveModel, D: Divisor, pd: PeriodData) -> np.ndarray:
     """Abel image of a divisor with basepoint at infinity.
 
     Each point is reached by a series leg in the local parameter at
@@ -505,9 +492,18 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData, series_order: int = 48) 
     e = pd.branch
     P = x_polynomial(curve)
     total = np.zeros(g, dtype=complex)
-    ser = infinity_series(curve, series_order)
+    ser = infinity_series(curve, _SERIES_ORDER)
     coeffs = ser.c[::-1]  # for polyval
     scale = 1.0 + float(np.max(np.abs(e)))
+
+    def leg_series(xi):
+        xi = xi[:, 0]
+        unit = np.polyval(coeffs, xi)
+        vals = np.empty((len(xi), g), dtype=complex)
+        for i in range(g):
+            vals[:, i] = xi ** (2 * (i + 1) - 2) / unit
+        return vals
+
     for pt in D.points:
         if min(abs(pt.x - ek) for ek in e) < 1e-6 * scale:
             raise PathError(f"divisor point at x = {pt.x:.6g} sits on a branch point")
@@ -523,47 +519,19 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData, series_order: int = 48) 
         if dmin < 1e-6 * scale:
             raise PathError("every candidate path passes through a branch point")
         xi0 = 1.0 / np.sqrt(x0)  # principal; the sheet flip is handled below
-
-        def leg_series(xi):
-            xi = xi[:, 0]
-            unit = np.polyval(coeffs, xi)
-            vals = np.empty((len(xi), g), dtype=complex)
-            for i in range(g):
-                vals[:, i] = xi ** (2 * (i + 1) - 2) / unit
-            return vals
-
         I_series = _segment_quad(leg_series, 0.0, xi0)
-        y0 = ser.y(xi0)
-        tracker = _SheetTracker(P, y0, x0)
 
-        def leg_segment(z):
-            y = tracker.at(z[:, 0])
-            vals = np.empty((len(z), g), dtype=complex)
-            for i in range(g):
-                vals[:, i] = z[:, 0] ** (g - 1 - i) / (-2.0 * y)
-            return vals
-
-        I_seg = _adaptive_path(leg_segment, x0, pt.x, tracker)
-        y_end = tracker.w_ref
+        # the straight leg: _PANELS Gauss-Legendre panels, sheet continued from x0
+        zs = x0 + (pt.x - x0) * np.linspace(0.0, 1.0, _PANELS + 1)
+        h = 0.5 * (zs[1:] - zs[:-1])
+        nodes = 0.5 * (zs[:-1] + zs[1:])[:, None] + h[:, None] * _GL_LEG[0]
+        y = _continue_sqrt(P, np.append(x0, nodes), ser.y(xi0))[1:].reshape(nodes.shape)
+        du = np.stack([nodes ** (g - 1 - i) / (-2.0 * y) for i in range(g)], axis=-1)
+        I_seg = sum(h[k] * np.sum(_GL_LEG[1][:, None] * du[k], axis=0) for k in range(_PANELS))
         u_pt = I_series + I_seg
-        if abs(y_end - pt.y) > abs(y_end + pt.y):
+        if abs(y[-1, -1] - pt.y) > abs(y[-1, -1] + pt.y):
             u_pt = -u_pt  # landed on the conjugate sheet
         total += u_pt
-    return total
-
-
-def _adaptive_path(f, a: complex, b: complex, tracker: "_SheetTracker", panels: int = 24):
-    """Panelwise Gauss-Legendre along a -> b, keeping node order for tracking."""
-    x, w = _gauss_legendre(32)
-    total = None
-    ts = np.linspace(0.0, 1.0, panels + 1)
-    zs = a + (b - a) * ts
-    for k in range(panels):
-        mid = 0.5 * (zs[k] + zs[k + 1])
-        h = 0.5 * (zs[k + 1] - zs[k])
-        nodes = (mid + h * x)[:, None]
-        vals = h * np.sum(w[:, None] * f(nodes), axis=0)
-        total = vals if total is None else total + vals
     return total
 
 

@@ -33,6 +33,7 @@ from .divisors import (
     Divisor,
     PolyFunction,
     interpolation_rows,
+    y_jet,
     zero_divisor,
 )
 from .errors import (
@@ -261,16 +262,6 @@ def d_along_u(curve: CurveModel, D: Divisor, w_dir: int, F, h: float = 1e-5, tol
 # -- jet flow: high-order derivatives along one coordinate --------------------
 
 
-def _y_jet_on_x_jet(curve: CurveModel, xj: series.Jet, y0: complex) -> series.Jet:
-    yj = series.const(y0, xj.order)
-    for _ in range(max(1, xj.order).bit_length() + 2):
-        g = curve.eval_f(xj, yj)
-        if np.max(np.abs(g.c)) < 1e-13 * max(1.0, abs(y0)) ** curve.n:
-            break
-        yj = yj - g / curve.eval_fy(xj, yj)
-    return yj
-
-
 def flow_jets(curve: CurveModel, D: Divisor, w_dir: int, order: int):
     """Taylor jets of the divisor flowed along the u_w coordinate line.
 
@@ -288,7 +279,7 @@ def flow_jets(curve: CurveModel, D: Divisor, w_dir: int, order: int):
         xjs[k].c[1] = 0.0  # slope comes from the flow itself
     rhs = [series.const(1.0 if i == jdir else 0.0, order) for i in range(g)]
     for m in range(order):
-        yjs = [_y_jet_on_x_jet(curve, xjs[k], D.points[k].y) for k in range(g)]
+        yjs = [y_jet(curve, xjs[k], D.points[k].y) for k in range(g)]
         A = [
             [basis[i].eval(xjs[k], yjs[k]) / curve.eval_fy(xjs[k], yjs[k]) for k in range(g)]
             for i in range(g)
@@ -296,7 +287,7 @@ def flow_jets(curve: CurveModel, D: Divisor, w_dir: int, order: int):
         v = series.solve_linear(A, rhs)
         for k in range(g):
             xjs[k].c[m + 1] = v[k].c[m] / (m + 1)
-    yjs = [_y_jet_on_x_jet(curve, xjs[k], D.points[k].y) for k in range(g)]
+    yjs = [y_jet(curve, xjs[k], D.points[k].y) for k in range(g)]
     return xjs, yjs
 
 

@@ -8,12 +8,16 @@ from kleinian.errors import (
     DegenerateCurveError,
     InvalidCurveError,
     PathError,
+    PrecisionError,
     ThetaDivisorError,
 )
 from kleinian.sampling import random_curve, random_divisor
 from kleinian.theta import all_half_characteristics, theta_directional
 from kleinian.transcendental import (
+    _GL_LEG,
+    _PANELS,
     _chain_homology,
+    _continue_sqrt,
     _Ellipse,
     _intersection_number,
     _track_sqrt,
@@ -24,6 +28,7 @@ from kleinian.transcendental import (
     second_kind_residue_matrix,
     vanishing_order_target,
     wp_theta,
+    x_polynomial,
 )
 
 
@@ -339,3 +344,58 @@ def test_riemann_characteristic_matches_per_characteristic_search(name):
         riemann_characteristic(pd, van_tol=0.0)
     assert str(err.value) == str(ref_err.value)
     assert str(err.value).startswith("0 characteristics satisfy the criteria (top candidates: ")
+
+
+# -- sqrt(P) continuation --------------------------------------------------------
+
+
+def _serial_continuation(P, z0, y0, z):
+    """Reference: sqrt(P) continued one node at a time against the last value,
+    starting from the root at z0 nearest y0."""
+    w = np.sqrt(np.polyval(P, z0))
+    ref = (1.0 if abs(w - y0) <= abs(w + y0) else -1.0) * w
+    out = np.empty(len(z), dtype=complex)
+    for k, zz in enumerate(z):
+        w = np.sqrt(np.polyval(P, zz))
+        if abs(w - ref) > abs(w + ref):
+            w = -w
+        out[k] = w
+        ref = w
+    return out
+
+
+@pytest.mark.parametrize("g, seed", [(1, 11), (2, 12), (3, 13)])
+def test_continue_sqrt_matches_serial_reference_on_abel_legs(g, seed):
+    curve = random_curve(2, 2 * g + 1, np.random.default_rng(seed))
+    P = x_polynomial(curve)
+    e = branch_points(curve)
+    # a far target and targets 1e-3 and 1e-5 from each branch point
+    targets = [0.3 - 0.2j] + [ek + d * np.exp(0.7j) for ek in e for d in (1e-3, 1e-5)]
+    flipped = False
+    for k, x in enumerate(targets):
+        # the Abel map's straight leg: from radius 4 max(1, |e|, |x|) along arg x
+        x0 = 4.0 * max(1.0, float(np.max(np.abs(e))), abs(x)) * np.exp(1j * np.angle(x))
+        zs = x0 + (x - x0) * np.linspace(0.0, 1.0, _PANELS + 1)
+        h = 0.5 * (zs[1:] - zs[:-1])
+        nodes = (0.5 * (zs[:-1] + zs[1:])[:, None] + h[:, None] * _GL_LEG[0]).ravel()
+        y0 = (-1) ** k * np.sqrt(np.polyval(P, x0))
+        y = _continue_sqrt(P, np.append(x0, nodes), y0)
+        assert np.array_equal(y[1:], _serial_continuation(P, x0, y0, nodes))
+        assert abs(y[0] - y0) < abs(y[0] + y0)
+        flipped |= bool(np.any(y[1:] != np.sqrt(np.polyval(P, nodes))))
+    assert flipped  # some leg leaves the principal branch
+
+
+def test_track_sqrt_coarse_sampling_is_ambiguous():
+    P = np.array([1.0, 0.0, -1.0], dtype=complex)  # branch points at +-1
+    z = 2.0 * np.exp(1j * (0.3 + 0.5 * np.pi * np.arange(4)))  # quarter turns
+    with pytest.raises(PrecisionError, match="ambiguous"):
+        _track_sqrt(P, z)
+
+
+def test_track_sqrt_loop_around_one_branch_point_does_not_close():
+    P = np.array([1.0, 0.0, -1.0], dtype=complex)
+    z = 1.0 + 0.5 * np.exp(2j * np.pi * np.arange(256) / 256)
+    with pytest.raises(PrecisionError, match="did not close"):
+        _track_sqrt(P, z)
+    _track_sqrt(P, 2.0 * np.exp(2j * np.pi * np.arange(256) / 256))  # both: closes
