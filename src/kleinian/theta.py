@@ -5,12 +5,16 @@ The series
     theta[eps](v; tau) = sum_n exp( i pi (n+e')^t tau (n+e')
                                     + 2 i pi (n+e')^t (v+e) )
 
-is summed over an integer box covering the ellipsoid where terms exceed
-the target tolerance relative to the largest term; the Gaussian decay
-rate is read off the smallest eigenvalue of Im tau.  Because each term
-is an exponential, partial derivatives of any order are termwise exact:
-a multi-index alpha contributes the factor prod_a (2 i pi (n+e')_a), and
-a directional derivative of order k the factor (2 i pi (n+e') . w)^k.
+has terms of modulus exp(pi c^t Y c) exp(-pi (m-c)^t Y (m-c)), with
+m = n + e', Y = Im tau and c = -Y^-1 Im v.  It is summed over the
+lattice points of the ellipsoid (m-c)^t Y (m-c) <= R^2: the ellipsoid's
+bounding box, half-width R sqrt((Y^-1)_ii) on axis i, masked by the
+quadratic form.  R comes from a proven bound on the omitted terms
+(_radius), so the truncation error of every requested derivative stays
+below the target tolerance relative to the largest term.  Because each
+term is an exponential, partial derivatives of any order are termwise
+exact: a multi-index alpha contributes the factor prod_a (2 i pi m_a),
+and a directional derivative of order k the factor (2 i pi m . w)^k.
 
 At v = 0 the half-integer characteristics sharing e' share one lattice
 and one shift, and with m = n + e', b = 2e the e factor is
@@ -24,6 +28,7 @@ logarithmic derivative is blind to the exponential factors involved).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,27 +72,74 @@ def _check_tau(tau: np.ndarray) -> np.ndarray:
     return tau
 
 
-def _lattice(v, tau, char, tol):
-    """Shifted lattice points m = n + eps' covering all relevant terms."""
+def _radius(g: int, k: int, tol: float, rho: float, q0: float) -> float:
+    """Truncation radius R of the form (m-c)^t Y (m-c) for derivatives of order <= k.
+
+    Write Y = T^t T and x = sqrt(pi) T (m - c), so a term has modulus
+    peak * exp(-|x|^2).  The x form a translate of a lattice whose nonzero
+    vectors are at least rho = sqrt(pi / max_i (Y^-1)_ii) long, because
+    n_i^2 <= (n^t Y n) (Y^-1)_ii; by the same inequality
+    |m_i - c_i| <= |x| / rho, so for j <= k an order-j factor, |2 pi m.w|^j
+    or a product of j factors |2 pi m_a| (read |w|_1 = 1 there), is at most
+    (2 pi |w|_1 s)^j (1 + |x|/rho)^k with s = 1 + |c|_inf.
+    Following Deconinck, Heil, Bobenko, van Hoeij & Schmies, "Computing
+    Riemann theta functions", Math. Comp. 73 (2004), the balls of radius
+    rho/2 about the points are disjoint, and f(t) = (1 + t/rho)^k e^(-t^2)
+    decreases for t >= sqrt(k/2); comparing each omitted term with f over
+    its ball, with a = R_x - rho >= sqrt(k/2) and n = max(g + k - 2, 0),
+
+        sum_{|x| > R_x} f(|x|) <= (g/2) (2/rho)^g (a + rho/2)^(g-1)
+            (1 + a/rho)^k e^(-a^2) / (a (1 - n / (2 a^2))).
+
+    R = R_x / sqrt(pi) makes this at most tol exp(-pi q0), where q0 is the
+    form at the lattice point nearest c coordinatewise, so peak exp(-pi q0)
+    bounds the largest term from below: the omitted part of each order-j
+    derivative is below tol * largest term * (2 pi |w|_1 s)^j.
+    """
+    n = max(g + k - 2, 0)
+    target = math.log(0.5 * g / tol) + g * math.log(2.0 / rho) + math.pi * q0
+    a = math.sqrt(max(0.5 * k, 0.5 * n + 1.0))
+    while True:
+        need = (
+            target
+            + (g - 1) * math.log(a + 0.5 * rho)
+            + k * math.log1p(a / rho)
+            - math.log(a)
+            - math.log1p(-n / (2.0 * a * a))
+        )
+        if a * a >= need:
+            return (a + rho) / math.sqrt(math.pi)
+        a = math.sqrt(need + 0.01)
+
+
+def _lattice(v, tau, char, tol, k):
+    """Points m = n + eps' of the truncation ellipsoid for derivatives of order <= k."""
     g = tau.shape[0]
     Y = tau.imag
     ep, e = (char or Characteristic.zero(g)).vectors()
-    b = np.asarray(v, dtype=complex).imag
-    lam_min = float(np.min(np.linalg.eigvalsh(Y)))
-    center = -np.linalg.solve(Y, b)
-    R = np.sqrt((np.log(1.0 / tol) + 25.0) / (np.pi * lam_min)) + 1.5
-    if R > 120.0:
-        raise PrecisionError(f"theta truncation radius {R:.1f} too large (ill-conditioned tau)")
-    los = np.floor(center - R - ep).astype(int)
-    his = np.ceil(center + R - ep).astype(int)
-    grids = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in zip(los, his)], indexing="ij")
-    n = np.stack([G.ravel() for G in grids], axis=0).astype(float)
-    return n + ep[:, None], e
+    Yinv = np.linalg.inv(Y)
+    c = -Yinv @ np.asarray(v, dtype=complex).imag
+    d0 = np.round(c - ep) + ep - c
+    diag = np.diag(Yinv)
+    R = _radius(g, k, tol, math.sqrt(math.pi / float(np.max(diag))), float(d0 @ Y @ d0))
+    half = R * np.sqrt(diag)
+    if np.max(half) > 120.0:
+        raise PrecisionError(
+            f"theta truncation box half-width {np.max(half):.1f} too large (ill-conditioned tau)"
+        )
+    los = np.ceil(c - ep - half).astype(int)
+    his = np.floor(c - ep + half).astype(int)
+    m = np.indices(his - los + 1).reshape(g, -1) + (los + ep)[:, None]
+    d = m - c[:, None]
+    return m[:, np.sum(d * (Y @ d), axis=0) <= R * R], e
 
 
-def _terms(v, tau, char, tol):
-    """Lattice m, shift = max Re(exponent), exp(exponent - shift); the caller checks tau."""
-    m, e = _lattice(v, tau, char, tol)
+def _terms(v, tau, char, tol, k):
+    """Lattice m, shift = max Re(exponent), exp(exponent - shift); the caller checks tau.
+
+    k is the highest derivative order the caller sums, which sizes the lattice.
+    """
+    m, e = _lattice(v, tau, char, tol, k)
     v = np.asarray(v, dtype=complex)
     quad = 1j * np.pi * np.einsum("ik,ij,jk->k", m, tau, m)
     lin = 2j * np.pi * (m.T @ (v + e))
@@ -98,7 +150,7 @@ def _terms(v, tau, char, tol):
 
 def theta(v, tau, char: Characteristic | None = None, tol: float = 1e-14) -> complex:
     """theta[char](v; tau) by direct lattice summation."""
-    _, shift, base = _terms(v, _check_tau(tau), char, tol)
+    _, shift, base = _terms(v, _check_tau(tau), char, tol, 0)
     return complex(np.exp(shift) * np.sum(base))
 
 
@@ -111,7 +163,8 @@ def theta_derivatives(
     value, (0,) for d/dv_0, (0, 1, 1) for the third-order mixed partial.
     All requested values come from a single lattice pass.
     """
-    m, shift, base = _terms(v, _check_tau(tau), char, tol)
+    k = max((len(alpha) for alpha in orders), default=0)
+    m, shift, base = _terms(v, _check_tau(tau), char, tol, k)
     scale = np.exp(shift)
     out = {}
     for alpha in orders:
@@ -126,7 +179,7 @@ def theta_directional(
     v, tau, direction, max_order: int, char: Characteristic | None = None, tol: float = 1e-14
 ) -> np.ndarray:
     """[theta, d theta/dt, ..., d^k theta/dt^k] along v + t*direction at t=0."""
-    m, shift, base = _terms(v, _check_tau(tau), char, tol)
+    m, shift, base = _terms(v, _check_tau(tau), char, tol, max_order)
     w = np.asarray(direction, dtype=complex)
     dots = 2j * np.pi * (m.T @ w)
     out = np.empty(max_order + 1, dtype=complex)
@@ -166,7 +219,8 @@ def theta_directional_table(tau, direction, max_order: int) -> np.ndarray:
     out = np.empty((len(chars), max_order + 1), dtype=complex)
     for ep in {ch.eps_prime for ch in chars}:
         rows = [i for i, ch in enumerate(chars) if ch.eps_prime == ep]
-        m, shift, base = _terms(np.zeros(g), tau, Characteristic(ep, (0.0,) * g), 1e-14)
+        char = Characteristic(ep, (0.0,) * g)
+        m, shift, base = _terms(np.zeros(g), tau, char, 1e-14, max_order)
         dots = 2j * np.pi * (m.T @ w)
         terms = np.empty((m.shape[1], max_order + 1), dtype=complex)
         terms[:, 0] = base

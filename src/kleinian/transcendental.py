@@ -32,12 +32,12 @@ weighted-vanishing-order search over all half-integer characteristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .curves import HYPERELLIPTIC, CurveModel, infinity_series
+from .curves import HYPERELLIPTIC, CurveModel, InfinitySeries, infinity_series
 from .divisors import Divisor
 from .errors import (
     CharacteristicSearchError,
@@ -101,7 +101,11 @@ def branch_points(curve: CurveModel) -> np.ndarray:
 
 @dataclass
 class PeriodData:
-    """First/second-kind period matrices and derived normalized data."""
+    """First/second-kind period matrices and derived normalized data.
+
+    ``char`` (the Riemann characteristic) and ``series`` (the expansion at
+    infinity of ``curve`` that ``abel`` integrates) are filled on first use.
+    """
 
     curve: CurveModel
     omega: np.ndarray
@@ -113,6 +117,7 @@ class PeriodData:
     legendre_residual: float
     branch: np.ndarray
     char: Optional[Characteristic] = None
+    series: Optional[InfinitySeries] = field(default=None, repr=False)
 
     def omega_inv(self) -> np.ndarray:
         return np.linalg.inv(self.omega)
@@ -492,7 +497,9 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData) -> np.ndarray:
     e = pd.branch
     P = x_polynomial(curve)
     total = np.zeros(g, dtype=complex)
-    ser = infinity_series(curve, _SERIES_ORDER)
+    if curve is pd.curve and pd.series is None:
+        pd.series = infinity_series(curve, _SERIES_ORDER)
+    ser = pd.series if curve is pd.curve else infinity_series(curve, _SERIES_ORDER)
     coeffs = ser.c[::-1]  # for polyval
     scale = 1.0 + float(np.max(np.abs(e)))
 
@@ -540,7 +547,7 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData) -> np.ndarray:
 
 def theta_sum_quality(v, tau, char) -> float:
     """|theta| in units of its largest lattice term (0 on the theta divisor)."""
-    _, _, base = _terms(v, _check_tau(tau), char, 1e-14)
+    _, _, base = _terms(v, _check_tau(tau), char, 1e-14, 0)
     return float(abs(np.sum(base)))
 
 

@@ -1,9 +1,15 @@
+import importlib
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 
-from kleinian.errors import InvalidCurveError
+from kleinian.errors import InvalidCurveError, PrecisionError
 from kleinian.theta import (
     Characteristic,
+    _lattice,
+    _radius,
     all_half_characteristics,
     log_theta_derivatives,
     theta,
@@ -11,6 +17,7 @@ from kleinian.theta import (
     theta_directional,
     theta_directional_table,
 )
+from kleinian.transcendental import theta_sum_quality
 
 TAU1 = np.array([[1j]])
 
@@ -154,3 +161,157 @@ def test_directional_table_matches_per_characteristic_calls(name):
     assert np.all(np.abs(table[odd, 0]) < 1e-12 * scale[0])
     even_zeros = np.sum(np.abs(table[~odd, 0]) < 1e-5 * scale[0])
     assert even_zeros == (1 if g == 3 else 0)
+
+
+# -- independent oracle and truncation -------------------------------------------
+
+
+def mp_terms(tau, char, v):
+    """Lattice points m = n + e' and their theta terms at 30 digits (mpmath).
+
+    The box around the Gaussian centre is sized from the smallest
+    eigenvalue of Im tau so that every term left out is below 1e-40 of the
+    largest one; the float filter only drops terms below that level.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    ep, e = char.vectors()
+    g = len(ep)
+    Y = tau.imag
+    c = -np.linalg.solve(Y, np.asarray(v, dtype=complex).imag)
+    d0 = np.round(c - ep) + ep - c
+    cut = 40.0 * math.log(10.0) / math.pi
+    h = int(math.ceil(math.sqrt((cut + d0 @ Y @ d0) / np.min(np.linalg.eigvalsh(Y))))) + 2
+    n = np.array(list(product(range(-h, h + 1), repeat=g)), dtype=float).T + np.round(c - ep)[:, None]
+    m = n + ep[:, None]
+    q = np.sum((m - c[:, None]) * (Y @ (m - c[:, None])), axis=0)
+    m = m[:, q - np.min(q) <= cut]
+    with mpmath.workdps(30):
+        T = [[mpmath.mpc(complex(tau[i, j])) for j in range(g)] for i in range(g)]
+        ve = [mpmath.mpc(complex(v[i])) + mpmath.mpf(e[i]) for i in range(g)]
+        terms = []
+        for col in m.T:
+            mm = [mpmath.mpf(x) for x in col]
+            quad = mpmath.fsum(mm[i] * T[i][j] * mm[j] for i in range(g) for j in range(g))
+            lin = mpmath.fsum(mm[i] * ve[i] for i in range(g))
+            terms.append((mm, mpmath.exp(1j * mpmath.pi * quad + 2j * mpmath.pi * lin)))
+    return mpmath, terms
+
+
+ORACLE_CHARS = [((0.0, 0.0, 0.0), (0.0, 0.0, 0.0)), ((0.5, 0.0, 0.5), (0.0, 0.5, 0.5)),
+                ((0.5, 0.5, 0.5), (0.5, 0.0, 0.0))]
+ORACLE_V = [(0.0, 0.0, 0.0), (0.31, -0.17, 0.08), (0.12 - 0.23j, -0.3 + 0.15j, 0.05 + 0.2j)]
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_PERIODS))
+def test_theta_and_derivatives_match_mpmath_oracle(name):
+    tau = FIXED_PERIODS[name][0]
+    g = tau.shape[0]
+    orders = [()] + [a for k in (1, 2, 3) for a in product(range(g), repeat=k) if list(a) == sorted(a)]
+    for (ep, e), v in zip(ORACLE_CHARS, ORACLE_V):
+        char, v = Characteristic(ep[:g], e[:g]), np.array(v[:g])
+        mpmath, terms = mp_terms(tau, char, v)
+        got = theta_derivatives(v, tau, orders, char=char)
+        with mpmath.workdps(30):
+            factor = [np.array([2j * mpmath.pi * mm[a] for mm, _ in terms]) for a in range(g)]
+            parts = {(): np.array([t for _, t in terms])}
+            for alpha in orders:  # sorted by length: alpha[:-1] is already there
+                if alpha:
+                    parts[alpha] = parts[alpha[:-1]] * factor[alpha[-1]]
+                exact = complex(mpmath.fsum(parts[alpha]))
+                largest = max(abs(complex(p)) for p in parts[alpha])
+                assert abs(got[alpha] - exact) <= 1e-13 * largest, (name, char, alpha)
+            assert abs(theta(v, tau, char) - complex(mpmath.fsum(parts[()]))) <= 1e-13 * max(
+                abs(complex(t)) for _, t in terms
+            )
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_PERIODS))
+def test_directional_table_matches_mpmath_oracle(name):
+    tau, w, d = FIXED_PERIODS[name]
+    g = tau.shape[0]
+    chars = all_half_characteristics(g)
+    table = theta_directional_table(tau, w, d)
+    exact = np.empty_like(table)
+    for ep in {ch.eps_prime for ch in chars}:
+        mpmath, terms = mp_terms(tau, Characteristic(ep, (0.0,) * g), np.zeros(g))
+        with mpmath.workdps(30):
+            dots = [2j * mpmath.pi * mpmath.fsum(mm[i] * mpmath.mpc(complex(w[i])) for i in range(g))
+                    for mm, _ in terms]
+            powers = [np.array([t * dot**k for (_, t), dot in zip(terms, dots)]) for k in range(d + 1)]
+        m = np.array([[float(x) for x in mm] for mm, _ in terms])
+        for i, ch in enumerate(chars):
+            if ch.eps_prime != ep:
+                continue
+            # exp(2 i pi m.e) = i^(4 m.e) exactly, as m and e are half-integers
+            quarter = np.rint(4 * m @ np.array(ch.eps)).astype(int) % 4
+            with mpmath.workdps(30):
+                for k in range(d + 1):
+                    s = [mpmath.fsum(powers[k][quarter == r]) for r in range(4)]
+                    exact[i, k] = complex(s[0] - s[2] + 1j * (s[1] - s[3]))
+    scale = np.max(np.abs(exact), axis=0)
+    assert np.all(np.abs(table - exact) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_PERIODS))
+def test_lattice_is_the_truncation_ellipsoid_and_its_tail_is_below_the_bound(name):
+    tau, w, k = FIXED_PERIODS[name]
+    g = tau.shape[0]
+    Y = tau.imag
+    Yinv = np.linalg.inv(Y)
+    rho = math.sqrt(math.pi / np.max(np.diag(Yinv)))
+    for (ep, e), v in zip(ORACLE_CHARS, ORACLE_V):
+        char, v = Characteristic(ep[:g], e[:g]), np.array(v[:g])
+        eps = np.array(char.eps_prime)
+        c = -Yinv @ v.imag
+        d0 = np.round(c - eps) + eps - c
+        R2 = _radius(g, k, 1e-14, rho, d0 @ Y @ d0) ** 2
+        m, _ = _lattice(v, tau, char, 1e-14, k)
+        # brute force: a box far larger than the ellipsoid, filtered by the form
+        h = int(math.ceil(3 * math.sqrt(R2 * np.max(np.diag(Yinv))))) + 1
+        big = np.array(list(product(range(-h, h + 1), repeat=g)), dtype=float).T
+        big += np.round(c - eps)[:, None] + eps[:, None]
+        q = np.sum((big - c[:, None]) * (Y @ (big - c[:, None])), axis=0)
+        inside = big[:, q <= R2]
+        assert {tuple(p) for p in m.T} == {tuple(p) for p in inside.T}
+        # the omitted terms, with their order-j factors |2 pi m.w|^j, stay below
+        # tol * largest term * (2 pi |w|_1 (1 + |c|_inf))^j
+        logs = -math.pi * q
+        top = np.max(logs[q <= R2])
+        out = np.exp(logs[q > R2] - top)
+        dots = 2 * math.pi * np.abs(big[:, q > R2].T @ w)
+        unit = 2 * math.pi * np.sum(np.abs(w)) * (1 + np.max(np.abs(c)))
+        for j in range(k + 1):
+            assert np.sum(out * dots**j) <= 1e-14 * unit**j
+
+
+def test_lattice_is_far_smaller_than_the_old_box():
+    tau, w, d = FIXED_PERIODS["g3"]
+    m, _ = _lattice(np.zeros(3), tau, Characteristic((0.5,) * 3, (0.0,) * 3), 1e-14, d)
+    assert m.shape[1] < 1000  # the box of the isotropic radius held 8000
+
+
+def test_ill_conditioned_tau_raises_precision_error():
+    tau = np.diag([1e-4j, 1j])
+    with pytest.raises(PrecisionError, match="half-width"):
+        theta([0.0, 0.0], tau)
+    with pytest.raises(PrecisionError):
+        theta_directional_table(tau, np.array([1.0, 0.0]), 3)
+
+
+def test_each_entry_point_sizes_the_lattice_for_its_derivative_order(monkeypatch):
+    theta_module = importlib.import_module("kleinian.theta")
+    real, orders = theta_module._lattice, []
+
+    def spy(v, tau, char, tol, k):
+        orders.append(k)
+        return real(v, tau, char, tol, k)
+
+    monkeypatch.setattr(theta_module, "_lattice", spy)
+    tau, w, d = FIXED_PERIODS["g2"]
+    v = np.array([0.1, -0.2 + 0.1j])
+    theta(v, tau)
+    theta_derivatives(v, tau, [(0,), (0, 1, 1), ()])
+    theta_directional(v, tau, w, 4)
+    theta_directional_table(tau, w, d)
+    theta_sum_quality(v, tau, None)
+    assert orders == [0, 3, 4] + [d] * 4 + [0]

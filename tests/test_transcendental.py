@@ -120,6 +120,23 @@ def test_abel_conjugate_in_lattice(rng):
     assert np.max(np.abs(coeff - np.round(coeff))) < 1e-7
 
 
+def test_abel_keeps_the_infinity_series_of_its_curve(rng):
+    curve = random_curve(2, 5, rng)
+    pd = period_matrices(curve)
+    assert pd.series is None  # period_matrices does not build it
+    D = random_divisor(curve, 2, rng)
+    u1 = abel(curve, D, pd)
+    ser = pd.series
+    assert ser is not None and ser.curve is curve
+    u2 = abel(curve, D, pd)
+    assert pd.series is ser
+    assert np.array_equal(u1, u2)
+    # an equal but distinct curve object gets its own series, bit-identical result
+    twin = curve_model(curve.n, curve.s, curve.lam)
+    assert np.array_equal(abel(twin, Divisor(twin, [(p.x, p.y) for p in D.points]), pd), u1)
+    assert pd.series is ser
+
+
 def test_abel_on_branch_point_raises(rng):
     curve = curve_model(2, 3, {4: -1.0})
     pd = period_matrices(curve)
