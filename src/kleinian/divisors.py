@@ -8,15 +8,14 @@ the curve equation.  The two workhorses are
   through a positive divisor of degree w - g (repeated points contribute
   derivative conditions along the branch y(x)); and
 * :func:`zero_divisor` -- the full degree-w divisor of zeros of a
-  polynomial function, via the y-resultant with the curve equation.
+  polynomial function, via the y-resultant with the curve equation and
+  one batched solve for the fibers over all of its roots.
 
 Together they realize complements of divisors inside divisors of zeros,
 which is all the group law needs.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -226,7 +225,7 @@ class Divisor:
             ]
             if len(shared) < n:
                 continue
-            fiber_ys = fiber_points(self.curve, xs[i])
+            fiber_ys = fiber_points(self.curve, [xs[i]])[0]
             picked: list[int] = []
             for yf in fiber_ys:
                 hit = next(
@@ -385,24 +384,36 @@ def interpolate(curve: CurveModel, w: int, D: Divisor) -> PolyFunction:
 
 
 def _poly_det(mat: list[list[np.ndarray]]) -> np.ndarray:
-    """Determinant of a small matrix of x-polynomials (descending coeffs)."""
+    """Determinant of a small matrix of x-polynomials (descending coeffs).
+
+    Leibniz expansion, in lexicographic order, over the permutations that
+    avoid exact-zero entries.  The terms left out are exact zeros, so the
+    sum is the full expansion's bit for bit; so is its length whenever a
+    longest term is kept, as in a Sylvester matrix, whose term through R's
+    leading y-coefficient and f's y^0 coefficient (x^s + ...) is longest.
+    """
     size = len(mat)
     acc = np.zeros(1, dtype=complex)
-    for perm in itertools.permutations(range(size)):
-        sign = 1
-        for i in range(size):
-            for j in range(i + 1, size):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = np.array([sign + 0j])
+    live = [[j for j in range(size) if mat[r][j].any()] for r in range(size)]
+    for perm in _perms_within(live, ()):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+        term = np.array([(-1) ** inversions + 0j])
         for r in range(size):
             term = np.convolve(term, mat[r][perm[r]])
         if len(term) > len(acc):
             acc = np.pad(acc, (len(term) - len(acc), 0))
-        elif len(acc) > len(term):
-            term = np.pad(term, (len(acc) - len(term), 0))
-        acc = acc + term
+        acc[len(acc) - len(term) :] += term
     return acc
+
+
+def _perms_within(live: list[list[int]], head: tuple):
+    """Permutations p extending ``head`` with p[r] in live[r], in lexicographic order."""
+    if len(head) == len(live):
+        yield head
+        return
+    for j in live[len(head)]:
+        if j not in head:
+            yield from _perms_within(live, head + (j,))
 
 
 def curve_y_coefficient_polys(curve: CurveModel) -> list[np.ndarray]:
@@ -443,18 +454,26 @@ def y_resultant(curve: CurveModel, R: PolyFunction) -> np.ndarray:
     return _poly_det(mat)
 
 
-def fiber_points(curve: CurveModel, x0: complex) -> np.ndarray:
-    """All n roots y of f(x0, y) = 0."""
+def fiber_points(curve: CurveModel, xs) -> np.ndarray:
+    """Row k: the n roots y of f(xs[k], y) = 0, bit for bit those of
+    ``newton_polish(c, np.roots(c))``, from one stacked eigenvalue solve."""
     n = curve.n
-    c = np.zeros(n + 1, dtype=complex)
-    c[0] = -1.0
-    c[n] += x0**curve.s
-    for i, j, k in curve.terms:
-        lk = curve.lam.get(k)
-        if lk:
-            c[n - j] += lk * x0**i
-    # leading coefficient is exactly -1: bypass degree-deficiency stripping
-    return newton_polish(c, np.roots(c))
+    c = np.zeros((len(xs), n + 1), dtype=complex)
+    for row, x0 in zip(c, xs):
+        row[0] = -1.0
+        row[n] += x0**curve.s
+        for i, j, k in curve.terms:
+            lk = curve.lam.get(k)
+            if lk:
+                row[n - j] += lk * x0**i
+    # the leading coefficient is exactly -1, so this is np.roots' companion
+    comp = np.zeros((len(xs), n, n), dtype=complex)
+    comp[:, 0, :] = -c[:, 1:] / c[:, :1]
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    ys = np.linalg.eigvals(comp)
+    for k in np.flatnonzero(c[:, -1] == 0):
+        ys[k] = np.roots(c[k])  # strips the zero constant term and returns y = 0 exactly
+    return newton_polish(c, ys)
 
 
 def _polish_multiple_zero(
@@ -486,7 +505,7 @@ def _polish_multiple_zero(
 
 
 def _nearest_fiber_y(curve: CurveModel, x: complex, y_guess: complex) -> complex:
-    ys = fiber_points(curve, x)
+    ys = fiber_points(curve, [x])[0]
     return complex(ys[int(np.argmin(np.abs(ys - y_guess)))])
 
 
@@ -518,13 +537,14 @@ def zero_divisor(curve: CurveModel, R: PolyFunction, cluster_tol: float = 1e-6) 
     points: list[CurvePoint] = []
     if R.y_degree() == 0:
         rx = R.y_coefficient_polys()[0]
-        for x0, mult in cluster_roots(poly_roots(rx), cluster_tol):
-            if mult > 1:  # multiple x-root: Newton on the (m-1)-st derivative
-                d = rx
-                for _ in range(mult - 1):
-                    d = np.polyder(d)
-                x0 = complex(newton_polish(d, np.array([x0]))[0])
-            for y0 in fiber_points(curve, x0):
+        clusters = cluster_roots(poly_roots(rx), cluster_tol)
+        # a multiple x-root gets Newton on the (m-1)-st derivative
+        xs = [
+            x if m == 1 else complex(newton_polish(np.polyder(rx, m - 1), [x])[0])
+            for x, m in clusters
+        ]
+        for x0, (_, mult), ys in zip(xs, clusters, fiber_points(curve, xs)):
+            for y0 in ys:
                 x1, y1 = _polish_common_zero(curve, R, x0, y0) if mult == 1 else (x0, y0)
                 points.extend([CurvePoint(x1, y1)] * mult)
         return Divisor(curve, points, validate=False)
@@ -536,8 +556,8 @@ def zero_divisor(curve: CurveModel, R: PolyFunction, cluster_tol: float = 1e-6) 
     res = res / scale
     lead = int(np.argmax(np.abs(res) > 1e-11))
     res = res[lead:]
-    for x0, mult in cluster_roots(poly_roots(res), cluster_tol):
-        ys = fiber_points(curve, x0)
+    clusters = cluster_roots(poly_roots(res), cluster_tol)
+    for (x0, mult), ys in zip(clusters, fiber_points(curve, [x for x, _ in clusters])):
         vals = np.array([abs(R.eval(x0, yy)) for yy in ys])
         rs = max(R.term_scale(x0, yy) for yy in ys)
         qualify = [int(t) for t in np.nonzero(vals < 1e-5 * rs)[0]]
@@ -615,12 +635,8 @@ def complement(
     # their matching gate must be wider than the simple-zero one; the
     # multiplicity is read on both sides of the pairing
     def _mults(px, py):
-        m = np.ones(len(px))
-        for k in range(len(px)):
-            m[k] = np.sum(
-                (np.abs(px - px[k]) < 1e-5 * scale) & (np.abs(py - py[k]) < 1e-5 * scale)
-            )
-        return m
+        near = np.abs(px[:, None] - px[None, :]) < 1e-5 * scale
+        return np.sum(near & (np.abs(py[:, None] - py[None, :]) < 1e-5 * scale), axis=1)
 
     mult_d = _mults(dx, dy)
     mult_z = _mults(zx, zy)

@@ -1,8 +1,6 @@
 """Complex polynomial roots tuned for the divisor-algebra workloads.
 
-Companion-matrix eigenvalues are the default; the Aberth--Ehrlich
-simultaneous iteration takes over for high degree, where the companion
-approach becomes the bottleneck and loses accuracy.  Every root is
+Roots are companion-matrix eigenvalues (``np.roots``).  Every root is
 polished by a few Newton steps on the original coefficients, and a
 clustering pass recovers multiplicities from nearly-coincident roots.
 """
@@ -10,10 +8,6 @@ clustering pass recovers multiplicities from nearly-coincident roots.
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import PrecisionError
-
-ABERTH_DEGREE_CUTOFF = 30
 
 
 def _strip(coeffs: np.ndarray) -> np.ndarray:
@@ -32,23 +26,26 @@ def poly_roots(coeffs, polish: bool = True) -> np.ndarray:
     c = _strip(coeffs)
     if len(c) <= 1:
         return np.zeros(0, dtype=complex)
-    deg = len(c) - 1
-    if deg <= ABERTH_DEGREE_CUTOFF:
-        r = np.roots(c)
-    else:
-        r = _aberth(c)
+    r = np.roots(c)
     if polish:
         r = newton_polish(c, r)
     return r
 
 
 def newton_polish(coeffs, roots, steps: int = 3) -> np.ndarray:
+    """Damped Newton steps on the roots of one polynomial or of a stack.
+
+    ``coeffs`` is (d+1,) with roots (k,), or (m, d+1) with roots (m, k):
+    row r of ``roots`` is polished on row r of ``coeffs``.  The Horner
+    recurrence is ``np.polyval``'s, so a stack gives each row the bits a
+    separate call would.
+    """
     c = np.asarray(coeffs, dtype=complex)
-    dc = np.polyder(c)
-    r = np.asarray(roots, dtype=complex).copy()
+    dc = c[..., :-1] * np.arange(c.shape[-1] - 1, 0, -1)
+    r = np.array(roots, dtype=complex)
     for _ in range(steps):
-        p = np.polyval(c, r)
-        dp = np.polyval(dc, r)
+        p = _horner(c, r)
+        dp = _horner(dc, r)
         ok = np.abs(dp) > 1e-30
         step = np.zeros_like(r)
         step[ok] = p[ok] / dp[ok]
@@ -59,25 +56,11 @@ def newton_polish(coeffs, roots, steps: int = 3) -> np.ndarray:
     return r
 
 
-def _aberth(c: np.ndarray, maxiter: int = 600, tol: float = 1e-14) -> np.ndarray:
-    deg = len(c) - 1
-    radius = 1.0 + np.max(np.abs(c[1:] / c[0]))
-    k = np.arange(deg)
-    z = radius * np.exp(2j * np.pi * (k + 0.35) / deg)
-    dc = np.polyder(c)
-    for _ in range(maxiter):
-        p = np.polyval(c, z)
-        dp = np.polyval(dc, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newt = np.where(np.abs(dp) > 0, p / dp, 0.0)
-            diff = z[:, None] - z[None, :]
-            np.fill_diagonal(diff, np.inf)
-            s = np.sum(1.0 / diff, axis=1)
-            corr = newt / (1.0 - newt * s)
-        z = z - corr
-        if np.max(np.abs(corr)) < tol * (1.0 + np.max(np.abs(z))):
-            return z
-    raise PrecisionError("Aberth iteration did not converge")
+def _horner(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    y = np.zeros_like(r)
+    for ck in c.T[..., None]:  # coefficient k of every row, as a column
+        y = y * r + ck
+    return y
 
 
 def cluster_roots(roots, rel_tol: float = 1e-6):

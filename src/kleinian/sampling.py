@@ -25,7 +25,7 @@ def random_divisor(curve: CurveModel, degree: int, rng: np.random.Generator) -> 
             raise RuntimeError("could not sample a reduced divisor")
         r = np.sqrt(rng.uniform(0.0, 1.0))
         x = r * np.exp(2j * np.pi * rng.uniform())
-        ys = fiber_points(curve, x)
+        ys = fiber_points(curve, [x])[0]
         pts.append((complex(x), ys[int(rng.integers(len(ys)))]))
         if not Divisor(curve, pts, validate=False).is_reduced():
             pts.pop()

@@ -1,9 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from kleinian import divisors
 from kleinian.curves import curve_model
 from kleinian.divisors import (
     Divisor,
+    PolyFunction,
     branch_jet,
     complement,
     fiber_points,
@@ -19,6 +23,7 @@ from kleinian.errors import (
     InconsistencyError,
     NonReducedDivisorError,
 )
+from kleinian.roots import newton_polish, poly_roots
 from kleinian.sampling import random_curve, random_divisor
 
 FAMILIES = ((2, 5), (2, 7), (3, 4))
@@ -55,7 +60,7 @@ def test_reduce_equal_mod_f(rng):
     red = reduce_poly(curve, raw)
     for _ in range(5):
         x = complex(*rng.uniform(-1, 1, 2))
-        y = fiber_points(curve, x)[0]
+        y = fiber_points(curve, [x])[0, 0]
         direct = sum(c * x**i * y**j for (i, j), c in raw.items())
         assert abs(direct - red.eval(x, y)) < 1e-10 * max(1.0, abs(direct))
 
@@ -104,7 +109,7 @@ def test_34_determinant_ratio_oracle(rng):
 
     for _ in range(5):
         x = complex(*rng.uniform(-1, 1, 2))
-        y = fiber_points(curve, x)[1]
+        y = fiber_points(curve, [x])[0, 1]
         assert abs(R.eval(x, y) - ratio(x, y)) < 1e-9 * max(1.0, abs(ratio(x, y)))
 
 
@@ -219,7 +224,7 @@ def test_involution_detection():
     with pytest.raises(NonReducedDivisorError):
         D.assert_reduced()
     c34 = curve_model(3, 4, {6: 0.4})
-    ys = fiber_points(c34, x)
+    ys = fiber_points(c34, [x])[0]
     two = Divisor(c34, [(x, ys[0]), (x, ys[1])], validate=False)
     assert two.is_reduced()  # n-1 = 2 points of a fiber are allowed
     three = Divisor(c34, [(x, ys[0]), (x, ys[1]), (x, ys[2])], validate=False)
@@ -234,3 +239,115 @@ def test_poly_mul_raw():
     b = PolyFunction(curve, {(0, 1): 1.0})
     prod = poly_mul_raw(a, b)
     assert prod == {(1, 1): 1.0, (0, 2): 2.0}
+
+
+# -- bit-identity of the resultant and of the batched fibers ------------------
+
+
+def _leibniz(mat):
+    """Full Leibniz expansion over every permutation, the reference for _poly_det."""
+    size = len(mat)
+    acc = np.zeros(1, dtype=complex)
+    for perm in itertools.permutations(range(size)):
+        sign = 1
+        for i in range(size):
+            for j in range(i + 1, size):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = np.array([sign + 0j])
+        for r in range(size):
+            term = np.convolve(term, mat[r][perm[r]])
+        if len(term) > len(acc):
+            acc = np.pad(acc, (len(term) - len(acc), 0))
+        elif len(acc) > len(term):
+            term = np.pad(term, (len(acc) - len(term), 0))
+        acc = acc + term
+    return acc
+
+
+def _fiber_coeffs(curve, x):
+    """f(x, y) as a polynomial in y (descending), in the scalar arithmetic of fiber_points."""
+    n = curve.n
+    c = np.zeros(n + 1, dtype=complex)
+    c[0] = -1.0
+    c[n] += x**curve.s
+    for i, j, k in curve.terms:
+        lk = curve.lam.get(k)
+        if lk:
+            c[n - j] += lk * x**i
+    return c
+
+
+def _sparse_34():
+    # f = -y^3 + x^4 + 0.4 x^2 + 0.5 y: no constant term, so x = 0 gives a
+    # fiber polynomial whose constant coefficient is exactly 0
+    return curve_model(3, 4, {6: 0.4, 8: 0.5})
+
+
+def test_poly_det_bit_identical_to_full_expansion(rng, monkeypatch):
+    mats = []
+    real = divisors._poly_det
+    monkeypatch.setattr(divisors, "_poly_det", lambda mat: mats.append(mat) or real(mat))
+    curves = [random_curve(n, s, rng) for n, s in FAMILIES] + [_sparse_34()]
+    for curve in curves:
+        g = curve.genus
+        for w in (2 * g, 2 * g + 1, 3 * g):
+            R = interpolate(curve, w, random_divisor(curve, w - g, rng))
+            if R.y_degree():
+                y_resultant(curve, R)
+    assert {len(m) for m in mats} == {3, 4, 5}
+    for mat in mats:
+        assert np.array_equal(real(mat), _leibniz(mat))
+
+
+def _fiber_xs(curve, rng):
+    """Random x, |x| = 1e3, x = 0 and the branch points (double y) of a curve."""
+    fy = PolyFunction(
+        curve,
+        {(0, curve.n - 1): -curve.n}
+        | {(i, j - 1): j * curve.lam[k] for i, j, k in curve.terms if j and k in curve.lam},
+    )
+    branch = poly_roots(y_resultant(curve, fy))
+    xs = [complex(*rng.uniform(-1, 1, 2)) for _ in range(4)]
+    return xs + [1e3 * np.exp(0.7j), -1e3 + 0j, 0j] + [complex(b) for b in branch[:3]]
+
+
+def test_fiber_points_bit_identical_to_roots_and_polish(rng):
+    curves = [random_curve(n, s, rng) for n, s in FAMILIES] + [_sparse_34()]
+    for curve in curves:
+        xs = _fiber_xs(curve, rng)
+        got = fiber_points(curve, xs)
+        assert got.shape == (len(xs), curve.n)
+        for x, row in zip(xs, got):
+            c = _fiber_coeffs(curve, x)
+            assert np.array_equal(row, newton_polish(c, np.roots(c)))
+
+
+def test_fiber_points_zero_constant_term():
+    # at x = 0 the constant coefficient is exactly 0: np.roots strips it and
+    # returns y = 0 exactly, which a singular companion matrix would not
+    for curve in (_sparse_34(), curve_model(3, 4, {6: 0.4}), curve_model(2, 5, {6: 1.5})):
+        c = _fiber_coeffs(curve, 0j)
+        assert c[-1] == 0
+        rows = fiber_points(curve, [0.3 + 0.1j, 0j, 1.0 + 0j])
+        assert np.array_equal(rows[1], newton_polish(c, np.roots(c)))
+        assert 0 in rows[1]
+
+
+def test_fiber_points_empty():
+    assert fiber_points(_sparse_34(), []).shape == (0, 3)
+
+
+def test_zero_divisor_solves_fibers_once(rng, monkeypatch):
+    calls = []
+    real = divisors.fiber_points
+    monkeypatch.setattr(divisors, "fiber_points", lambda c, xs: calls.append(len(xs)) or real(c, xs))
+    for n, s in FAMILIES:
+        curve = random_curve(n, s, rng)
+        g = curve.genus
+        for w in (2 * g, 3 * g):
+            R = interpolate(curve, w, random_divisor(curve, w - g, rng))
+            calls.clear()
+            Z = zero_divisor(curve, R)
+            assert len(calls) == 1
+            assert Z.degree == w

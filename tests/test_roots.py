@@ -1,21 +1,6 @@
 import numpy as np
 
-from kleinian.roots import ABERTH_DEGREE_CUTOFF, _aberth, cluster_roots, poly_roots
-
-
-def test_high_degree_uses_aberth_and_matches():
-    rng = np.random.default_rng(2)
-    true = rng.standard_normal(40) + 1j * rng.standard_normal(40)
-    coeffs = np.poly(true)
-    assert len(coeffs) - 1 > ABERTH_DEGREE_CUTOFF
-    got = np.sort_complex(poly_roots(coeffs))
-    assert np.max(np.abs(got - np.sort_complex(true))) < 1e-8
-
-
-def test_aberth_directly():
-    true = np.array([1.0, -2.0, 3.0j, 1 + 1j, -0.5 - 0.25j])
-    got = np.sort_complex(_aberth(np.poly(true)))
-    assert np.max(np.abs(got - np.sort_complex(true))) < 1e-10
+from kleinian.roots import cluster_roots, newton_polish, poly_roots
 
 
 def test_cluster_roots_multiplicity():
@@ -30,3 +15,31 @@ def test_leading_zero_stripping():
     got = np.sort_complex(poly_roots(coeffs))
     assert len(got) == 2
     assert np.max(np.abs(got - np.array([1.0, 2.0]))) < 1e-10
+
+
+def _polish_reference(c, r, steps=3):
+    """newton_polish as a loop of np.polyval calls, the reference for its Horner form."""
+    dc = np.polyder(c)
+    r = np.array(r, dtype=complex)
+    for _ in range(steps):
+        p = np.polyval(c, r)
+        dp = np.polyval(dc, r)
+        ok = np.abs(dp) > 1e-30
+        step = np.zeros_like(r)
+        step[ok] = p[ok] / dp[ok]
+        big = np.abs(step) > 0.1 * (1.0 + np.abs(r))
+        step[big] = 0.0
+        r = r - step
+    return r
+
+
+def test_newton_polish_bit_identical_to_polyval_loop():
+    rng = np.random.default_rng(7)
+    for deg in (1, 2, 3, 5, 8):
+        c = rng.standard_normal((6, deg + 1)) + 1j * rng.standard_normal((6, deg + 1))
+        r = np.array([np.roots(row) for row in c]) + 1e-4 * rng.standard_normal((6, deg))
+        stacked = newton_polish(c, r)
+        for k in range(6):
+            ref = _polish_reference(c[k], r[k])
+            assert np.array_equal(newton_polish(c[k], r[k]), ref)
+            assert np.array_equal(stacked[k], ref)
