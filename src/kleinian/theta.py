@@ -60,7 +60,8 @@ class Characteristic:
         return int((-1) ** int(round(4.0 * float(ep @ e))))
 
 
-def _check_tau(tau: np.ndarray) -> np.ndarray:
+def _check_tau(tau: np.ndarray):
+    """tau as a complex array with Im(tau)^-1, its diagonal and the rho of _radius."""
     tau = np.asarray(tau, dtype=complex)
     if tau.ndim != 2 or tau.shape[0] != tau.shape[1]:
         raise InvalidCurveError("tau must be square")
@@ -69,7 +70,9 @@ def _check_tau(tau: np.ndarray) -> np.ndarray:
     Y = tau.imag
     if np.min(np.linalg.eigvalsh(Y)) <= 0:
         raise InvalidCurveError("Im(tau) must be positive definite")
-    return tau
+    Yinv = np.linalg.inv(Y)
+    diag = np.diag(Yinv)
+    return tau, Yinv, diag, math.sqrt(math.pi / float(np.max(diag)))
 
 
 def _radius(g: int, k: int, tol: float, rho: float, q0: float) -> float:
@@ -112,16 +115,15 @@ def _radius(g: int, k: int, tol: float, rho: float, q0: float) -> float:
         a = math.sqrt(need + 0.01)
 
 
-def _lattice(v, tau, char, tol, k):
+def _lattice(v, form, char, tol, k):
     """Points m = n + eps' of the truncation ellipsoid for derivatives of order <= k."""
+    tau, Yinv, diag, rho = form
     g = tau.shape[0]
     Y = tau.imag
     ep, e = (char or Characteristic.zero(g)).vectors()
-    Yinv = np.linalg.inv(Y)
     c = -Yinv @ np.asarray(v, dtype=complex).imag
     d0 = np.round(c - ep) + ep - c
-    diag = np.diag(Yinv)
-    R = _radius(g, k, tol, math.sqrt(math.pi / float(np.max(diag))), float(d0 @ Y @ d0))
+    R = _radius(g, k, tol, rho, float(d0 @ Y @ d0))
     half = R * np.sqrt(diag)
     if np.max(half) > 120.0:
         raise PrecisionError(
@@ -134,14 +136,14 @@ def _lattice(v, tau, char, tol, k):
     return m[:, np.sum(d * (Y @ d), axis=0) <= R * R], e
 
 
-def _terms(v, tau, char, tol, k):
-    """Lattice m, shift = max Re(exponent), exp(exponent - shift); the caller checks tau.
+def _terms(v, form, char, tol, k):
+    """Lattice m, shift = max Re(exponent), exp(exponent - shift); form = _check_tau(tau).
 
     k is the highest derivative order the caller sums, which sizes the lattice.
     """
-    m, e = _lattice(v, tau, char, tol, k)
+    m, e = _lattice(v, form, char, tol, k)
     v = np.asarray(v, dtype=complex)
-    quad = 1j * np.pi * np.einsum("ik,ij,jk->k", m, tau, m)
+    quad = 1j * np.pi * np.einsum("ik,ij,jk->k", m, form[0], m)
     lin = 2j * np.pi * (m.T @ (v + e))
     expo = quad + lin
     shift = float(np.max(expo.real))
@@ -212,15 +214,15 @@ def theta_directional_table(tau, direction, max_order: int) -> np.ndarray:
     Row i is theta_directional(0, tau, direction, max_order, char=chars[i])
     with chars = all_half_characteristics(g), summed over the same terms (tol 1e-14).
     """
-    tau = _check_tau(tau)
-    g = tau.shape[0]
+    form = _check_tau(tau)
+    g = form[0].shape[0]
     chars = all_half_characteristics(g)
     w = np.asarray(direction, dtype=complex)
     out = np.empty((len(chars), max_order + 1), dtype=complex)
     for ep in {ch.eps_prime for ch in chars}:
         rows = [i for i, ch in enumerate(chars) if ch.eps_prime == ep]
         char = Characteristic(ep, (0.0,) * g)
-        m, shift, base = _terms(np.zeros(g), tau, char, 1e-14, max_order)
+        m, shift, base = _terms(np.zeros(g), form, char, 1e-14, max_order)
         dots = 2j * np.pi * (m.T @ w)
         terms = np.empty((m.shape[1], max_order + 1), dtype=complex)
         terms[:, 0] = base

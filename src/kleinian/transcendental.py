@@ -33,6 +33,7 @@ weighted-vanishing-order search over all half-integer characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -62,6 +63,7 @@ _LIFT_N = 1024  # contour samples of the polylines whose crossings are counted
 _BLOCK = 32  # segments per bounding box in the crossing search
 _SERIES_ORDER = 48  # terms of the series leg at infinity in the Abel map
 _PANELS = 24  # panels of the Abel map's straight leg
+_DPHI = np.array([0.0, 0.35, -0.35, 0.7, -0.7, 1.1, -1.1])  # start directions off arg x
 _GL_SERIES = np.polynomial.legendre.leggauss(48)  # adaptive series-leg rule
 _GL_LEG = np.polynomial.legendre.leggauss(32)  # per-panel straight-leg rule
 
@@ -105,6 +107,8 @@ class PeriodData:
 
     ``char`` (the Riemann characteristic) and ``series`` (the expansion at
     infinity of ``curve`` that ``abel`` integrates) are filled on first use.
+    ``theta_memo`` keeps the theta passes of the last ``wp_theta`` argument:
+    ((char, u.tobytes()), theta_sum_quality, {order: log-derivative table}, v).
     """
 
     curve: CurveModel
@@ -118,6 +122,7 @@ class PeriodData:
     branch: np.ndarray
     char: Optional[Characteristic] = None
     series: Optional[InfinitySeries] = field(default=None, repr=False)
+    theta_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def omega_inv(self) -> np.ndarray:
         return np.linalg.inv(self.omega)
@@ -137,14 +142,16 @@ def _nn_path(e: np.ndarray, start: int) -> list:
     return path
 
 
-def _segment_distance(a: complex, b: complex, pts: np.ndarray) -> float:
-    """Distance from the segment a -> b to the nearest of pts (inf if none)."""
+def _segment_distance(a, b: complex, pts: np.ndarray):
+    """Distance from the segment a -> b to the nearest of pts (inf if none);
+    a column of k starts a (shape (k, 1)) gives the k distances at once."""
     if len(pts) == 0:
         return np.inf
     u = b - a
-    L2 = abs(u) ** 2
+    # abs(u) ** 2 as for one complex scalar (libm hypot and pow), also elementwise
+    L2 = np.float_power(np.hypot(u.real, u.imag), 2)
     t = np.clip(((pts - a) * np.conj(u)).real / L2, 0.0, 1.0)
-    return float(np.min(np.abs(pts - (a + t * u))))
+    return np.min(np.abs(pts - (a + t * u)), axis=-1)
 
 
 def _path_quality(e: np.ndarray, path) -> float:
@@ -515,15 +522,11 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData) -> np.ndarray:
         if min(abs(pt.x - ek) for ek in e) < 1e-6 * scale:
             raise PathError(f"divisor point at x = {pt.x:.6g} sits on a branch point")
         R0 = 4.0 * max(1.0, float(np.max(np.abs(e))), abs(pt.x))
-        best = None
         base_phi = np.angle(pt.x) if pt.x != 0 else 0.0
-        for dphi in (0.0, 0.35, -0.35, 0.7, -0.7, 1.1, -1.1):
-            x0 = R0 * np.exp(1j * (base_phi + dphi))
-            dmin = _segment_distance(x0, pt.x, e)
-            if best is None or dmin > best[0]:
-                best = (dmin, x0)
-        dmin, x0 = best
-        if dmin < 1e-6 * scale:
+        starts = R0 * np.exp(1j * (base_phi + _DPHI))
+        clear = _segment_distance(starts[:, None], pt.x, e)
+        x0 = starts[np.argmax(clear)]  # the first direction of maximal clearance
+        if clear.max() < 1e-6 * scale:
             raise PathError("every candidate path passes through a branch point")
         xi0 = 1.0 / np.sqrt(x0)  # principal; the sheet flip is handled below
         I_series = _segment_quad(leg_series, 0.0, xi0)
@@ -534,7 +537,8 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData) -> np.ndarray:
         nodes = 0.5 * (zs[:-1] + zs[1:])[:, None] + h[:, None] * _GL_LEG[0]
         y = _continue_sqrt(P, np.append(x0, nodes), ser.y(xi0))[1:].reshape(nodes.shape)
         du = np.stack([nodes ** (g - 1 - i) / (-2.0 * y) for i in range(g)], axis=-1)
-        I_seg = sum(h[k] * np.sum(_GL_LEG[1][:, None] * du[k], axis=0) for k in range(_PANELS))
+        # cumsum adds the panels in order, bit for bit as a per-panel loop would
+        I_seg = np.cumsum(h[:, None] * np.sum(_GL_LEG[1][:, None] * du, axis=1), axis=0)[-1]
         u_pt = I_series + I_seg
         if abs(y[-1, -1] - pt.y) > abs(y[-1, -1] + pt.y):
             u_pt = -u_pt  # landed on the conjugate sheet
@@ -556,7 +560,9 @@ def wp_theta(pd: PeriodData, char: Characteristic, u, indices) -> complex:
 
     ``indices`` is a tuple of 2 to 4 gap weights, e.g. (1, 3) or
     (1, 1, 5); the kappa correction applies to the 2-index values and the
-    quadratic exponential drops out of all higher ones.
+    quadratic exponential drops out of all higher ones.  Calls at one
+    (char, u) share one quality pass and one derivative pass per order
+    (``pd.theta_memo``, replaced when the argument changes).
     """
     curve = pd.curve
     gaps = list(curve.gaps)
@@ -567,15 +573,20 @@ def wp_theta(pd: PeriodData, char: Characteristic, u, indices) -> complex:
     if not 2 <= len(pos) <= 4:
         raise InvalidCurveError("wp indices must have between 2 and 4 entries")
     W = pd.omega_inv()
-    v = W @ np.asarray(u, dtype=complex)
-    if theta_sum_quality(v, pd.tau, char) < 1e-8:
+    u = np.asarray(u, dtype=complex)
+    key = (char, u.tobytes())
+    if pd.theta_memo is None or pd.theta_memo[0] != key:
+        v = W @ u
+        pd.theta_memo = (key, theta_sum_quality(v, pd.tau, char), {}, v)
+    _, quality, tables, v = pd.theta_memo
+    if quality < 1e-8:
         raise ThetaDivisorError("u lies on (or too near) the theta divisor")
     g = curve.genus
     k = len(pos)
-    from itertools import product
-
-    needed = sorted({tuple(sorted(a)) for a in product(range(g), repeat=k)})
-    L = log_theta_derivatives(v, pd.tau, needed, char=char)
+    if k not in tables:
+        needed = sorted({tuple(sorted(a)) for a in product(range(g), repeat=k)})
+        tables[k] = log_theta_derivatives(v, pd.tau, needed, char=char)
+    L = tables[k]
     acc = 0j
     for a in product(range(g), repeat=k):
         coef = 1.0 + 0j

@@ -8,6 +8,7 @@ import pytest
 from kleinian.errors import InvalidCurveError, PrecisionError
 from kleinian.theta import (
     Characteristic,
+    _check_tau,
     _lattice,
     _radius,
     all_half_characteristics,
@@ -265,7 +266,7 @@ def test_lattice_is_the_truncation_ellipsoid_and_its_tail_is_below_the_bound(nam
         c = -Yinv @ v.imag
         d0 = np.round(c - eps) + eps - c
         R2 = _radius(g, k, 1e-14, rho, d0 @ Y @ d0) ** 2
-        m, _ = _lattice(v, tau, char, 1e-14, k)
+        m, _ = _lattice(v, _check_tau(tau), char, 1e-14, k)
         # brute force: a box far larger than the ellipsoid, filtered by the form
         h = int(math.ceil(3 * math.sqrt(R2 * np.max(np.diag(Yinv))))) + 1
         big = np.array(list(product(range(-h, h + 1), repeat=g)), dtype=float).T
@@ -286,7 +287,7 @@ def test_lattice_is_the_truncation_ellipsoid_and_its_tail_is_below_the_bound(nam
 
 def test_lattice_is_far_smaller_than_the_old_box():
     tau, w, d = FIXED_PERIODS["g3"]
-    m, _ = _lattice(np.zeros(3), tau, Characteristic((0.5,) * 3, (0.0,) * 3), 1e-14, d)
+    m, _ = _lattice(np.zeros(3), _check_tau(tau), Characteristic((0.5,) * 3, (0.0,) * 3), 1e-14, d)
     assert m.shape[1] < 1000  # the box of the isotropic radius held 8000
 
 
@@ -300,11 +301,12 @@ def test_ill_conditioned_tau_raises_precision_error():
 
 def test_each_entry_point_sizes_the_lattice_for_its_derivative_order(monkeypatch):
     theta_module = importlib.import_module("kleinian.theta")
-    real, orders = theta_module._lattice, []
+    real, orders, forms = theta_module._lattice, [], []
 
-    def spy(v, tau, char, tol, k):
+    def spy(v, form, char, tol, k):
         orders.append(k)
-        return real(v, tau, char, tol, k)
+        forms.append(form)
+        return real(v, form, char, tol, k)
 
     monkeypatch.setattr(theta_module, "_lattice", spy)
     tau, w, d = FIXED_PERIODS["g2"]
@@ -315,3 +317,5 @@ def test_each_entry_point_sizes_the_lattice_for_its_derivative_order(monkeypatch
     theta_directional_table(tau, w, d)
     theta_sum_quality(v, tau, None)
     assert orders == [0, 3, 4] + [d] * 4 + [0]
+    # the table's e' classes share one _check_tau result: Im(tau) is inverted once
+    assert all(f is forms[3] for f in forms[3:7])

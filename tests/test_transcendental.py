@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from kleinian.curves import curve_model
+import kleinian.transcendental as transcendental
+from kleinian.curves import curve_model, infinity_series
 from kleinian.divisors import Divisor
 from kleinian.errors import (
     CharacteristicSearchError,
@@ -16,10 +19,13 @@ from kleinian.theta import all_half_characteristics, theta_directional
 from kleinian.transcendental import (
     _GL_LEG,
     _PANELS,
+    _SERIES_ORDER,
     _chain_homology,
     _continue_sqrt,
     _Ellipse,
     _intersection_number,
+    _segment_distance,
+    _segment_quad,
     _track_sqrt,
     abel,
     branch_points,
@@ -416,3 +422,152 @@ def test_track_sqrt_loop_around_one_branch_point_does_not_close():
     with pytest.raises(PrecisionError, match="did not close"):
         _track_sqrt(P, z)
     _track_sqrt(P, 2.0 * np.exp(2j * np.pi * np.arange(256) / 256))  # both: closes
+
+
+# -- wp_theta shares its theta passes per argument -------------------------------
+
+
+def _bridge_setup(name="g2"):
+    curve = FIXED_CURVES[name]()
+    pd = period_matrices(curve)
+    ch = riemann_characteristic(pd)
+    rng = np.random.default_rng(21)
+    us = [abel(curve, random_divisor(curve, curve.genus, rng), pd) for _ in range(2)]
+    return curve, pd, ch, us
+
+
+def test_wp_theta_memo_values_equal_a_fresh_period_data():
+    curve, pd, ch, (u1, u2) = _bridge_setup()
+    other = next(c for c in all_half_characteristics(2) if c.parity() == 1 and c != ch)
+    calls = [(ch, u1, (1, 1)), (ch, u1, (1, 1, 1)), (ch, u1, (1, 3)), (ch, u1, (1, 1, 3)),
+             (ch, u2, (3, 3)), (ch, u2, (1, 1, 3)), (ch, u1, (3, 3)), (ch, u1, (1, 1, 1)),
+             (other, u1, (1, 3)), (other, u1, (1, 1, 3)), (ch, u1, (1, 1, 1, 3))]
+    for char, u, idx in calls:
+        fresh = dataclasses.replace(pd)
+        assert fresh.theta_memo is None
+        assert wp_theta(pd, char, u, idx) == wp_theta(fresh, char, u, idx)
+        assert pd.theta_memo[0] == (char, np.asarray(u, dtype=complex).tobytes())
+
+
+def test_wp_theta_bundle_makes_one_quality_and_one_derivative_pass_per_order(monkeypatch):
+    curve, pd, ch, (u1, u2) = _bridge_setup()
+    counts = {"quality": 0, "derivatives": 0}
+    real_quality, real_log = transcendental.theta_sum_quality, transcendental.log_theta_derivatives
+
+    def quality(*args, **kwargs):
+        counts["quality"] += 1
+        return real_quality(*args, **kwargs)
+
+    def log_derivatives(*args, **kwargs):
+        counts["derivatives"] += 1
+        return real_log(*args, **kwargs)
+
+    monkeypatch.setattr(transcendental, "theta_sum_quality", quality)
+    monkeypatch.setattr(transcendental, "log_theta_derivatives", log_derivatives)
+    bundle = [(1, 1), (1, 3), (3, 3), (1, 1, 1), (1, 1, 3)]  # the genus-2 wp-bundle
+    for idx in bundle:
+        wp_theta(pd, ch, u1, idx)
+    assert counts == {"quality": 1, "derivatives": 2}
+    for idx in [(1, 1), (1, 1, 1), (1, 3), (1, 1, 3)]:  # interleaved orders at a new u
+        wp_theta(pd, ch, list(u2), idx)
+    assert counts == {"quality": 2, "derivatives": 4}
+
+
+def test_wp_theta_memo_raises_on_every_call_on_the_theta_divisor():
+    curve, pd, ch, _ = _bridge_setup()
+    for idx in [(1, 1), (1, 1), (1, 1, 3)]:
+        with pytest.raises(ThetaDivisorError):
+            wp_theta(pd, ch, np.zeros(2), idx)
+    assert pd.theta_memo[1] < 1e-8 and pd.theta_memo[2] == {}
+
+
+def test_wp_theta_memo_leaves_repr_and_equality_alone():
+    curve, pd, ch, (u1, _) = _bridge_setup()
+    twin = dataclasses.replace(pd)
+    wp_theta(pd, ch, u1, (1, 3))
+    assert pd.theta_memo is not None and twin.theta_memo is None
+    assert repr(pd) == repr(twin) and "theta_memo" not in repr(pd)
+    assert pd == twin
+
+
+# -- abel against the per-panel loop and per-direction clearance it replaced -----
+
+
+def _reference_abel_point(curve, pd, x, y):
+    """One point's Abel image as abel summed it before: seven clearance calls
+    and a Python sum over per-panel sums."""
+    g, e, P = curve.genus, pd.branch, x_polynomial(curve)
+    ser = infinity_series(curve, _SERIES_ORDER)
+    R0 = 4.0 * max(1.0, float(np.max(np.abs(e))), abs(x))
+    base_phi = np.angle(x) if x != 0 else 0.0
+    best = None
+    for dphi in (0.0, 0.35, -0.35, 0.7, -0.7, 1.1, -1.1):
+        a = R0 * np.exp(1j * (base_phi + dphi))
+        d = x - a
+        t = np.clip(((e - a) * np.conj(d)).real / abs(d) ** 2, 0.0, 1.0)
+        dmin = float(np.min(np.abs(e - (a + t * d))))
+        if best is None or dmin > best[0]:
+            best = (dmin, a)
+    x0 = best[1]
+
+    def leg_series(xi):
+        xi = xi[:, 0]
+        unit = np.polyval(ser.c[::-1], xi)
+        return np.stack([xi ** (2 * i) / unit for i in range(g)], axis=-1)
+
+    xi0 = 1.0 / np.sqrt(x0)
+    I_series = _segment_quad(leg_series, 0.0, xi0)
+    zs = x0 + (x - x0) * np.linspace(0.0, 1.0, _PANELS + 1)
+    h = 0.5 * (zs[1:] - zs[:-1])
+    nodes = 0.5 * (zs[:-1] + zs[1:])[:, None] + h[:, None] * _GL_LEG[0]
+    yy = _continue_sqrt(P, np.append(x0, nodes), ser.y(xi0))[1:].reshape(nodes.shape)
+    du = np.stack([nodes ** (g - 1 - i) / (-2.0 * yy) for i in range(g)], axis=-1)
+    u_pt = I_series + sum(h[k] * np.sum(_GL_LEG[1][:, None] * du[k], axis=0)
+                          for k in range(_PANELS))
+    return -u_pt if abs(yy[-1, -1] - y) > abs(yy[-1, -1] + y) else u_pt
+
+
+# real branch points: mirrored start directions tie in exact arithmetic, so
+# the choice rests on how each clearance rounds
+REAL_CURVE = {"real": lambda: _curve_from_branch_points([-1.3, -0.4, 0.2, 0.9, 1.6])}
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "real"])
+def test_abel_leg_sum_and_start_choice_match_the_per_panel_loop(name):
+    curve = {**FIXED_CURVES, **REAL_CURVE}[name]()
+    pd = period_matrices(curve, best_effort_genus3=curve.genus == 3)
+    P = x_polynomial(curve)
+    # on the real curve the choice at the real targets turns on rounding alone:
+    # abs(u) ** 2 of a complex array rounds differently and picks another start
+    targets = [0.3 - 0.2j, 2.0 + 1.0j, -1.5j, 2.5, -1.49, -1.2, -1.18, -0.48, -0.31]
+    targets += [ek + d * np.exp(1j * phi) for ek in pd.branch
+                for d in (1e-3, 1e-5) for phi in (0.7, np.pi)]
+    for k, x in enumerate(map(complex, targets)):
+        y = (-1) ** k * np.sqrt(np.polyval(P, x))
+        got = abel(curve, Divisor(curve, [(x, y)], validate=False), pd)
+        assert np.array_equal(got, np.zeros(curve.genus, dtype=complex)
+                              + _reference_abel_point(curve, pd, x, y))
+
+
+# (branch points, target) where abs(u) ** 2 over an array of starts rounds
+# unlike the scalar expression in at least one start
+ROUNDING_CASES = [
+    ([-0.278 - 0.113j, 0.906 + 0.682j, 1.24 + 0.519j, -0.324 + 0.217j, 0.032 + 1.404j],
+     0.854 + 0.633j),
+    ([1.213 - 0.417j, 0.418 - 0.446j, 0.315 - 0.09j, 0.988 + 0.813j, -1.805 - 0.341j],
+     -2.785 - 0.993j),
+    ([-0.853 + 0.036j, -0.195 + 0.612j, 0.348 + 0.909j, 0.872 + 0.505j, -0.353 - 0.425j],
+     0.539 + 0.01j),
+]
+
+
+def test_segment_distance_column_of_starts_matches_one_call_per_start():
+    rng = np.random.default_rng(3)
+    cases = ROUNDING_CASES + [(rng.normal(size=5) + 1j * rng.normal(size=5),
+                               complex(*rng.normal(size=2))) for _ in range(200)]
+    for e, x in cases:
+        e = np.array(e)
+        starts = 4.0 * max(1.0, np.max(np.abs(e)), abs(x)) * np.exp(
+            1j * (np.angle(x) + np.array([0.0, 0.35, -0.35, 0.7, -0.7, 1.1, -1.1])))
+        one_by_one = [_segment_distance(a, x, e) for a in starts]
+        assert np.array_equal(_segment_distance(starts[:, None], x, e), one_by_one)
