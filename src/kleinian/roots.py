@@ -73,11 +73,14 @@ def cluster_roots(roots, rel_tol: float = 1e-6):
     scale = 1.0 + max((abs(z) for z in r), default=0.0)
     tol = rel_tol * scale
     groups: list[list[complex]] = []
+    means = []  # np.mean of each group, renewed when it grows
     for z in r:
-        for grp in groups:
-            if abs(z - np.mean(grp)) < tol:
+        for k, grp in enumerate(groups):
+            if abs(z - means[k]) < tol:
                 grp.append(z)
+                means[k] = np.mean(grp)
                 break
         else:
             groups.append([z])
-    return [(complex(np.mean(g)), len(g)) for g in groups]
+            means.append(z)
+    return [(complex(m), len(g)) for m, g in zip(means, groups)]

@@ -1,21 +1,20 @@
 """Analytic side for hyperelliptic curves: periods, Abel map, wp from theta.
 
-Everything rests on explicit closed contours in the x-plane.  The 2g+1
-finite branch points are chained by a nearest-neighbour path; around each
-consecutive pair an ellipse is drawn that excludes the other branch
-points, and y = sqrt(P(x)) is continued along it by sign tracking
-(_continue_sqrt, which every sampled path in this module uses).  The
-trapezoid rule on these closed analytic curves converges geometrically,
-so first- and second-kind periods reach 1e-12 with a few thousand nodes.
-
-Intersection numbers of the lifted contours count planar crossings of the
-sampled polylines exactly: one counts only when both lifts lie on the same
-sheet, signed by crossing orientation, and only runs of segments whose
-bounding boxes overlap are tested, which drops no crossing.  An integer
-symplectic reduction then produces canonical cycles; the orientation that
-makes Im(tau) positive definite is selected, and the Legendre relation is
-the exit gate certifying the whole construction (cycles, sheet tracking,
-and the associated second-kind numerators together).
+Periods come from the chain of the 2g+1 finite branch points: a simple
+polyline through them (no two edges cross) of maximal clearance.  The
+loop around edge j is twice the edge integral on one sheet; with
+x = m + h t the edge integral is a Gauss-Chebyshev sum over Chebyshev
+nodes, its count set from the Bernstein radius of the other branch
+points, and sqrt(Q) (Q = P / ((x - c_j)(x - c_j+1))) is continued along
+it by sign tracking (_continue_sqrt, which every sampled path in this
+module uses).  The sheet of each edge follows from the last one by going
+round their shared branch point on the left of the chain, so consecutive
+loops meet once and the intersection matrix is the tridiagonal chain
+matrix.  An integer symplectic reduction then produces canonical cycles;
+the orientation that makes Im(tau) positive definite is selected, and
+the Legendre relation is the exit gate certifying the whole construction
+(chain, sheets, quadrature and the associated second-kind numerators
+together).
 
 The Abel map integrates from infinity: a series leg in the local
 parameter xi (x = 1/xi^2) down to a large circle, then a straight leg to
@@ -59,8 +58,9 @@ from .theta import (
 )
 
 LEGENDRE_TOL = 1e-8
-_LIFT_N = 1024  # contour samples of the polylines whose crossings are counted
-_BLOCK = 32  # segments per bounding box in the crossing search
+_EDGE_EPS = 1e-16  # target of the Bernstein bound on each chain edge
+_EDGE_MARGIN = 8  # nodes added to the Bernstein count
+_MAX_EDGE_NODES = 1 << 14
 _SERIES_ORDER = 48  # terms of the series leg at infinity in the Abel map
 _PANELS = 24  # panels of the Abel map's straight leg
 _DPHI = np.array([0.0, 0.35, -0.35, 0.7, -0.7, 1.1, -1.1])  # start directions off arg x
@@ -107,7 +107,10 @@ class PeriodData:
 
     ``char`` (the Riemann characteristic) and ``series`` (the expansion at
     infinity of ``curve`` that ``abel`` integrates) are filled on first use.
-    ``theta_memo`` keeps the theta passes of the last ``wp_theta`` argument:
+    ``quadrature`` records how the periods were obtained: the Chebyshev
+    nodes and the Bernstein radius of each chain edge, and the chain's
+    clearance (not serialized).  ``theta_memo`` keeps the theta passes of
+    the last ``wp_theta`` argument:
     ((char, u.tobytes()), theta_sum_quality, {order: log-derivative table}, v).
     """
 
@@ -122,6 +125,7 @@ class PeriodData:
     branch: np.ndarray
     char: Optional[Characteristic] = None
     series: Optional[InfinitySeries] = field(default=None, repr=False)
+    quadrature: Optional[dict] = field(default=None, repr=False, compare=False)
     theta_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def omega_inv(self) -> np.ndarray:
@@ -144,7 +148,7 @@ def _nn_path(e: np.ndarray, start: int) -> list:
 
 def _segment_distance(a, b: complex, pts: np.ndarray):
     """Distance from the segment a -> b to the nearest of pts (inf if none);
-    a column of k starts a (shape (k, 1)) gives the k distances at once."""
+    segments of shape (..., 1) against pts (..., m) give one distance each."""
     if len(pts) == 0:
         return np.inf
     u = b - a
@@ -154,174 +158,53 @@ def _segment_distance(a, b: complex, pts: np.ndarray):
     return np.min(np.abs(pts - (a + t * u)), axis=-1)
 
 
-def _path_quality(e: np.ndarray, path) -> float:
-    worst = np.inf
-    for j in range(len(path) - 1):
-        others = np.delete(e, [path[j], path[j + 1]])
-        worst = min(worst, _segment_distance(e[path[j]], e[path[j + 1]], others))
-    return worst
+def _chain_order(e: np.ndarray):
+    """Simple Hamiltonian path through the branch points with maximal clearance.
 
-
-def _chain_order(e: np.ndarray) -> np.ndarray:
-    """Hamiltonian path through the branch points with maximal clearance.
-
-    Consecutive pairs get encircled by ellipses, so every other branch
-    point must stay well away from each chain segment.  Candidates are
-    nearest-neighbour walks from every start plus directional sweeps;
-    symmetric configurations (a root at the midpoint of a pair) are what
-    the sweeps are for.
+    Returns the order and its clearance, the least distance from a chain
+    edge to a branch point off it.  Each edge is a quadrature path, so the
+    other branch points must stay well away from it, and the loops around
+    the edges meet only where consecutive edges share a branch point, so
+    no two edges may cross.  Candidates are nearest-neighbour walks from
+    every start, which may cross themselves, plus directional sweeps,
+    which never do; symmetric configurations (a root at the midpoint of a
+    pair) are what the sweeps are for.
     """
-    best, best_q = None, -1.0
-    candidates = [_nn_path(e, s) for s in range(len(e))]
+    n = len(e)
+    paths = [_nn_path(e, s) for s in range(n)]
     for phi in (0.0, 0.4, 0.8, 1.2, 1.6):
-        proj = (e * np.exp(-1j * phi)).real
-        candidates.append(list(np.argsort(proj)))
-    for path in candidates:
-        q = _path_quality(e, path)
-        if q > best_q:
-            best, best_q = path, q
+        paths.append(list(np.argsort((e * np.exp(-1j * phi)).real)))
+    paths = np.array(paths)
+    a, b = e[paths[:, :-1]], e[paths[:, 1:]]  # (candidates, edges)
+    off = np.array([np.delete(np.arange(n), [j, j + 1]) for j in range(n - 1)])
+    clearance = np.min(_segment_distance(a[..., None], b[..., None], e[paths[:, off]]), axis=1)
+
+    def side(p, q, r):  # sign of the turn p -> q -> r
+        return np.sign(((q - p) * np.conj(r - p)).imag)
+
+    i, k = np.triu_indices(n - 1, 2)  # pairs of non-adjacent edges
+    crossed = (side(a[:, i], b[:, i], a[:, k]) * side(a[:, i], b[:, i], b[:, k]) < 0) & (
+        side(a[:, k], b[:, k], a[:, i]) * side(a[:, k], b[:, k], b[:, i]) < 0
+    )
+    clearance[np.any(crossed, axis=1)] = -1.0
+    best = int(np.argmax(clearance))  # the first candidate of maximal clearance
     scale = 1.0 + float(np.max(np.abs(e)))
-    if best_q < 1e-6 * scale:
+    if clearance[best] < 1e-6 * scale:
         raise PrecisionError("branch points too clustered to chain safely")
-    return np.array(best)
+    return paths[best], float(clearance[best])
 
 
-class _Ellipse:
-    """Closed contour around two branch points, excluding all others."""
-
-    def __init__(self, a: complex, b: complex, others: np.ndarray, pad_factor: float):
-        self.a, self.b = a, b
-        L = abs(b - a)
-        u = (b - a) / L
-        m = 0.5 * (a + b)
-        seg_dist = []
-        for z in others:
-            t = np.clip(((z - m) / u).real, -L / 2, L / 2)
-            seg_dist.append(abs(z - (m + t * u)))
-        d = min(seg_dist) if seg_dist else L
-        pad = pad_factor * min(d, L)
-        for _ in range(60):
-            A, B = L / 2 + pad, pad
-            ok = all(
-                (((z - m) / u).real / A) ** 2 + (((z - m) / u).imag / B) ** 2 > 1.44
-                for z in others
-            )
-            if ok:
-                break
-            pad *= 0.8
-        else:
-            raise PrecisionError("cannot isolate a branch-point pair (clustered roots)")
-        self.center, self.u, self.A, self.B = m, u, A, B
-
-    def sample(self, N: int) -> np.ndarray:
-        th = 2.0 * np.pi * np.arange(N) / N
-        return self.center + self.u * (self.A * np.cos(th) + 1j * self.B * np.sin(th))
-
-    def sample_deriv(self, N: int) -> np.ndarray:
-        th = 2.0 * np.pi * np.arange(N) / N
-        return self.u * (-self.A * np.sin(th) + 1j * self.B * np.cos(th)) * (2.0 * np.pi / N)
-
-
-def _continue_sqrt(P: np.ndarray, z: np.ndarray, y0: complex) -> np.ndarray:
-    """y = sqrt(P(x)) continued along the nodes z, starting on the sheet nearest y0.
+def _continue_sqrt(w2: np.ndarray, y0: complex) -> np.ndarray:
+    """y = sqrt(w2) continued along a path on which y^2 takes the values w2,
+    starting on the sheet nearest y0.
 
     The sign flips wherever the principal root jumps to the other sheet
     between consecutive nodes.
     """
-    w = np.sqrt(np.polyval(P, z))
+    w = np.sqrt(w2)
     flips = np.where(np.abs(w[1:] - w[:-1]) > np.abs(w[1:] + w[:-1]), -1.0, 1.0)
     start = 1.0 if abs(w[0] - y0) <= abs(w[0] + y0) else -1.0
     return np.concatenate([[start], start * np.cumprod(flips)]) * w
-
-
-def _track_sqrt(P: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """y = sqrt(P(x)) continued along the closed path z from the principal root."""
-    y = _continue_sqrt(P, z, np.sqrt(np.polyval(P, z[0])))
-    if np.any(np.abs(y[1:] - y[:-1]) > 0.7 * np.abs(y[1:] + y[:-1])):
-        raise PrecisionError("sheet tracking ambiguous; refine the contour sampling")
-    # closed lift around two branch points: the sign must return
-    if abs(y[0] - y[-1]) > abs(y[0] + y[-1]):
-        raise PrecisionError("sheet tracking did not close; refine the contour sampling")
-    return y
-
-
-def _cycle_integrals(curve: CurveModel, ellipse: _Ellipse, P: np.ndarray, tol: float = 1e-11):
-    """Integrals of (du_1..du_g, dr_1..dr_g) over the lifted contour, and the
-    closed lifted polyline (z, y) at the _LIFT_N samples the doubling passes."""
-    g = curve.genus
-    rhos = curve.second_kind_numerators()
-    rho_coeffs = []
-    for table in rhos:
-        deg = max((i for (i, _) in table), default=0)
-        c = np.zeros(deg + 1, dtype=complex)
-        for (i, _), v in table.items():
-            c[deg - i] = v
-        rho_coeffs.append(c)
-    prev = None
-    N = 512
-    while N <= 2**15:
-        z = ellipse.sample(N)
-        dz = ellipse.sample_deriv(N)
-        y = _track_sqrt(P, z)
-        if N == _LIFT_N:
-            lifted = np.append(z, z[0]), np.append(y, y[0])
-        dy_inv = dz / (-2.0 * y)
-        vals = np.empty(2 * g, dtype=complex)
-        for i in range(g):
-            vals[i] = np.sum(z ** (g - 1 - i) * dy_inv)
-        for i in range(g):
-            vals[g + i] = np.sum(np.polyval(rho_coeffs[i], z) * dy_inv)
-        if prev is not None and np.max(np.abs(vals - prev)) < tol * (1.0 + np.max(np.abs(vals))):
-            return vals, lifted
-        prev = vals
-        N *= 2
-    raise PrecisionError(
-        f"cycle quadrature did not converge (last defect {np.max(np.abs(vals - prev)):.2e})"
-    )
-
-
-def _block_boxes(z: np.ndarray):
-    """Corners (lo, hi) of each run of _BLOCK segments; the 1e-12 padding only adds candidates."""
-    xy = np.column_stack([z.real, z.imag])
-    starts = np.arange(0, len(z) - 1, _BLOCK)
-    ends = np.minimum(starts + _BLOCK, len(z) - 1)
-    lo = np.minimum(np.minimum.reduceat(xy[:-1], starts), xy[ends])
-    hi = np.maximum(np.maximum.reduceat(xy[:-1], starts), xy[ends])
-    return lo - 1e-12, hi + 1e-12
-
-
-def _intersection_number(z1, y1, z2, y2) -> int:
-    """Signed same-sheet crossings of two closed lifted polylines.
-
-    Only segments in block pairs with overlapping boxes are tested: a
-    crossing lies in the boxes of both its segments, so none is dropped.
-    """
-    lo1, hi1 = _block_boxes(z1)
-    lo2, hi2 = _block_boxes(z2)
-    overlap = np.all((lo1[:, None] <= hi2[None]) & (lo2[None] <= hi1[:, None]), axis=-1)
-
-    def cross(a, b):
-        return a.real * b.imag - a.imag * b.real
-
-    total = 0
-    for i0, j0 in _BLOCK * np.argwhere(overlap):
-        p, q = z1[i0 : i0 + _BLOCK + 1], z2[j0 : j0 + _BLOCK + 1]
-        p1, p2, q1, q2 = p[:-1], p[1:], q[:-1], q[1:]
-        d1 = (p2 - p1)[:, None]
-        d2 = (q2 - q1)[None, :]
-        pq = q1[None, :] - p1[:, None]
-        denom = cross(d1, d2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = cross(pq, d2) / denom
-            u = cross(pq, d1) / denom
-        hits = (denom != 0) & (t >= 0) & (t < 1) & (u >= 0) & (u < 1)
-        for a, b in zip(*np.nonzero(hits)):
-            i, j = i0 + a, j0 + b
-            ya = y1[i] + t[a, b] * (y1[i + 1] - y1[i])
-            yb = y2[j] + u[a, b] * (y2[j + 1] - y2[j])
-            if abs(ya - yb) < abs(ya + yb):
-                total += 1 if denom[a, b] > 0 else -1
-    return total
 
 
 def _symplectic_rows(A: np.ndarray):
@@ -359,22 +242,95 @@ def _symplectic_rows(A: np.ndarray):
     return np.array(a_rows), np.array(b_rows)
 
 
+def _edge_sqrt(a: complex, b: complex, others: np.ndarray, N: int):
+    """Chebyshev nodes x of the edge a -> b, and sqrt(Q) for Q = prod(x - others)
+    continued over [a, x, b] from the principal root at a; PrecisionError if
+    a step is ambiguous.
+
+    Each factor x - c is taken from the nearer end, (a - c) + h (1 + t) or
+    (b - c) - h (1 - t), with 1 -+ t from half-angle sines, so that a branch
+    point just off an end keeps its relative distance to the nodes there.
+    """
+    h = 0.5 * (b - a)
+    th = (np.arange(N) + 0.5) * np.pi / N
+    lo = np.concatenate([[0.0], 2.0 * np.sin(0.5 * th) ** 2, [2.0]])  # 1 + t over [-1, t, +1]
+    hi = np.concatenate([[2.0], 2.0 * np.cos(0.5 * th) ** 2, [0.0]])  # 1 - t
+    near_a = lo <= hi
+    diff = np.where(near_a[:, None], (a - others) + h * lo[:, None], (b - others) - h * hi[:, None])
+    Q = np.prod(diff, axis=1)
+    q = _continue_sqrt(Q, np.sqrt(Q[0]))
+    if np.any(np.abs(q[1:] - q[:-1]) > 0.7 * np.abs(q[1:] + q[:-1])):
+        raise PrecisionError("sheet continuation along a chain edge is ambiguous")
+    x = np.where(near_a, a + h * lo, b - h * hi)
+    return x, q
+
+
+def _junction_sign(h0: complex, q0: complex, h1: complex, q1: complex) -> float:
+    """Sheet of the next edge relative to the last, joined round their common
+    branch point.
+
+    h0, q0: half-length and end value of sqrt(Q) of the edge ending there;
+    h1, q1: those of the edge starting there.  Near the branch point
+    y ~ d sqrt|h| sqrt(Q) times the root of the distance on either edge
+    (d = h/|h|); the clockwise arc, which keeps the left of the chain,
+    turns sqrt(x - c) by half its angle.
+    """
+    d0, d1 = h0 / abs(h0), h1 / abs(h1)
+    dphi = -((np.angle(-d0) - np.angle(d1)) % (2.0 * np.pi))
+    ratio = d0 * np.sqrt(abs(h0)) * q0 * np.exp(0.5j * dphi) / (d1 * np.sqrt(abs(h1)) * q1)
+    if min(abs(ratio - 1.0), abs(ratio + 1.0)) > 1e-6:
+        raise PrecisionError(f"sheets of consecutive chain edges do not join (ratio {ratio:.3g})")
+    return float(np.sign(ratio.real))
+
+
 def _chain_homology(curve: CurveModel, e: np.ndarray):
-    """Integrals (2g x 2g), lifted polylines and intersection matrix of the
-    ellipses around consecutive branch points of the chain."""
-    P = x_polynomial(curve)
-    chain = e[_chain_order(e)]
-    ellipses = [
-        _Ellipse(chain[j], chain[j + 1], np.delete(chain, [j, j + 1]), 0.3 + 0.1 * (j % 2))
-        for j in range(2 * curve.genus)
-    ]
-    raw, lifted = zip(*(_cycle_integrals(curve, ell, P) for ell in ellipses))
-    A = np.zeros((len(lifted), len(lifted)), dtype=np.int64)
-    for i in range(len(lifted)):
-        for j in range(i + 1, len(lifted)):
-            A[i, j] = _intersection_number(*lifted[i], *lifted[j])
-            A[j, i] = -A[i, j]
-    return np.column_stack(raw), lifted, A
+    """Integrals (2g x 2g) of (du, dr) over the loops around the chain edges,
+    and the quadrature diagnostics.
+
+    Edge j runs from c_j to c_j+1 as x = m + h t, where P = h^2 (t^2 - 1) Q
+    and y = sigma i h sqrt(1 - t^2) sqrt(Q), so int F dx / (-2y) over the
+    edge is (i sigma / 2) int F / sqrt(Q) dt / sqrt(1 - t^2): Gauss-Chebyshev
+    with N nodes, and the loop is twice the edge.  F / sqrt(Q) is analytic
+    inside the Bernstein ellipse through the nearest other branch point,
+    of radius rho; the N-node rule errs by O(r^-2N) times the size of the
+    integrand on the ellipse of radius r, so r = sqrt(rho) and
+    N = log(1 / _EDGE_EPS) / log(rho) (+ _EDGE_MARGIN) bring it below
+    _EDGE_EPS in those units.  Consecutive loops meet once, with
+    intersection number +1, and the others not at all.
+    """
+    g = curve.genus
+    order, clearance = _chain_order(e)
+    c = e[order]
+    rho_coeffs = []
+    for table in curve.second_kind_numerators():
+        deg = max((i for (i, _) in table), default=0)
+        coeffs = np.zeros(deg + 1, dtype=complex)
+        for (i, _), v in table.items():
+            coeffs[deg - i] = v
+        rho_coeffs.append(coeffs)
+    raw = np.empty((2 * g, 2 * g), dtype=complex)
+    nodes, radii = [], []
+    sigma, last = 1.0, None
+    for j in range(2 * g):
+        others = np.delete(c, [j, j + 1])
+        m, h = 0.5 * (c[j] + c[j + 1]), 0.5 * (c[j + 1] - c[j])
+        z = (others - m) / h
+        rho = float(np.min(np.abs(z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0))))
+        N = int(np.ceil(np.log(1.0 / _EDGE_EPS) / np.log(rho))) + _EDGE_MARGIN
+        if N > _MAX_EDGE_NODES:
+            raise PrecisionError(
+                f"chain edge needs {N} nodes (Bernstein radius {rho:.6g}): branch points too clustered"
+            )
+        x, q = _edge_sqrt(c[j], c[j + 1], others, N)
+        if last is not None:
+            sigma *= _junction_sign(*last, h, q[0])
+        last = h, q[-1]
+        x, q = x[1:-1], q[1:-1]
+        F = [x ** (g - 1 - i) for i in range(g)] + [np.polyval(r, x) for r in rho_coeffs]
+        raw[:, j] = (1j * sigma * np.pi / N) * np.sum(np.array(F) / q, axis=1)
+        nodes.append(N)
+        radii.append(rho)
+    return raw, {"nodes": nodes, "bernstein": radii, "clearance": clearance}
 
 
 def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> PeriodData:
@@ -392,9 +348,8 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
             raise InvalidCurveError("periods implemented for genus <= 3")
         raise InvalidCurveError("genus 3 periods are best-effort; pass best_effort_genus3=True")
     e = branch_points(curve)
-    raw, _, A = _chain_homology(curve, e)
-    if abs(round(float(np.linalg.det(A.astype(float))))) != 1:
-        raise PrecisionError("chain loops failed to give a homology basis")
+    raw, quadrature = _chain_homology(curve, e)
+    A = np.eye(2 * g, k=1, dtype=np.int64) - np.eye(2 * g, k=-1, dtype=np.int64)
     a_rows, b_rows = _symplectic_rows(A)
     for orientation in (1, -1):
         ar, br = (a_rows, b_rows) if orientation == 1 else (b_rows, a_rows)
@@ -429,6 +384,7 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
             kappa=kappa,
             legendre_residual=resid,
             branch=e,
+            quadrature=quadrature,
         )
     raise PrecisionError("no orientation satisfied Legendre + positivity; quadrature suspect")
 
@@ -535,7 +491,7 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData) -> np.ndarray:
         zs = x0 + (pt.x - x0) * np.linspace(0.0, 1.0, _PANELS + 1)
         h = 0.5 * (zs[1:] - zs[:-1])
         nodes = 0.5 * (zs[:-1] + zs[1:])[:, None] + h[:, None] * _GL_LEG[0]
-        y = _continue_sqrt(P, np.append(x0, nodes), ser.y(xi0))[1:].reshape(nodes.shape)
+        y = _continue_sqrt(np.polyval(P, np.append(x0, nodes)), ser.y(xi0))[1:].reshape(nodes.shape)
         du = np.stack([nodes ** (g - 1 - i) / (-2.0 * y) for i in range(g)], axis=-1)
         # cumsum adds the panels in order, bit for bit as a per-panel loop would
         I_seg = np.cumsum(h[:, None] * np.sum(_GL_LEG[1][:, None] * du, axis=1), axis=0)[-1]

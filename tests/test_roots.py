@@ -43,3 +43,40 @@ def test_newton_polish_bit_identical_to_polyval_loop():
             ref = _polish_reference(c[k], r[k])
             assert np.array_equal(newton_polish(c[k], r[k]), ref)
             assert np.array_equal(stacked[k], ref)
+
+
+def _cluster_reference(roots, rel_tol=1e-6):
+    """cluster_roots as a loop that recomputes each group's np.mean per comparison."""
+    r = sorted(np.asarray(roots, dtype=complex), key=lambda z: (z.real, z.imag))
+    scale = 1.0 + max((abs(z) for z in r), default=0.0)
+    tol = rel_tol * scale
+    groups = []
+    for z in r:
+        for grp in groups:
+            if abs(z - np.mean(grp)) < tol:
+                grp.append(z)
+                break
+        else:
+            groups.append([z])
+    return [(complex(np.mean(g)), len(g)) for g in groups]
+
+
+def _bits(clusters):
+    return [(c.real.hex(), c.imag.hex(), m) for c, m in clusters]
+
+
+def test_cluster_roots_centers_bit_identical_to_recomputed_means():
+    rng = np.random.default_rng(5)
+    assert cluster_roots([]) == _cluster_reference([]) == []
+    for _ in range(400):
+        k = int(rng.integers(1, 6))
+        centers = rng.normal(size=k) + 1j * rng.normal(size=k)
+        mult = rng.integers(1, 6, size=k)
+        # splittings from far below to just above the tolerance, so that some
+        # roots join a group only after its mean has moved
+        roots = np.concatenate([
+            c + 10.0 ** rng.uniform(-12, -5) * (rng.normal(size=m) + 1j * rng.normal(size=m))
+            for c, m in zip(centers, mult)
+        ])
+        rel_tol = float(rng.choice([1e-8, 1e-6, 1e-5]))
+        assert _bits(cluster_roots(roots, rel_tol)) == _bits(_cluster_reference(roots, rel_tol))

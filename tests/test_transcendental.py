@@ -14,19 +14,22 @@ from kleinian.errors import (
     PrecisionError,
     ThetaDivisorError,
 )
+from kleinian.jsonio import period_to_json
 from kleinian.sampling import random_curve, random_divisor
 from kleinian.theta import all_half_characteristics, theta_directional
 from kleinian.transcendental import (
     _GL_LEG,
     _PANELS,
     _SERIES_ORDER,
+    _EDGE_EPS,
+    _EDGE_MARGIN,
     _chain_homology,
+    _chain_order,
     _continue_sqrt,
-    _Ellipse,
-    _intersection_number,
+    _edge_sqrt,
+    _junction_sign,
     _segment_distance,
     _segment_quad,
-    _track_sqrt,
     abel,
     branch_points,
     period_matrices,
@@ -220,97 +223,6 @@ def test_wp_theta_four_index_vs_jet_flow(rng):
     assert abs(wp1113 - dq3) < 1e-9 * (1 + abs(dq3))
 
 
-# -- intersection kernel against an all-pairs reference --------------------------
-
-
-def _all_pairs_intersection(z1, y1, z2, y2) -> int:
-    """Reference: the crossing test on every segment pair, no pruning."""
-    p1, p2 = z1[:-1], z1[1:]
-    q1, q2 = z2[:-1], z2[1:]
-
-    def cross(a, b):
-        return a.real * b.imag - a.imag * b.real
-
-    d1 = (p2 - p1)[:, None]
-    d2 = (q2 - q1)[None, :]
-    pq = q1[None, :] - p1[:, None]
-    denom = cross(d1, d2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = cross(pq, d2) / denom
-        u = cross(pq, d1) / denom
-    hits = (denom != 0) & (t >= 0) & (t < 1) & (u >= 0) & (u < 1)
-    total = 0
-    for i, j in zip(*np.nonzero(hits)):
-        ya = y1[i] + t[i, j] * (y1[i + 1] - y1[i])
-        yb = y2[j] + u[i, j] * (y2[j + 1] - y2[j])
-        if abs(ya - yb) < abs(ya + yb):
-            total += 1 if denom[i, j] > 0 else -1
-    return total
-
-
-def _lifted_ellipse(P, a, b, others, N=1024):
-    z = _Ellipse(a, b, np.asarray(others, dtype=complex), 0.3).sample(N)
-    y = _track_sqrt(P, z)
-    return np.append(z, z[0]), np.append(y, y[0])
-
-
-def _polyline(vertices, y):
-    z = np.array([complex(*v) for v in vertices])
-    return np.append(z, z[0]), np.append(np.asarray(y, dtype=complex), y[0])
-
-
-def _edge(a, b, steps):
-    """Equally spaced vertices from a (included) to b (excluded)."""
-    return [(a[0] + (b[0] - a[0]) * k / steps, a[1] + (b[1] - a[1]) * k / steps)
-            for k in range(steps)]
-
-
-@pytest.mark.parametrize("g, seed", [(1, 11), (2, 12), (3, 13)])
-def test_intersection_kernel_matches_all_pairs_on_chain(g, seed):
-    curve = random_curve(2, 2 * g + 1, np.random.default_rng(seed))
-    _, lifted, A = _chain_homology(curve, branch_points(curve))
-    for i in range(2 * g):
-        for j in range(i + 1, 2 * g):
-            assert A[i, j] == _all_pairs_intersection(*lifted[i], *lifted[j])
-    # consecutive chain loops meet once, the others not at all
-    chain = np.eye(2 * g, k=1, dtype=np.int64) - np.eye(2 * g, k=-1, dtype=np.int64)
-    assert A.tolist() == chain.tolist()
-    assert round(np.linalg.det(A.astype(float))) == 1
-
-
-def test_intersection_kernel_disjoint_and_shared_branch_point():
-    P = np.poly([-1.0, 0.0, 1.0, 4.0, 5.0]).astype(complex)
-    left = _lifted_ellipse(P, -1.0, 0.0, [1.0, 4.0, 5.0])
-    middle = _lifted_ellipse(P, 0.0, 1.0, [-1.0, 4.0, 5.0])
-    far = _lifted_ellipse(P, 4.0, 5.0, [-1.0, 0.0, 1.0])
-    assert _intersection_number(*left, *far) == 0 == _all_pairs_intersection(*left, *far)
-    shared = _intersection_number(*left, *middle)
-    assert abs(shared) == 1
-    assert shared == _all_pairs_intersection(*left, *middle)
-    assert _intersection_number(*middle, *left) == -shared
-
-
-@pytest.mark.parametrize("far_sheet, expected", [(-1.0, 1), (1.0, 0)])
-@pytest.mark.parametrize("shift", [0.0, -0.5])
-def test_intersection_kernel_crossing_on_block_boundary(shift, far_sheet, expected):
-    # 136 segments (not a multiple of the block size); vertex 32, the first
-    # vertex of the second block, sits at the origin
-    rect = (_edge((-32, 0), (32, 0), 64) + _edge((32, 0), (32, 4), 4)
-            + _edge((32, 4), (-32, 4), 64) + _edge((-32, 4), (-32, 0), 4))
-    z1, y1 = _polyline(rect, np.ones(len(rect)))
-    assert z1[32] == 0
-    # a clockwise loop crossing the rectangle twice: at x = shift on the
-    # bottom edge (sign +1, same sheet), either the shared vertex at the
-    # origin or inside the last segment of the first block, and at the
-    # rectangle's vertex (32, 2) (sign -1, sheet far_sheet)
-    loop = (_edge((shift, -2), (shift, 2), 4) + _edge((shift, 2), (shift + 40, 2), 40)
-            + _edge((shift + 40, 2), (shift + 40, -2), 4)
-            + _edge((shift + 40, -2), (shift, -2), 40))
-    z2, y2 = _polyline(loop, [1.0 if x < 16 else far_sheet for x, _ in loop])
-    n = _intersection_number(z1, y1, z2, y2)
-    assert n == expected == _all_pairs_intersection(z1, y1, z2, y2)
-
-
 def _reference_riemann_characteristic(pd, van_tol=1e-5, nz_tol=1e-2):
     """The search with one theta_directional call per characteristic."""
     g = pd.curve.genus
@@ -402,26 +314,11 @@ def test_continue_sqrt_matches_serial_reference_on_abel_legs(g, seed):
         h = 0.5 * (zs[1:] - zs[:-1])
         nodes = (0.5 * (zs[:-1] + zs[1:])[:, None] + h[:, None] * _GL_LEG[0]).ravel()
         y0 = (-1) ** k * np.sqrt(np.polyval(P, x0))
-        y = _continue_sqrt(P, np.append(x0, nodes), y0)
+        y = _continue_sqrt(np.polyval(P, np.append(x0, nodes)), y0)
         assert np.array_equal(y[1:], _serial_continuation(P, x0, y0, nodes))
         assert abs(y[0] - y0) < abs(y[0] + y0)
         flipped |= bool(np.any(y[1:] != np.sqrt(np.polyval(P, nodes))))
     assert flipped  # some leg leaves the principal branch
-
-
-def test_track_sqrt_coarse_sampling_is_ambiguous():
-    P = np.array([1.0, 0.0, -1.0], dtype=complex)  # branch points at +-1
-    z = 2.0 * np.exp(1j * (0.3 + 0.5 * np.pi * np.arange(4)))  # quarter turns
-    with pytest.raises(PrecisionError, match="ambiguous"):
-        _track_sqrt(P, z)
-
-
-def test_track_sqrt_loop_around_one_branch_point_does_not_close():
-    P = np.array([1.0, 0.0, -1.0], dtype=complex)
-    z = 1.0 + 0.5 * np.exp(2j * np.pi * np.arange(256) / 256)
-    with pytest.raises(PrecisionError, match="did not close"):
-        _track_sqrt(P, z)
-    _track_sqrt(P, 2.0 * np.exp(2j * np.pi * np.arange(256) / 256))  # both: closes
 
 
 # -- wp_theta shares its theta passes per argument -------------------------------
@@ -520,7 +417,7 @@ def _reference_abel_point(curve, pd, x, y):
     zs = x0 + (x - x0) * np.linspace(0.0, 1.0, _PANELS + 1)
     h = 0.5 * (zs[1:] - zs[:-1])
     nodes = 0.5 * (zs[:-1] + zs[1:])[:, None] + h[:, None] * _GL_LEG[0]
-    yy = _continue_sqrt(P, np.append(x0, nodes), ser.y(xi0))[1:].reshape(nodes.shape)
+    yy = _continue_sqrt(np.polyval(P, np.append(x0, nodes)), ser.y(xi0))[1:].reshape(nodes.shape)
     du = np.stack([nodes ** (g - 1 - i) / (-2.0 * yy) for i in range(g)], axis=-1)
     u_pt = I_series + sum(h[k] * np.sum(_GL_LEG[1][:, None] * du[k], axis=0)
                           for k in range(_PANELS))
@@ -571,3 +468,262 @@ def test_segment_distance_column_of_starts_matches_one_call_per_start():
             1j * (np.angle(x) + np.array([0.0, 0.35, -0.35, 0.7, -0.7, 1.1, -1.1])))
         one_by_one = [_segment_distance(a, x, e) for a in starts]
         assert np.array_equal(_segment_distance(starts[:, None], x, e), one_by_one)
+
+
+# -- chain edges: homology, sheets and quadrature -------------------------------
+
+
+def _legendre_J(g):
+    return np.block([[np.zeros((g, g)), -np.eye(g)], [np.eye(g), np.zeros((g, g))]])
+
+
+def _crosses(p1, p2, q1, q2) -> bool:
+    """Reference: the segments p1 p2 and q1 q2 cross at a point inside both."""
+
+    def orient(a, b, c):
+        return np.sign((b.real - a.real) * (c.imag - a.imag) - (b.imag - a.imag) * (c.real - a.real))
+
+    return orient(p1, p2, q1) * orient(p1, p2, q2) < 0 and orient(q1, q2, p1) * orient(q1, q2, p2) < 0
+
+
+def _is_simple(z) -> bool:
+    return not any(_crosses(z[i], z[i + 1], z[k], z[k + 1])
+                   for i in range(len(z) - 1) for k in range(i + 2, len(z) - 1))
+
+
+@pytest.mark.parametrize("g, seed", [(1, 11), (2, 12), (3, 13)])
+def test_chain_loops_pair_as_the_tridiagonal_intersection_matrix(g, seed):
+    # Riemann's bilinear relation in the basis of the loops round the chain
+    # edges: raw^T J raw = -2 pi i A, with A[j, j + 1] = +1 and A 0 off the
+    # band.  Continuing y round a junction counter-clockwise instead flips
+    # the sheet of every other loop, and with it the sign of A.
+    curve = random_curve(2, 2 * g + 1, np.random.default_rng(seed))
+    raw, _ = _chain_homology(curve, branch_points(curve))
+    A = np.eye(2 * g, k=1) - np.eye(2 * g, k=-1)
+    R = raw.T @ _legendre_J(g) @ raw
+    assert np.max(np.abs(R + 2j * np.pi * A)) < 1e-12 * max(1.0, np.max(np.abs(raw)) ** 2)
+
+
+# (omega, omega', eta, eta') and characteristic of FIXED_CURVES from the
+# elliptic contours, trapezoid doubling and counted crossings that the
+# straight chain edges replaced
+ELLIPSE_PERIODS = {
+    "g1": {
+        "omega": [[(1.1605338811379136+2.1562711361024722j)]],
+        "omega_prime": [[(-2.7765541190612377+0.32406224800670624j)]],
+        "eta": [[(-0.6708694221002629+1.2054749386376122j)]],
+        "eta_prime": [[(1.262545773752134-0.0031671303821169117j)]],
+        "char": ((0.5,), (0.5,)),
+    },
+    "g2": {
+        "omega": [[(-1.2248401369271937+0.7630869070707927j), (-1.0495885330838979+2.1190762243630052j)], [(0.02931560426347489-1.4019348880223106j), (1.0657169868959206-0.14866384722572734j)]],
+        "omega_prime": [[(0.8072119699156708-1.4365170091342778j), (-1.2014029985666625-0.8314402502522448j)], [(1.657352276911657-0.6436904335415432j), (-1.1426467313667117+1.4415286809594479j)]],
+        "eta": [[(1.118381380516587+0.5876477434859434j), (0.6872690854655618+1.5584702730712865j)], [(0.2282960694443077-1.8333003355320523j), (-0.8260578181766787-0.2803965533301893j)]],
+        "eta_prime": [[(-0.3022452532549451-0.8532680165566923j), (0.4928026743455022-0.808345087952317j)], [(-0.8218649125037369-0.03709185359218825j), (0.43474811179475836+1.070579347937928j)]],
+        "char": ((0.5, 0.0), (0.5, 0.5)),
+    },
+    "clustered": {
+        "omega": [[(-1.7075363067785987-0.08584313699357375j), (-1.9818908935418393-2.016788357700462j)], [(3.2950786887094337+1.0231546730769234j), (1.3170313406111915-1.3353480390919503j)]],
+        "omega_prime": [[(-1.2156287262780023-3.344095899105626j), (0.6555566276204725-1.7690378193000533j)], [(-2.5541214625355693+7.1920863199787615j), (2.6097432602261295-0.9368248746645955j)]],
+        "eta": [[(0.8301620897779264-0.1688299473310427j), (0.9786385743607067-1.06288633493302j)], [(-0.7067459058281409+0.19975607864298434j), (-0.40585155414751195-0.43958908155795134j)]],
+        "eta_prime": [[(0.9725114786409947+0.7573698513064557j), (-0.3695710300364671-0.9665621758618079j)], [(0.0646953737651546-0.17309876964220872j), (-0.7210701899407297-0.40674455333840553j)]],
+        "char": ((0.5, 0.0), (0.5, 0.5)),
+    },
+    "g3": {
+        "omega": [[(0.790811635748675-0.2338838643166978j), (1.2777450266210033-1.1873379719648325j), (0.8362849130958356-1.9730808988082031j)], [(-0.6851151779701856+0.6610880692898602j), (0.3180920062645922+0.3410022060239749j), (-0.7242052223766537+0.2861515957688106j)], [(0.22993305374916276-1.1284311108149796j), (1.1111063840696978-0.6681771829054515j), (0.44795517634416304+0.19781458280159203j)]],
+        "omega_prime": [[(-0.6451932568519572+0.42422170057663633j), (0.1767995605281405+1.0336607589334892j), (0.8313253723268108+0.5853461829209723j)], [(-0.7602958102200778-0.8069651980829341j), (0.13654641409428925+1.2049193372093812j), (0.30181580028109656-0.999321050450755j)], [(1.0961680560374367-0.9597212422253256j), (0.13397843054066144+1.2153935798055033j), (-0.9605780607674687+0.010499536098051682j)]],
+        "eta": [[(-0.7565856935043609-0.06653427962280536j), (-1.0817183245357722-1.0577321699958822j), (-0.7240735574599475-1.6517147375627925j)], [(1.9531990259016765+1.2861129938208606j), (-0.3731038154642774+0.47896902102554884j), (1.4728235097892695+0.6763781825213737j)], [(-0.7862594543467063-2.0470661287694303j), (-1.440504075416103-1.4261839944008616j), (-0.540081755443173+0.040311505717647744j)]],
+        "eta_prime": [[(0.0895723557898144+0.5334203441899233j), (0.23548330787384833+0.7427248046145389j), (-0.7136784340324409+0.5077514205004592j)], [(1.233424553210565+0.11878971747786027j), (0.34381355146803405+0.9392877195191008j), (-0.9713846649326978-1.664278930108191j)], [(-1.055421147979141-1.5832826501129853j), (-0.06577205582233095+1.3703908377144742j), (1.1242712788133034+0.4279016549586976j)]],
+        "char": ((0.5, 0.0, 0.5), (0.5, 0.5, 0.5)),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_CURVES))
+def test_periods_are_a_unimodular_transform_of_the_ellipse_periods(name):
+    curve = FIXED_CURVES[name]()
+    pd = period_matrices(curve, best_effort_genus3=curve.genus == 3)
+    ref = ELLIPSE_PERIODS[name]
+    old = np.vstack([np.hstack([ref["omega"], ref["omega_prime"]]),
+                     np.hstack([ref["eta"], ref["eta_prime"]])])
+    new = np.vstack([np.hstack([pd.omega, pd.omega_prime]), np.hstack([pd.eta, pd.eta_prime])])
+    g = curve.genus
+    lattice = np.vstack([old[:g].real, old[:g].imag])
+    M = np.linalg.solve(lattice, np.vstack([new[:g].real, new[:g].imag]))
+    Mi = np.round(M)
+    assert np.max(np.abs(M - Mi)) < 1e-10
+    assert abs(round(np.linalg.det(Mi))) == 1
+    # one canonical basis to another: M is symplectic and carries eta along
+    assert np.array_equal(Mi.T @ _legendre_J(g) @ Mi, _legendre_J(g))
+    assert np.max(np.abs(old @ Mi - new)) < 1e-10 * np.max(np.abs(old))
+    ch = riemann_characteristic(pd)
+    assert (ch.eps_prime, ch.eps) == ref["char"]
+
+
+def _clustered(gap):
+    """FIXED_CURVES["clustered"] with its close pair gap apart."""
+    return _curve_from_branch_points(
+        [-0.6 + 0.1j, 0.5j, 0.7 - 0.2j, -0.1 - 0.6j, -0.6 + 0.1j + gap * np.exp(1j)]
+    )
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-4])
+def test_clustered_curves_pass_the_legendre_gate(gap):
+    # the elliptic contours could not isolate these pairs (sheet tracking
+    # was ambiguous); the edge next to the pair takes more Chebyshev nodes
+    pd = period_matrices(_clustered(gap))
+    Omega = np.block([[pd.omega, pd.omega_prime], [pd.eta, pd.eta_prime]])
+    scale = max(1.0, float(np.max(np.abs(Omega))) ** 2)
+    assert pd.legendre_residual < 1e-13 * scale
+    assert min(pd.quadrature["bernstein"]) < 1.1 and max(pd.quadrature["nodes"]) > 400
+    assert riemann_characteristic(pd).parity() == -1
+
+
+# op 182 of the periods benchmark pool of seed 7: the nearest-neighbour walk
+# of largest clearance crosses itself
+SELF_CROSSING_WALK = {
+    10: -0.06508843440014256 - 0.1272078228822161j,
+    8: -0.27257399161070217 + 0.15483628164547159j,
+    6: 0.05642241152004501 - 0.24828397382129697j,
+    4: -0.4806037002500183 - 0.39900557052127616j,
+}
+
+
+def test_chain_order_skips_self_crossing_walks():
+    curve = curve_model(2, 5, SELF_CROSSING_WALK)
+    e = branch_points(curve)
+
+    def clearance(path):
+        return min(_segment_distance(e[path[j]], e[path[j + 1]], np.delete(e, path[j:j + 2]))
+                   for j in range(len(e) - 1))
+
+    walks = [transcendental._nn_path(e, s) for s in range(len(e))]
+    sweeps = [list(np.argsort((e * np.exp(-1j * phi)).real)) for phi in (0.0, 0.4, 0.8, 1.2, 1.6)]
+    widest = max(walks + sweeps, key=clearance)
+    assert widest in walks and not _is_simple(e[widest])
+    order, q = _chain_order(e)
+    assert _is_simple(e[order])
+    assert q == pytest.approx(max(clearance(p) for p in walks + sweeps if _is_simple(e[p])), rel=1e-12)
+    pd = period_matrices(curve)
+    assert pd.legendre_residual < 1e-13
+
+
+def test_edge_needing_too_many_nodes_raises():
+    # a pair 4e-6 apart passes the chain's clearance gate, but the long edge
+    # ending next to it needs about 26000 Chebyshev nodes
+    curve = _curve_from_branch_points([-2.0, 2.0, 2.0 + 4e-6j])
+    with pytest.raises(PrecisionError, match="nodes"):
+        period_matrices(curve)
+
+
+def test_edge_sqrt_coarse_nodes_are_ambiguous():
+    # two nodes across an edge passing 0.05 from a branch point: sqrt(x - 0.05i)
+    # turns by a quarter between them
+    with pytest.raises(PrecisionError, match="ambiguous"):
+        _edge_sqrt(-1.0, 1.0, np.array([0.05j]), 2)
+    x, q = _edge_sqrt(-1.0, 1.0, np.array([0.05j]), 64)
+    assert np.allclose(q ** 2, x - 0.05j, rtol=1e-14, atol=0)
+    assert x[0] == -1.0 and x[-1] == 1.0 and np.all(np.diff(x.real) > 0)
+
+
+def test_junction_sign_goes_round_clockwise_and_needs_a_unit_ratio():
+    # chain -1 -> 0 -> 1: sqrt(x - 1) ends at 0 as i, sqrt(x + 1) starts there
+    # as 1; the clockwise half turn from -1 to +1 turns sqrt(x) by -pi/2
+    _, q0 = _edge_sqrt(-1.0, 0.0, np.array([1.0 + 0j]), 16)
+    _, q1 = _edge_sqrt(0.0, 1.0, np.array([-1.0 + 0j]), 16)
+    assert abs(q0[-1] - 1j) < 1e-15 and q1[0] == 1.0
+    assert _junction_sign(0.5, q0[-1], 0.5, q1[0]) == 1.0
+    assert _junction_sign(0.5, q0[-1], 0.5, -q1[0]) == -1.0
+    with pytest.raises(PrecisionError, match="do not join"):
+        _junction_sign(0.5, q0[-1], 0.5, 1j * q1[0])
+
+
+def _oracle_columns(curve):
+    """Reference: the loop integrals of (du, dr) round the library's chain edges
+    from mpmath.quad at 30 digits.  Its tanh-sinh rule takes the edge integrals
+    with their endpoint singularities; sqrt(Q) is a product of principal roots
+    of (x - c) / (c_j - c); each next sheet comes from continuing y = sqrt(P)
+    in 400 steps round the shared branch point on a clockwise arc."""
+    mp = pytest.importorskip("mpmath")
+    g = curve.genus
+    e = branch_points(curve)
+    order, _ = _chain_order(e)
+    cols, prev = [], None
+    with mp.workdps(30):
+        c = [mp.mpc(z) for z in e[order]]
+        rhos = [{i: mp.mpc(v) for (i, _), v in table.items()}
+                for table in curve.second_kind_numerators()]
+
+        def F(i, x):
+            if i < g:
+                return x ** (g - 1 - i)
+            return mp.fsum(v * x**k for k, v in rhos[i - g].items())
+
+        for j in range(2 * g):
+            a, b = c[j], c[j + 1]
+            others = c[:j] + c[j + 2:]
+            m, h = (a + b) / 2, (b - a) / 2
+            q_a = mp.sqrt(mp.fprod(a - ck for ck in others))
+
+            def y(x, m=m, h=h, a=a, others=others, q_a=q_a):  # the sheet sigma = 1
+                t = (x - m) / h
+                sq = q_a * mp.fprod(mp.sqrt((x - ck) / (a - ck)) for ck in others)
+                return 1j * h * mp.sqrt(1 - t * t) * sq
+
+            sigma = 1
+            if prev is not None:
+                h0, y0 = prev
+                r = min(abs(ck - a) for ck in c if ck != a) / 4
+                start = mp.arg(-h0 / abs(h0))
+                sweep = -((start - mp.arg(h / abs(h))) % (2 * mp.pi))
+                val = y0(a - r * h0 / abs(h0))
+                for k in range(1, 401):
+                    w = mp.sqrt(mp.fprod(a + r * mp.expj(start + sweep * k / 400) - ck for ck in c))
+                    val = w if abs(w - val) < abs(w + val) else -w
+                here = y(a + r * h / abs(h))
+                sigma = 1 if abs(val - here) < abs(val + here) else -1
+            prev = h, (lambda x, y=y, s=sigma: s * y(x))
+            cache = {}
+
+            def integrands(t, m=m, h=h, a=a, others=others, q_a=q_a, cache=cache):
+                if t not in cache:  # F_i / (sqrt(Q) sqrt(1 - t^2)); the 2g rules share nodes
+                    x = m + h * t
+                    sq = q_a * mp.fprod(mp.sqrt((x - ck) / (a - ck)) for ck in others)
+                    w = 1 / (sq * mp.sqrt(1 - t * t))
+                    cache[t] = [F(i, x) * w for i in range(2 * g)]
+                return cache[t]
+
+            cols.append([complex(1j * sigma * mp.quad(lambda t: integrands(t)[i], [-1, 1]))
+                         for i in range(2 * g)])
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "gap-1e-4"])
+def test_chain_periods_match_an_mpmath_oracle(name):
+    # next to a pair 1e-4 apart the nodes keep their distance to the near
+    # end to full relative precision, or the edge loses two digits
+    curve = _clustered(1e-4) if name == "gap-1e-4" else FIXED_CURVES[name]()
+    ref = _oracle_columns(curve)
+    raw, _ = _chain_homology(curve, branch_points(curve))
+    assert np.all(np.max(np.abs(raw - ref), axis=0) <= 1e-14 * np.max(np.abs(ref), axis=0))
+
+
+def test_period_data_records_the_edge_quadrature():
+    pd = period_matrices(FIXED_CURVES["clustered"]())
+    quad = pd.quadrature
+    order, clearance = _chain_order(pd.branch)
+    chain = pd.branch[order]
+    assert quad["clearance"] == clearance and abs(clearance - 0.01) < 1e-9
+    assert len(quad["nodes"]) == len(quad["bernstein"]) == 4
+    for j, (N, rho) in enumerate(zip(quad["nodes"], quad["bernstein"])):
+        a, b = chain[j], chain[j + 1]
+        # the nearest other branch point lies on the ellipse with foci a, b
+        # and semi-axis sum |b - a| rho / 2
+        foci = min(abs(z - a) + abs(z - b) for z in np.delete(chain, [j, j + 1]))
+        assert abs(foci - 0.5 * abs(b - a) * (rho + 1.0 / rho)) < 1e-12 * foci
+        assert rho ** -(N - _EDGE_MARGIN) <= _EDGE_EPS < rho ** -(N - _EDGE_MARGIN - 1)
+    # the pair 1e-2 apart is an edge of radius far above the others, and the
+    # edge next to it has the smallest radius and the most nodes
+    assert max(quad["bernstein"]) > 100 and np.argmin(quad["bernstein"]) == np.argmax(quad["nodes"])
+    assert "quadrature" not in repr(pd) and "quadrature" not in period_to_json(pd)
+    assert dataclasses.replace(pd, quadrature=None) == pd
