@@ -17,7 +17,7 @@ import numpy as np
 from .addition import add, add27_explicit, negate
 from .curves import curve_model, gap_sequence
 from .divisors import Divisor, interpolate, complement, multiset_distance
-from .errors import KleinianError, PathError, ThetaDivisorError
+from .errors import KleinianError, ThetaDivisorError
 from .identities import (
     build_H,
     cubic_residual,
@@ -246,8 +246,8 @@ def theta_bridge(rng, tols, trials: int = 20):
                     worst = max(worst, abs(v2 - rec.p[w]) / (1.0 + abs(rec.p[w])))
                     v3 = wp_theta(pd, ch, u, (1, 1, w))
                     worst = max(worst, abs(v3 - rec.q[w]) / (1.0 + abs(rec.q[w])))
-            except (PathError, ThetaDivisorError):
-                continue  # bad path or near Sigma: draw a fresh divisor
+            except ThetaDivisorError:
+                continue  # near Sigma: draw a fresh divisor
             completed += 1
         done += completed
     return worst < tols["bridge"] and done >= trials, {"worst": worst, "trials": done}

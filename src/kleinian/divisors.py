@@ -526,6 +526,16 @@ def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: compl
     return x, y
 
 
+def clustered_roots(c: np.ndarray, cluster_tol: float = 1e-6) -> list:
+    """(root, multiplicity) of the polynomial c (descending): the centres of
+    ``cluster_roots``, a multiple one Newton-polished on the (m-1)-st
+    derivative, where it is a simple root."""
+    return [
+        (x if m == 1 else complex(newton_polish(np.polyder(c, m - 1), [x])[0]), m)
+        for x, m in cluster_roots(poly_roots(c), cluster_tol)
+    ]
+
+
 def zero_divisor(curve: CurveModel, R: PolyFunction, cluster_tol: float = 1e-6) -> Divisor:
     """All affine common zeros of (R, f), with multiplicity.
 
@@ -536,14 +546,8 @@ def zero_divisor(curve: CurveModel, R: PolyFunction, cluster_tol: float = 1e-6) 
         raise InvalidCurveError("zero polynomial has no zero divisor")
     points: list[CurvePoint] = []
     if R.y_degree() == 0:
-        rx = R.y_coefficient_polys()[0]
-        clusters = cluster_roots(poly_roots(rx), cluster_tol)
-        # a multiple x-root gets Newton on the (m-1)-st derivative
-        xs = [
-            x if m == 1 else complex(newton_polish(np.polyder(rx, m - 1), [x])[0])
-            for x, m in clusters
-        ]
-        for x0, (_, mult), ys in zip(xs, clusters, fiber_points(curve, xs)):
+        clusters = clustered_roots(R.y_coefficient_polys()[0], cluster_tol)
+        for (x0, mult), ys in zip(clusters, fiber_points(curve, [x for x, _ in clusters])):
             for y0 in ys:
                 x1, y1 = _polish_common_zero(curve, R, x0, y0) if mult == 1 else (x0, y0)
                 points.extend([CurvePoint(x1, y1)] * mult)

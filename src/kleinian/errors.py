@@ -70,10 +70,6 @@ class PrecisionError(KleinianError):
     """Quadrature or summation could not reach the requested tolerance."""
 
 
-class PathError(KleinianError):
-    """An integration path passes too close to a branch point."""
-
-
 class ThetaDivisorError(KleinianError):
     """Argument lies on the theta divisor where wp-functions have poles."""
 

@@ -16,13 +16,11 @@ the Legendre relation is the exit gate certifying the whole construction
 (chain, sheets, quadrature and the associated second-kind numerators
 together).
 
-The Abel map integrates from infinity: a series leg in the local
-parameter xi (x = 1/xi^2) down to a large circle, then a straight leg to
-the target point under a fixed Gauss-Legendre rule (24 panels x 32
-nodes), with the sheet continued through all its nodes at once; landing
-on the conjugate sheet flips the sign of the whole integral, which is
-the involution acting on the path.  The straight leg carries no error
-estimate yet and loses digits within about 1e-3 of a branch point.
+The Abel map (base point infinity) starts from the branch points, whose
+images are half-periods: sums of half edge integrals, snapped to the
+half-period lattice, which certifies them.  A point is reached by one leg
+from the branch point of widest Bernstein radius, under the chain edges'
+node-count rule, with its sheet fixed by the point's y.
 
 wp-values come from second (and higher) logarithmic derivatives of theta
 with the Riemann-constant characteristic, found by the
@@ -32,18 +30,19 @@ weighted-vanishing-order search over all half-integer characteristics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
 from typing import Optional
 
 import numpy as np
+import scipy.fft
 
-from .curves import HYPERELLIPTIC, CurveModel, InfinitySeries, infinity_series
+from .curves import HYPERELLIPTIC, CurveModel, infinity_series
 from .divisors import Divisor
 from .errors import (
     CharacteristicSearchError,
     DegenerateCurveError,
     InvalidCurveError,
-    PathError,
     PrecisionError,
     ThetaDivisorError,
 )
@@ -61,11 +60,7 @@ LEGENDRE_TOL = 1e-8
 _EDGE_EPS = 1e-16  # target of the Bernstein bound on each chain edge
 _EDGE_MARGIN = 8  # nodes added to the Bernstein count
 _MAX_EDGE_NODES = 1 << 14
-_SERIES_ORDER = 48  # terms of the series leg at infinity in the Abel map
-_PANELS = 24  # panels of the Abel map's straight leg
-_DPHI = np.array([0.0, 0.35, -0.35, 0.7, -0.7, 1.1, -1.1])  # start directions off arg x
-_GL_SERIES = np.polynomial.legendre.leggauss(48)  # adaptive series-leg rule
-_GL_LEG = np.polynomial.legendre.leggauss(32)  # per-panel straight-leg rule
+_SNAP_TOL = 1e-8  # largest non-integrality of 2 * the branch images' lattice coordinates
 
 
 def _require_hyperelliptic(curve: CurveModel):
@@ -105,12 +100,13 @@ def branch_points(curve: CurveModel) -> np.ndarray:
 class PeriodData:
     """First/second-kind period matrices and derived normalized data.
 
-    ``char`` (the Riemann characteristic) and ``series`` (the expansion at
-    infinity of ``curve`` that ``abel`` integrates) are filled on first use.
-    ``quadrature`` records how the periods were obtained: the Chebyshev
-    nodes and the Bernstein radius of each chain edge, and the chain's
-    clearance (not serialized).  ``theta_memo`` keeps the theta passes of
-    the last ``wp_theta`` argument:
+    ``images`` (g x (2g+1)) are the Abel images of the branch points in
+    ``chain`` order: half-periods (1/2) [omega | omega'] n, n in {0, 1}^2g.
+    ``char`` (the Riemann characteristic) is filled on first use.
+    ``quadrature`` records the Chebyshev nodes and Bernstein radius of each
+    chain edge, the chain's clearance and, as ``snap``, the largest distance
+    of 2 * the images' lattice coordinates from integers (not serialized).
+    ``theta_memo`` keeps the theta passes of the last ``wp_theta`` argument:
     ((char, u.tobytes()), theta_sum_quality, {order: log-derivative table}, v).
     """
 
@@ -123,8 +119,9 @@ class PeriodData:
     kappa: np.ndarray
     legendre_residual: float
     branch: np.ndarray
+    chain: np.ndarray = field(repr=False, compare=False)
+    images: np.ndarray = field(repr=False, compare=False)
     char: Optional[Characteristic] = None
-    series: Optional[InfinitySeries] = field(default=None, repr=False)
     quadrature: Optional[dict] = field(default=None, repr=False, compare=False)
     theta_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
@@ -196,7 +193,7 @@ def _chain_order(e: np.ndarray):
 
 def _continue_sqrt(w2: np.ndarray, y0: complex) -> np.ndarray:
     """y = sqrt(w2) continued along a path on which y^2 takes the values w2,
-    starting on the sheet nearest y0.
+    starting on the sheet nearest y0; PrecisionError if a step is ambiguous.
 
     The sign flips wherever the principal root jumps to the other sheet
     between consecutive nodes.
@@ -204,7 +201,10 @@ def _continue_sqrt(w2: np.ndarray, y0: complex) -> np.ndarray:
     w = np.sqrt(w2)
     flips = np.where(np.abs(w[1:] - w[:-1]) > np.abs(w[1:] + w[:-1]), -1.0, 1.0)
     start = 1.0 if abs(w[0] - y0) <= abs(w[0] + y0) else -1.0
-    return np.concatenate([[start], start * np.cumprod(flips)]) * w
+    y = np.concatenate([[start], start * np.cumprod(flips)]) * w
+    if np.any(np.abs(y[1:] - y[:-1]) > 0.7 * np.abs(y[1:] + y[:-1])):
+        raise PrecisionError("sheet continuation along a sampled path is ambiguous")
+    return y
 
 
 def _symplectic_rows(A: np.ndarray):
@@ -242,10 +242,23 @@ def _symplectic_rows(A: np.ndarray):
     return np.array(a_rows), np.array(b_rows)
 
 
+def _bernstein_radius(z: np.ndarray):
+    """Radius of the Bernstein ellipse of [-1, 1] through the nearest of z (last axis)."""
+    return np.min(np.abs(z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)), axis=-1)
+
+
+def _node_count(rho: float, path: str) -> int:
+    """Nodes that bring a rule on a path of Bernstein radius rho below
+    _EDGE_EPS (see _chain_homology); PrecisionError above _MAX_EDGE_NODES."""
+    N = np.ceil(np.log(1.0 / _EDGE_EPS) / np.log(rho)) + _EDGE_MARGIN if rho > 1.0 else np.inf
+    if not N <= _MAX_EDGE_NODES:
+        raise PrecisionError(f"{path} needs {N:.0f} nodes (Bernstein radius {rho:.6g})")
+    return int(N)
+
+
 def _edge_sqrt(a: complex, b: complex, others: np.ndarray, N: int):
     """Chebyshev nodes x of the edge a -> b, and sqrt(Q) for Q = prod(x - others)
-    continued over [a, x, b] from the principal root at a; PrecisionError if
-    a step is ambiguous.
+    continued over [a, x, b] from the principal root at a.
 
     Each factor x - c is taken from the nearer end, (a - c) + h (1 + t) or
     (b - c) - h (1 - t), with 1 -+ t from half-angle sines, so that a branch
@@ -259,8 +272,6 @@ def _edge_sqrt(a: complex, b: complex, others: np.ndarray, N: int):
     diff = np.where(near_a[:, None], (a - others) + h * lo[:, None], (b - others) - h * hi[:, None])
     Q = np.prod(diff, axis=1)
     q = _continue_sqrt(Q, np.sqrt(Q[0]))
-    if np.any(np.abs(q[1:] - q[:-1]) > 0.7 * np.abs(q[1:] + q[:-1])):
-        raise PrecisionError("sheet continuation along a chain edge is ambiguous")
     x = np.where(near_a, a + h * lo, b - h * hi)
     return x, q
 
@@ -285,7 +296,7 @@ def _junction_sign(h0: complex, q0: complex, h1: complex, q1: complex) -> float:
 
 def _chain_homology(curve: CurveModel, e: np.ndarray):
     """Integrals (2g x 2g) of (du, dr) over the loops around the chain edges,
-    and the quadrature diagnostics.
+    the chain c_0..c_2g, and the quadrature diagnostics.
 
     Edge j runs from c_j to c_j+1 as x = m + h t, where P = h^2 (t^2 - 1) Q
     and y = sigma i h sqrt(1 - t^2) sqrt(Q), so int F dx / (-2y) over the
@@ -314,13 +325,8 @@ def _chain_homology(curve: CurveModel, e: np.ndarray):
     for j in range(2 * g):
         others = np.delete(c, [j, j + 1])
         m, h = 0.5 * (c[j] + c[j + 1]), 0.5 * (c[j + 1] - c[j])
-        z = (others - m) / h
-        rho = float(np.min(np.abs(z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0))))
-        N = int(np.ceil(np.log(1.0 / _EDGE_EPS) / np.log(rho))) + _EDGE_MARGIN
-        if N > _MAX_EDGE_NODES:
-            raise PrecisionError(
-                f"chain edge needs {N} nodes (Bernstein radius {rho:.6g}): branch points too clustered"
-            )
+        rho = float(_bernstein_radius((others - m) / h))
+        N = _node_count(rho, "chain edge")
         x, q = _edge_sqrt(c[j], c[j + 1], others, N)
         if last is not None:
             sigma *= _junction_sign(*last, h, q[0])
@@ -330,7 +336,12 @@ def _chain_homology(curve: CurveModel, e: np.ndarray):
         raw[:, j] = (1j * sigma * np.pi / N) * np.sum(np.array(F) / q, axis=1)
         nodes.append(N)
         radii.append(rho)
-    return raw, {"nodes": nodes, "bernstein": radii, "clearance": clearance}
+    return raw, c, {"nodes": nodes, "bernstein": radii, "clearance": clearance}
+
+
+def _lattice_coords(L: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Real coordinates of u (a vector or columns) in the lattice L = [omega | omega']."""
+    return np.linalg.solve(np.vstack([L.real, L.imag]), np.concatenate([u.real, u.imag]))
 
 
 def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> PeriodData:
@@ -348,7 +359,7 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
             raise InvalidCurveError("periods implemented for genus <= 3")
         raise InvalidCurveError("genus 3 periods are best-effort; pass best_effort_genus3=True")
     e = branch_points(curve)
-    raw, quadrature = _chain_homology(curve, e)
+    raw, chain, quadrature = _chain_homology(curve, e)
     A = np.eye(2 * g, k=1, dtype=np.int64) - np.eye(2 * g, k=-1, dtype=np.int64)
     a_rows, b_rows = _symplectic_rows(A)
     for orientation in (1, -1):
@@ -373,18 +384,18 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
         resid = float(np.max(np.abs(Omega.T @ J @ Omega - 2j * np.pi * J)))
         if resid > LEGENDRE_TOL * max(1.0, float(np.max(np.abs(Omega))) ** 2):
             continue
-        kappa = eta @ np.linalg.inv(omega)
+        # U[c_k+1] = U[c_k] + half the loop round edge k, and sum_k U[c_k] = 0
+        # (div y = sum_k c_k - (2g+1) inf) with 2 U[c_0] in the lattice
+        S = np.concatenate([np.zeros((g, 1)), np.cumsum(0.5 * raw[:g], axis=1)], axis=1)
+        L = np.hstack([omega, omega_p])
+        twice = 2.0 * _lattice_coords(L, S + np.sum(S, axis=1, keepdims=True))
+        quadrature["snap"] = snap = float(np.max(np.abs(twice - np.round(twice))))
+        if snap > _SNAP_TOL:
+            raise PrecisionError(f"branch images miss the half-periods by {snap:.2e}")
         return PeriodData(
-            curve=curve,
-            omega=omega,
-            omega_prime=omega_p,
-            eta=eta,
-            eta_prime=eta_p,
-            tau=tau,
-            kappa=kappa,
-            legendre_residual=resid,
-            branch=e,
-            quadrature=quadrature,
+            curve=curve, omega=omega, omega_prime=omega_p, eta=eta, eta_prime=eta_p, tau=tau,
+            kappa=eta @ np.linalg.inv(omega), legendre_residual=resid, branch=e, chain=chain,
+            images=L @ (0.5 * (np.round(twice) % 2.0)), quadrature=quadrature,
         )
     raise PrecisionError("no orientation satisfied Legendre + positivity; quadrature suspect")
 
@@ -432,74 +443,48 @@ def riemann_characteristic(pd: PeriodData, van_tol: float = 1e-5, nz_tol: float 
 # -- Abel map ------------------------------------------------------------------
 
 
-def _segment_quad(f, a: complex, b: complex, tol: float = 1e-11, depth: int = 0):
-    """Adaptive Gauss-Legendre along the straight segment a -> b."""
-    x, w = _GL_SERIES
-    mid = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    whole = h * np.sum(w[:, None] * f(mid + h * x[:, None]), axis=0)
-    h1 = 0.25 * (b - a)
-    m1, m2 = a + h1, b - h1
-    left = h1 * np.sum(w[:, None] * f(m1 + h1 * x[:, None]), axis=0)
-    right = h1 * np.sum(w[:, None] * f(m2 + h1 * x[:, None]), axis=0)
-    if np.max(np.abs(whole - left - right)) < tol or depth > 12:
-        return left + right
-    return _segment_quad(f, a, mid, tol, depth + 1) + _segment_quad(f, mid, b, tol, depth + 1)
+@lru_cache(maxsize=64)
+def _leg_rule(N: int):
+    """Fejer's first rule on [0, 1]: nodes s = sin^2(th / 2) at the chain
+    edges' Chebyshev angles th, to full relative precision next to s = 0
+    (where a far leg's integrand lies), and weights; it errs by O(rho^-N)."""
+    m = np.zeros(N)
+    m[0] = 1.0
+    m[2::2] = -1.0 / (np.arange(2, N, 2) ** 2 - 1.0)
+    return np.sin((np.arange(N) + 0.5) * np.pi / (2 * N)) ** 2, scipy.fft.dct(m, type=3) / N
 
 
 def abel(curve: CurveModel, D: Divisor, pd: PeriodData) -> np.ndarray:
-    """Abel image of a divisor with basepoint at infinity.
+    """Abel image of a divisor with basepoint at infinity, in the centred
+    cell of the period lattice.
 
-    Each point is reached by a series leg in the local parameter at
-    infinity followed by a straight leg in x with the sheet tracked;
-    paths passing within 1e-6 of a branch point raise PathError (the
-    caller perturbs the divisor instead of silently detouring).
-    """
+    A point (x, y) is reached from the half-period pd.images[:, k] of the
+    branch point c_k of widest Bernstein radius over x = c_k + d s^2
+    (d = x - c_k), where du_i / ds = -sqrt(d) x^(g-1-i) / sqrt(Q), Q the
+    product of x - c_m over the other branch points, is analytic."""
     _require_hyperelliptic(curve)
     g = curve.genus
-    e = pd.branch
-    P = x_polynomial(curve)
+    c, n = pd.chain, len(pd.chain)
     total = np.zeros(g, dtype=complex)
-    if curve is pd.curve and pd.series is None:
-        pd.series = infinity_series(curve, _SERIES_ORDER)
-    ser = pd.series if curve is pd.curve else infinity_series(curve, _SERIES_ORDER)
-    coeffs = ser.c[::-1]  # for polyval
-    scale = 1.0 + float(np.max(np.abs(e)))
-
-    def leg_series(xi):
-        xi = xi[:, 0]
-        unit = np.polyval(coeffs, xi)
-        vals = np.empty((len(xi), g), dtype=complex)
-        for i in range(g):
-            vals[:, i] = xi ** (2 * (i + 1) - 2) / unit
-        return vals
-
     for pt in D.points:
-        if min(abs(pt.x - ek) for ek in e) < 1e-6 * scale:
-            raise PathError(f"divisor point at x = {pt.x:.6g} sits on a branch point")
-        R0 = 4.0 * max(1.0, float(np.max(np.abs(e))), abs(pt.x))
-        base_phi = np.angle(pt.x) if pt.x != 0 else 0.0
-        starts = R0 * np.exp(1j * (base_phi + _DPHI))
-        clear = _segment_distance(starts[:, None], pt.x, e)
-        x0 = starts[np.argmax(clear)]  # the first direction of maximal clearance
-        if clear.max() < 1e-6 * scale:
-            raise PathError("every candidate path passes through a branch point")
-        xi0 = 1.0 / np.sqrt(x0)  # principal; the sheet flip is handled below
-        I_series = _segment_quad(leg_series, 0.0, xi0)
-
-        # the straight leg: _PANELS Gauss-Legendre panels, sheet continued from x0
-        zs = x0 + (pt.x - x0) * np.linspace(0.0, 1.0, _PANELS + 1)
-        h = 0.5 * (zs[1:] - zs[:-1])
-        nodes = 0.5 * (zs[:-1] + zs[1:])[:, None] + h[:, None] * _GL_LEG[0]
-        y = _continue_sqrt(np.polyval(P, np.append(x0, nodes)), ser.y(xi0))[1:].reshape(nodes.shape)
-        du = np.stack([nodes ** (g - 1 - i) / (-2.0 * y) for i in range(g)], axis=-1)
-        # cumsum adds the panels in order, bit for bit as a per-panel loop would
-        I_seg = np.cumsum(h[:, None] * np.sum(_GL_LEG[1][:, None] * du, axis=1), axis=0)[-1]
-        u_pt = I_series + I_seg
-        if abs(y[-1, -1] - pt.y) > abs(y[-1, -1] + pt.y):
-            u_pt = -u_pt  # landed on the conjugate sheet
-        total += u_pt
-    return total
+        on = np.flatnonzero(c == pt.x)
+        if len(on):
+            total += pd.images[:, on[0]]
+            continue
+        r = (c - c[:, None]) / (pt.x - c)[:, None]  # s^2 at the singularities of each leg
+        z = np.sqrt(r[~np.eye(n, dtype=bool)].reshape(n, n - 1))
+        rho = _bernstein_radius(np.concatenate([2.0 * z - 1.0, -2.0 * z - 1.0], axis=1))
+        k = int(np.argmax(rho))
+        s, w = _leg_rule(_node_count(rho[k], "Abel leg"))
+        d = pt.x - c[k]
+        s2 = np.append(1.0, s[::-1] ** 2)  # s = 1, where y fixes the sheet, then the nodes down
+        Q = np.prod((c[k] - np.delete(c, k)) + d * s2[:, None], axis=1)
+        q = _continue_sqrt(Q, pt.y / np.sqrt(d))
+        x = c[k] + d * s2[:0:-1]
+        du = np.array([x ** (g - 1 - i) for i in range(g)]) / q[:0:-1]
+        total += pd.images[:, k] - np.sqrt(d) * (du @ w)
+    L = np.hstack([pd.omega, pd.omega_prime])
+    return total - L @ np.round(_lattice_coords(L, total))
 
 
 # -- wp from theta ---------------------------------------------------------------

@@ -32,6 +32,7 @@ from .curves import HYPERELLIPTIC, CurveModel, CurvePoint
 from .divisors import (
     Divisor,
     PolyFunction,
+    clustered_roots,
     interpolation_rows,
     y_jet,
     zero_divisor,
@@ -46,7 +47,6 @@ from .errors import (
     PoleOfRepresentationError,
     SpecialDivisorError,
 )
-from .roots import poly_roots
 
 
 @dataclass
@@ -156,11 +156,10 @@ def basis_to_divisor(curve: CurveModel, rec: BasisRecord) -> Divisor:
         coeffs[0] = 1.0
         for i, w in enumerate(curve.gaps):
             coeffs[i + 1] = -rec.p[w]
-        xs = poly_roots(coeffs)
         pts = []
-        for xk in xs:
+        for xk, m in clustered_roots(coeffs):
             yk = -0.5 * sum(rec.q[w] * xk ** (g - 1 - i) for i, w in enumerate(curve.gaps))
-            pts.append((xk, yk))
+            pts.extend([(xk, yk)] * m)
         try:
             return Divisor(curve, pts, tol=1e-6)
         except InvalidCurveError as exc:

@@ -72,6 +72,22 @@ def test_roundtrip_all_families(rng):
         assert worst < 1e-8
 
 
+@pytest.mark.parametrize("s", [5, 7])
+def test_confluent_roundtrip_recovers_the_double_point(s):
+    # a double x-root of the record's polynomial splits by ~1e-8 under the
+    # companion-matrix eigenvalues; clustered and polished on the derivative
+    # it comes back to rounding
+    rng = np.random.default_rng(40 + s)
+    worst = 0.0
+    for _ in range(10):
+        curve = random_curve(2, s, rng)
+        pts = list(random_divisor(curve, curve.genus, rng).points)
+        D = Divisor(curve, [pts[0]] + pts[:-1])
+        assert D.points[0].x == D.points[1].x
+        worst = max(worst, multiset_distance(D, basis_to_divisor(curve, divisor_to_basis(curve, D))))
+    assert worst < 1e-8
+
+
 def test_special_divisor_raises(rng):
     # two involution-paired points make the hyperelliptic system singular
     curve = random_curve(2, 7, rng)
