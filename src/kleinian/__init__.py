@@ -14,7 +14,7 @@ computable at desk scale:
 * ``addition``        the divisor-level groupoid law (negate / add) and the
                       explicit genus-3 hyperelliptic addition;
 * ``theta``           Riemann theta functions with characteristics;
-* ``transcendental``  period matrices, Abel map, Riemann-constant search,
+* ``transcendental``  period matrices, Abel map, Riemann-constant characteristic,
                       wp-values from theta: the analytic cross-check of the
                       algebraic side (hyperelliptic curves only).
 """

@@ -75,7 +75,7 @@ class ThetaDivisorError(KleinianError):
 
 
 class CharacteristicSearchError(KleinianError):
-    """No half-integer characteristic satisfies the vanishing criteria."""
+    """The Riemann-constant characteristic fails its vanishing-order certificate."""
 
 
 class InputError(KleinianError):

@@ -16,11 +16,6 @@ term is an exponential, partial derivatives of any order are termwise
 exact: a multi-index alpha contributes the factor prod_a (2 i pi m_a),
 and a directional derivative of order k the factor (2 i pi m . w)^k.
 
-At v = 0 the half-integer characteristics sharing e' share one lattice
-and one shift, and with m = n + e', b = 2e the e factor is
-exp(2 i pi e.e') (-1)^(b.n): theta_directional_table gets all 4^g rows
-from 2^g lattice passes, with signs in place of further exponentials.
-
 Values can overflow double range only for far-off-lattice arguments;
 callers that need wp-values reduce modulo the lattice first (the second
 logarithmic derivative is blind to the exponential factors involved).
@@ -189,50 +184,6 @@ def theta_directional(
     for k in range(max_order + 1):
         out[k] = np.exp(shift) * np.sum(base * factor)
         factor = factor * dots
-    return out
-
-
-def all_half_characteristics(g: int):
-    """The 4^g characteristics with entries in {0, 1/2}."""
-    vals = (0.0, 0.5)
-    out = []
-    for bits in range(4**g):
-        ep, e = [], []
-        b = bits
-        for _ in range(g):
-            ep.append(vals[b & 1])
-            b >>= 1
-            e.append(vals[b & 1])
-            b >>= 1
-        out.append(Characteristic(tuple(ep), tuple(e)))
-    return out
-
-
-def theta_directional_table(tau, direction, max_order: int) -> np.ndarray:
-    """theta_directional at v = 0 for every half-integer characteristic.
-
-    Row i is theta_directional(0, tau, direction, max_order, char=chars[i])
-    with chars = all_half_characteristics(g), summed over the same terms (tol 1e-14).
-    """
-    form = _check_tau(tau)
-    g = form[0].shape[0]
-    chars = all_half_characteristics(g)
-    w = np.asarray(direction, dtype=complex)
-    out = np.empty((len(chars), max_order + 1), dtype=complex)
-    for ep in {ch.eps_prime for ch in chars}:
-        rows = [i for i, ch in enumerate(chars) if ch.eps_prime == ep]
-        char = Characteristic(ep, (0.0,) * g)
-        m, shift, base = _terms(np.zeros(g), form, char, 1e-14, max_order)
-        dots = 2j * np.pi * (m.T @ w)
-        terms = np.empty((m.shape[1], max_order + 1), dtype=complex)
-        terms[:, 0] = base
-        for k in range(max_order):
-            terms[:, k + 1] = terms[:, k] * dots
-        eps = np.array([chars[i].eps for i in rows])
-        b_dot_n = (2.0 * eps @ (m - np.array(ep)[:, None])).astype(np.int64)
-        # one real product: +-1 signs times the interleaved real/imaginary parts
-        sums = ((1.0 - 2.0 * (b_dot_n & 1)) @ terms.view(float)).view(complex)
-        out[rows] = np.exp(shift) * np.exp(2j * np.pi * (eps @ np.array(ep)))[:, None] * sums
     return out
 
 

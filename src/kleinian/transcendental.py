@@ -10,7 +10,7 @@ it by sign tracking (_continue_sqrt, which every sampled path in this
 module uses).  The sheet of each edge follows from the last one by going
 round their shared branch point on the left of the chain, so consecutive
 loops meet once and the intersection matrix is the tridiagonal chain
-matrix.  An integer symplectic reduction then produces canonical cycles;
+matrix.  Fixed integer rows of it give canonical cycles (_canonical_rows);
 the orientation that makes Im(tau) positive definite is selected, and
 the Legendre relation is the exit gate certifying the whole construction
 (chain, sheets, quadrature and the associated second-kind numerators
@@ -23,14 +23,15 @@ from the branch point of widest Bernstein radius, under the chain edges'
 node-count rule, with its sheet fixed by the point's y.
 
 wp-values come from second (and higher) logarithmic derivatives of theta
-with the Riemann-constant characteristic, found by the
-weighted-vanishing-order search over all half-integer characteristics.
+with the Riemann-constant characteristic: the sum of the alternate branch
+points' half-periods, certified by the weighted vanishing order of theta
+with that one characteristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Optional
 
@@ -51,9 +52,7 @@ from .theta import (
     Characteristic,
     _check_tau,
     _terms,
-    all_half_characteristics,
     log_theta_derivatives,
-    theta_directional_table,
 )
 
 LEGENDRE_TOL = 1e-8
@@ -61,6 +60,8 @@ _EDGE_EPS = 1e-16  # target of the Bernstein bound on each chain edge
 _EDGE_MARGIN = 8  # nodes added to the Bernstein count
 _MAX_EDGE_NODES = 1 << 14
 _SNAP_TOL = 1e-8  # largest non-integrality of 2 * the branch images' lattice coordinates
+_VANISH_RATIO = 1e-5  # largest certified theta derivative below the vanishing order
+_NONZERO_RATIO = 1e-2  # smallest certified theta derivative at the vanishing order
 
 
 def _require_hyperelliptic(curve: CurveModel):
@@ -102,7 +103,8 @@ class PeriodData:
 
     ``images`` (g x (2g+1)) are the Abel images of the branch points in
     ``chain`` order: half-periods (1/2) [omega | omega'] n, n in {0, 1}^2g.
-    ``char`` (the Riemann characteristic) is filled on first use.
+    ``char`` (the Riemann characteristic) is filled on first use, and
+    ``omega_inv`` is computed once (``dataclasses.replace`` starts afresh).
     ``quadrature`` records the Chebyshev nodes and Bernstein radius of each
     chain edge, the chain's clearance and, as ``snap``, the largest distance
     of 2 * the images' lattice coordinates from integers (not serialized).
@@ -125,6 +127,7 @@ class PeriodData:
     quadrature: Optional[dict] = field(default=None, repr=False, compare=False)
     theta_memo: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
+    @cached_property
     def omega_inv(self) -> np.ndarray:
         return np.linalg.inv(self.omega)
 
@@ -207,39 +210,11 @@ def _continue_sqrt(w2: np.ndarray, y0: complex) -> np.ndarray:
     return y
 
 
-def _symplectic_rows(A: np.ndarray):
-    """Integer rows (a_1..a_g, b_1..b_g) with pairing <a_i, b_j> = delta_ij.
-
-    A is the alternating intersection matrix of a homology basis; the
-    reduction repeatedly extracts a unit pair and projects the rest onto
-    its symplectic complement (integral since the pairing is 1).
-    """
-    m = A.shape[0]
-    vecs = [np.eye(m, dtype=np.int64)[i] for i in range(m)]
-
-    def pair(u, v):
-        return int(u @ A @ v)
-
-    a_rows, b_rows = [], []
-    while vecs:
-        found = None
-        for i in range(len(vecs)):
-            for j in range(len(vecs)):
-                if abs(pair(vecs[i], vecs[j])) == 1:
-                    found = (i, j)
-                    break
-            if found:
-                break
-        if not found:
-            raise PrecisionError("intersection matrix is not unimodular; contours too coarse")
-        i, j = found
-        a = vecs[i]
-        b = vecs[j] if pair(vecs[i], vecs[j]) == 1 else -vecs[j]
-        rest = [v for k, v in enumerate(vecs) if k not in (i, j)]
-        vecs = [v - pair(v, b) * a + pair(v, a) * b for v in rest]
-        a_rows.append(a)
-        b_rows.append(b)
-    return np.array(a_rows), np.array(b_rows)
+def _canonical_rows(g: int):
+    """Integer rows (a_1..a_g, b_1..b_g) over the chain loops with pairing
+    <a_i, b_j> = delta_ij in the tridiagonal chain matrix: a_i is the sum of
+    the even loops 0, 2, .., 2i and b_i the odd loop 2i+1."""
+    return np.kron(np.tril(np.ones((g, g), int)), [1, 0]), np.kron(np.eye(g, dtype=int), [0, 1])
 
 
 def _bernstein_radius(z: np.ndarray):
@@ -360,10 +335,8 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
         raise InvalidCurveError("genus 3 periods are best-effort; pass best_effort_genus3=True")
     e = branch_points(curve)
     raw, chain, quadrature = _chain_homology(curve, e)
-    A = np.eye(2 * g, k=1, dtype=np.int64) - np.eye(2 * g, k=-1, dtype=np.int64)
-    a_rows, b_rows = _symplectic_rows(A)
-    for orientation in (1, -1):
-        ar, br = (a_rows, b_rows) if orientation == 1 else (b_rows, a_rows)
+    a_rows, b_rows = _canonical_rows(g)
+    for ar, br in ((a_rows, b_rows), (b_rows, a_rows)):
         omega = raw[:g] @ ar.T
         omega_p = raw[:g] @ br.T
         eta = raw[g:] @ ar.T
@@ -392,11 +365,13 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
         quadrature["snap"] = snap = float(np.max(np.abs(twice - np.round(twice))))
         if snap > _SNAP_TOL:
             raise PrecisionError(f"branch images miss the half-periods by {snap:.2e}")
-        return PeriodData(
+        pd = PeriodData(
             curve=curve, omega=omega, omega_prime=omega_p, eta=eta, eta_prime=eta_p, tau=tau,
-            kappa=eta @ np.linalg.inv(omega), legendre_residual=resid, branch=e, chain=chain,
+            kappa=None, legendre_residual=resid, branch=e, chain=chain,
             images=L @ (0.5 * (np.round(twice) % 2.0)), quadrature=quadrature,
         )
+        pd.kappa = eta @ pd.omega_inv
+        return pd
     raise PrecisionError("no orientation satisfied Legendre + positivity; quadrature suspect")
 
 
@@ -407,37 +382,36 @@ def vanishing_order_target(curve: CurveModel) -> int:
     return ((curve.n**2 - 1) * (curve.s**2 - 1)) // 24
 
 
-def riemann_characteristic(pd: PeriodData, van_tol: float = 1e-5, nz_tol: float = 1e-2):
-    """The half-integer characteristic with the maximal weighted vanishing.
+def riemann_characteristic(pd: PeriodData) -> Characteristic:
+    """The characteristic of the vector of Riemann constants, certified.
 
-    Scans all 4^g half-integer characteristics; the winner has all
-    directional derivatives along the u_1 line vanishing below order
-    d = (n^2-1)(s^2-1)/24 and a clearly nonzero order-d derivative.  The
-    4^g x (d+1) table of derivatives at 0 comes from one
-    theta_directional_table call: the characteristics sharing e' share a
-    lattice, and e enters as the signs (-1)^(b.n) times exp(2 i pi e.e').
+    With base point infinity the vector of Riemann constants is the
+    half-period K = sum of U[c_k] over the odd chain positions
+    k = 1, 3, .., 2g-1 (Mumford, Tata Lectures on Theta II, IIIa 5), and
+    2 K = [omega | omega'] (2e, 2e') gives [K] = (e', e).  One theta pass at
+    v = 0 certifies it: along the u_1 line every directional derivative of
+    theta[K] below order d = (n^2-1)(s^2-1)/24 vanishes and the order-d one
+    does not, each measured against the sum of the absolute values of its
+    lattice terms (at most _VANISH_RATIO, at least _NONZERO_RATIO).
     """
     if pd.char is not None:
         return pd.char
-    curve = pd.curve
-    d = vanishing_order_target(curve)
-    table = np.abs(theta_directional_table(pd.tau, pd.omega_inv()[:, 0], d))
-    ref = np.max(table, axis=0)
-    winners = []
-    for idx, row in enumerate(table):
-        if np.all(row[:d] <= van_tol * ref[:d]) and row[d] >= nz_tol * ref[d]:
-            winners.append(idx)
-    chars = all_half_characteristics(curve.genus)
-    if len(winners) == 1:
-        pd.char = chars[winners[0]]
-        return pd.char
-    # rank by vanishing count; below 1e-13 of ref a derivative is rounding noise
-    floor = max(van_tol, 1e-13) * ref[:d]
-    ranked = sorted(range(len(chars)), key=lambda i: -float(np.sum(table[i, :d] <= floor)))
-    top = ", ".join(str(chars[i]) for i in ranked[:3])
-    raise CharacteristicSearchError(
-        f"{len(winners)} characteristics satisfy the criteria (top candidates: {top})"
-    )
+    g = pd.curve.genus
+    K = np.sum(pd.images[:, 1 : 2 * g : 2], axis=1)
+    twice = 2.0 * _lattice_coords(np.hstack([pd.omega, pd.omega_prime]), K)
+    half = [0.5 * (int(b) % 2) for b in np.round(twice)]
+    char = Characteristic(tuple(half[g:]), tuple(half[:g]))
+    d = vanishing_order_target(pd.curve)
+    m, _, base = _terms(np.zeros(g), _check_tau(pd.tau), char, 1e-14, d)
+    terms = base[:, None] * np.vander(2j * np.pi * (m.T @ pd.omega_inv[:, 0]), d + 1, True)
+    ratio = np.abs(np.sum(terms, axis=0)) / np.sum(np.abs(terms), axis=0)
+    if np.max(ratio[:d]) > _VANISH_RATIO or ratio[d] < _NONZERO_RATIO:
+        raise CharacteristicSearchError(
+            f"{char} fails its certificate: orders < {d} reach {np.max(ratio[:d]):.2e}, "
+            f"order {d} is {ratio[d]:.2e}"
+        )
+    pd.char = char
+    return char
 
 
 # -- Abel map ------------------------------------------------------------------
@@ -513,7 +487,7 @@ def wp_theta(pd: PeriodData, char: Characteristic, u, indices) -> complex:
         raise InvalidCurveError(f"indices {indices} must be gap weights {gaps}") from exc
     if not 2 <= len(pos) <= 4:
         raise InvalidCurveError("wp indices must have between 2 and 4 entries")
-    W = pd.omega_inv()
+    W = pd.omega_inv
     u = np.asarray(u, dtype=complex)
     key = (char, u.tobytes())
     if pd.theta_memo is None or pd.theta_memo[0] != key:

@@ -11,14 +11,13 @@ from kleinian.theta import (
     _check_tau,
     _lattice,
     _radius,
-    all_half_characteristics,
     log_theta_derivatives,
     theta,
     theta_derivatives,
     theta_directional,
-    theta_directional_table,
 )
 from kleinian.transcendental import theta_sum_quality
+from test_transcendental import all_half_characteristics
 
 TAU1 = np.array([[1j]])
 
@@ -145,13 +144,28 @@ def test_invalid_tau_rejected():
         theta([0.0, 0.0], np.array([[1j, 0.5], [0.0, 1j]]))  # asymmetric
 
 
+def directional_table(tau, w, d):
+    """theta_directional at v = 0 along w, one row per all_half_characteristics entry."""
+    g = tau.shape[0]
+    return np.array([theta_directional(np.zeros(g), tau, w, d, char=ch)
+                     for ch in all_half_characteristics(g)])
+
+
 @pytest.mark.parametrize("name", sorted(FIXED_PERIODS))
 def test_directional_table_matches_per_characteristic_calls(name):
+    # each row against the partials of theta_derivatives contracted with w:
+    # d^k/dt^k theta(t w) = sum over sorted alpha of (k! / prod mult!) w^alpha theta_alpha
     tau, w, d = FIXED_PERIODS[name]
     g = tau.shape[0]
     chars = all_half_characteristics(g)
-    table = theta_directional_table(tau, w, d)
-    stack = np.array([theta_directional(np.zeros(g), tau, w, d, char=ch) for ch in chars])
+    table = directional_table(tau, w, d)
+    alphas = [a for k in range(d + 1) for a in product(range(g), repeat=k) if list(a) == sorted(a)]
+    stack = np.zeros_like(table)
+    for i, ch in enumerate(chars):
+        ders = theta_derivatives(np.zeros(g), tau, alphas, char=ch)
+        for a in alphas:
+            count = math.factorial(len(a)) / math.prod(math.factorial(a.count(j)) for j in set(a))
+            stack[i, len(a)] += count * np.prod(w[list(a)]) * ders[a]
     assert table.shape == stack.shape == (4**g, d + 1)
     scale = np.max(np.abs(stack), axis=0)
     assert np.all(np.abs(table - stack) <= 1e-13 * scale)
@@ -231,7 +245,7 @@ def test_directional_table_matches_mpmath_oracle(name):
     tau, w, d = FIXED_PERIODS[name]
     g = tau.shape[0]
     chars = all_half_characteristics(g)
-    table = theta_directional_table(tau, w, d)
+    table = directional_table(tau, w, d)
     exact = np.empty_like(table)
     for ep in {ch.eps_prime for ch in chars}:
         mpmath, terms = mp_terms(tau, Characteristic(ep, (0.0,) * g), np.zeros(g))
@@ -296,26 +310,23 @@ def test_ill_conditioned_tau_raises_precision_error():
     with pytest.raises(PrecisionError, match="half-width"):
         theta([0.0, 0.0], tau)
     with pytest.raises(PrecisionError):
-        theta_directional_table(tau, np.array([1.0, 0.0]), 3)
+        theta_directional([0.0, 0.0], tau, np.array([1.0, 0.0]), 3,
+                          char=Characteristic((0.5, 0.5), (0.5, 0.0)))
 
 
 def test_each_entry_point_sizes_the_lattice_for_its_derivative_order(monkeypatch):
     theta_module = importlib.import_module("kleinian.theta")
-    real, orders, forms = theta_module._lattice, [], []
+    real, orders = theta_module._lattice, []
 
     def spy(v, form, char, tol, k):
         orders.append(k)
-        forms.append(form)
         return real(v, form, char, tol, k)
 
     monkeypatch.setattr(theta_module, "_lattice", spy)
-    tau, w, d = FIXED_PERIODS["g2"]
+    tau, w, _ = FIXED_PERIODS["g2"]
     v = np.array([0.1, -0.2 + 0.1j])
     theta(v, tau)
     theta_derivatives(v, tau, [(0,), (0, 1, 1), ()])
     theta_directional(v, tau, w, 4)
-    theta_directional_table(tau, w, d)
     theta_sum_quality(v, tau, None)
-    assert orders == [0, 3, 4] + [d] * 4 + [0]
-    # the table's e' classes share one _check_tau result: Im(tau) is inverted once
-    assert all(f is forms[3] for f in forms[3:7])
+    assert orders == [0, 3, 4, 0]

@@ -15,11 +15,12 @@ from kleinian.errors import (
 )
 from kleinian.jsonio import period_to_json
 from kleinian.sampling import random_curve, random_divisor
-from kleinian.theta import all_half_characteristics, theta_directional
+from kleinian.theta import Characteristic, theta_directional
 from kleinian.transcendental import (
     _EDGE_EPS,
     _EDGE_MARGIN,
     _bernstein_radius,
+    _canonical_rows,
     _chain_homology,
     _chain_order,
     _continue_sqrt,
@@ -210,25 +211,39 @@ def test_wp_theta_four_index_vs_jet_flow(rng):
     assert abs(wp1113 - dq3) < 1e-9 * (1 + abs(dq3))
 
 
-def _reference_riemann_characteristic(pd, van_tol=1e-5, nz_tol=1e-2):
-    """The search with one theta_directional call per characteristic."""
+def all_half_characteristics(g: int):
+    """The 4^g characteristics with entries in {0, 1/2}."""
+    vals = (0.0, 0.5)
+    out = []
+    for bits in range(4**g):
+        ep, e = [], []
+        b = bits
+        for _ in range(g):
+            ep.append(vals[b & 1])
+            b >>= 1
+            e.append(vals[b & 1])
+            b >>= 1
+        out.append(Characteristic(tuple(ep), tuple(e)))
+    return out
+
+
+def _reference_riemann_characteristic(pd):
+    """The weighted-vanishing-order search over all 4^g half-integer
+    characteristics, one theta_directional call per characteristic: the
+    single one whose derivatives along the u_1 line vanish below order d
+    and whose order-d derivative does not, relative to the largest of all."""
     g = pd.curve.genus
     d = vanishing_order_target(pd.curve)
-    w = pd.omega_inv()[:, 0]
+    w = pd.omega_inv[:, 0]
     chars = all_half_characteristics(g)
     table = np.array([np.abs(theta_directional(np.zeros(g), pd.tau, w, d, char=ch))
                       for ch in chars])
     ref = np.max(table, axis=0)
     winners = [i for i, row in enumerate(table)
-               if np.all(row[:d] <= van_tol * ref[:d]) and row[d] >= nz_tol * ref[d]]
-    if len(winners) == 1:
-        return chars[winners[0]]
-    floor = max(van_tol, 1e-13) * ref[:d]
-    ranked = sorted(range(len(chars)), key=lambda i: -float(np.sum(table[i, :d] <= floor)))
-    top = ", ".join(str(chars[i]) for i in ranked[:3])
-    raise CharacteristicSearchError(
-        f"{len(winners)} characteristics satisfy the criteria (top candidates: {top})"
-    )
+               if np.all(row[:d] <= 1e-5 * ref[:d]) and row[d] >= 1e-2 * ref[d]]
+    if len(winners) != 1:
+        raise CharacteristicSearchError(f"{len(winners)} characteristics satisfy the criteria")
+    return chars[winners[0]]
 
 
 def _curve_from_branch_points(e):
@@ -255,17 +270,41 @@ def test_riemann_characteristic_matches_per_characteristic_search(name):
     curve = FIXED_CURVES[name]()
     pd = period_matrices(curve, best_effort_genus3=curve.genus == 3)
     expected = _reference_riemann_characteristic(pd)
-    assert riemann_characteristic(pd) == expected
+    ch = riemann_characteristic(pd)
+    assert ch == expected and str(ch) == str(expected)
+    assert all(type(x) is float for x in ch.eps_prime + ch.eps)
     assert expected.parity() == (-1) ** (vanishing_order_target(curve) % 2)
-    # with van_tol = 0 nothing vanishes; the candidates are still ranked with
-    # the symmetry zeros counted, whether they sum to 0.0 or to ~1e-16
-    with pytest.raises(CharacteristicSearchError) as ref_err:
-        _reference_riemann_characteristic(pd, van_tol=0.0)
-    pd.char = None
-    with pytest.raises(CharacteristicSearchError) as err:
-        riemann_characteristic(pd, van_tol=0.0)
-    assert str(err.value) == str(ref_err.value)
-    assert str(err.value).startswith("0 characteristics satisfy the criteria (top candidates: ")
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_riemann_characteristic_matches_the_search_on_random_curves(g):
+    rng = np.random.default_rng(1200 + g)
+    for _ in range(40):
+        pd = period_matrices(random_curve(2, 2 * g + 1, rng), best_effort_genus3=g == 3)
+        assert riemann_characteristic(pd) == _reference_riemann_characteristic(pd)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_CURVES))
+def test_riemann_characteristic_certificate_rejects_swapped_branch_images(name):
+    # an odd and an even chain position swapped: K moves to another
+    # half-period, whose theta fails the vanishing-order certificate
+    curve = FIXED_CURVES[name]()
+    pd = period_matrices(curve, best_effort_genus3=curve.genus == 3)
+    riemann_characteristic(dataclasses.replace(pd))
+    for odd, even in ((1, 0), (1, 2), (2 * curve.genus - 1, 2 * curve.genus)):
+        images = pd.images.copy()
+        images[:, [odd, even]] = images[:, [even, odd]]
+        with pytest.raises(CharacteristicSearchError, match="fails its certificate"):
+            riemann_characteristic(dataclasses.replace(pd, images=images))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_canonical_rows_pair_symplectically_in_the_chain_matrix(g):
+    A = np.eye(2 * g, k=1, dtype=int) - np.eye(2 * g, k=-1, dtype=int)
+    a, b = _canonical_rows(g)
+    assert a.shape == b.shape == (g, 2 * g)
+    assert np.array_equal(a @ A @ b.T, np.eye(g, dtype=int))
+    assert not np.any(a @ A @ a.T) and not np.any(b @ A @ b.T)
 
 
 # -- sqrt(P) continuation --------------------------------------------------------
@@ -328,8 +367,10 @@ def test_wp_theta_memo_values_equal_a_fresh_period_data():
              (other, u1, (1, 3)), (other, u1, (1, 1, 3)), (ch, u1, (1, 1, 1, 3))]
     for char, u, idx in calls:
         fresh = dataclasses.replace(pd)
-        assert fresh.theta_memo is None
+        assert fresh.theta_memo is None and "omega_inv" not in vars(fresh)
         assert wp_theta(pd, char, u, idx) == wp_theta(fresh, char, u, idx)
+        assert np.array_equal(fresh.omega_inv, pd.omega_inv)
+        assert fresh.omega_inv is vars(fresh)["omega_inv"]
         assert pd.theta_memo[0] == (char, np.asarray(u, dtype=complex).tobytes())
 
 
