@@ -45,10 +45,6 @@ class Characteristic:
     def vectors(self):
         return np.asarray(self.eps_prime, dtype=float), np.asarray(self.eps, dtype=float)
 
-    def is_half_integer(self) -> bool:
-        ep, e = self.vectors()
-        return bool(np.all(np.isin(2 * ep, (0.0, 1.0))) and np.all(np.isin(2 * e, (0.0, 1.0))))
-
     def parity(self) -> int:
         """(-1)^(4 e'.e) for half-integer characteristics."""
         ep, e = self.vectors()
@@ -190,53 +186,46 @@ def theta_directional(
 # -- logarithmic derivatives ---------------------------------------------------
 
 
-def _set_partitions(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
+def _log_derivative(base, F) -> complex:
+    """Joint cumulant of the columns of F under the lattice weights base.
+
+    base holds the terms of one _terms pass and column a of F the per-term
+    factors 2 i pi m.w_a of a direction w_a, so this is the mixed partial of
+    log theta along all the columns.  With the moments
+    mu(S) = sum base prod_(a in S) F_a / sum base over the column subsets S
+    (bitmasks, each product extending the one without S's lowest bit),
+    kappa(S) = mu(S) - sum kappa(T) mu(S - T) over the proper subsets T of
+    S that contain its lowest column.
+    """
+    n = F.shape[1]
+    t0 = np.sum(base)
+    prods, mu, kappa = [base], [1.0], [0.0]
+    for S in range(1, 1 << n):
+        low = S & -S
+        prods.append(prods[S ^ low] * F[:, low.bit_length() - 1])
+        mu.append(np.sum(prods[S]) / t0)
+        rest = S ^ low
+        acc, R = mu[S], 0
+        while R != rest:  # the proper subsets R of rest, T = low | R
+            acc -= kappa[low | R] * mu[rest ^ R]
+            R = (R - rest) & rest
+        kappa.append(acc)
+    return kappa[-1]
 
 
 def log_theta_derivatives(v, tau, orders, char=None, tol: float = 1e-14) -> dict:
     """Partials of log theta[char] for every multi-index in ``orders``.
 
-    Uses the moment-to-cumulant recursion over set partitions:
-    theta_A / theta = sum over partitions of A of prod_B L_B.
+    One lattice pass at the highest order; each partial is the joint
+    cumulant (_log_derivative) of the columns 2 i pi m_a, a in the index.
     """
-    need = {tuple(sorted(alpha)) for alpha in orders}
-    # close under subsets
-    closure = set()
-
-    def add_subsets(alpha):
-        alpha = tuple(sorted(alpha))
-        if alpha in closure:
-            return
-        closure.add(alpha)
-        for i in range(len(alpha)):
-            add_subsets(alpha[:i] + alpha[i + 1 :])
-
-    for alpha in need:
-        add_subsets(alpha)
-    thetas = theta_derivatives(v, tau, sorted(closure, key=len), char=char, tol=tol)
-    t0 = thetas[()]
+    k = max((len(alpha) for alpha in orders), default=0)
+    m, shift, base = _terms(v, _check_tau(tau), char, tol, k)
+    t0 = np.sum(base)
     if abs(t0) == 0:
         raise PrecisionError("theta vanishes: logarithmic derivatives undefined")
-    L: dict = {(): np.log(t0)}
-    for alpha in sorted(closure, key=len):
-        if not alpha:
-            continue
-        m_val = thetas[alpha] / t0
-        acc = 0j
-        for part in _set_partitions(list(alpha)):
-            if len(part) == 1:
-                continue  # the L_alpha term itself
-            prod = 1.0 + 0j
-            for block in part:
-                prod *= L[tuple(sorted(block))]
-            acc += prod
-        L[alpha] = m_val - acc
-    return {tuple(sorted(a)): L[tuple(sorted(a))] for a in orders}
+    F = 2j * np.pi * m.T
+    return {
+        tuple(sorted(a)): _log_derivative(base, F[:, list(a)]) if a else np.log(np.exp(shift) * t0)
+        for a in orders
+    }

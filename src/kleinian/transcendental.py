@@ -22,17 +22,17 @@ half-period lattice, which certifies them.  A point is reached by one leg
 from the branch point of widest Bernstein radius, under the chain edges'
 node-count rule, with its sheet fixed by the point's y.
 
-wp-values come from second (and higher) logarithmic derivatives of theta
-with the Riemann-constant characteristic: the sum of the alternate branch
+wp-values are logarithmic derivatives of theta(omega^-1 u) along u, with
+the Riemann-constant characteristic (the sum of the alternate branch
 points' half-periods, certified by the weighted vanishing order of theta
-with that one characteristic.
+with that one characteristic): joint cumulants of the columns of
+2 i pi m^t omega^-1 over the terms of one theta pass per argument.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -51,8 +51,8 @@ from .roots import newton_polish
 from .theta import (
     Characteristic,
     _check_tau,
+    _log_derivative,
     _terms,
-    log_theta_derivatives,
 )
 
 LEGENDRE_TOL = 1e-8
@@ -108,8 +108,11 @@ class PeriodData:
     ``quadrature`` records the Chebyshev nodes and Bernstein radius of each
     chain edge, the chain's clearance and, as ``snap``, the largest distance
     of 2 * the images' lattice coordinates from integers (not serialized).
-    ``theta_memo`` keeps the theta passes of the last ``wp_theta`` argument:
-    ((char, u.tobytes()), theta_sum_quality, {order: log-derivative table}, v).
+    ``theta_form`` is ``_check_tau(tau)``, computed once for every theta
+    pass on this data.  ``theta_memo`` keeps the one theta pass of the last
+    ``wp_theta`` argument, at order 4: ((char, u.tobytes()), base, F), the
+    lattice terms and their factors F = 2 i pi m^t omega^-1, one column per
+    u-direction.
     """
 
     curve: CurveModel
@@ -130,6 +133,10 @@ class PeriodData:
     @cached_property
     def omega_inv(self) -> np.ndarray:
         return np.linalg.inv(self.omega)
+
+    @cached_property
+    def theta_form(self) -> tuple:
+        return _check_tau(self.tau)
 
 
 # -- contours ------------------------------------------------------------------
@@ -402,7 +409,7 @@ def riemann_characteristic(pd: PeriodData) -> Characteristic:
     half = [0.5 * (int(b) % 2) for b in np.round(twice)]
     char = Characteristic(tuple(half[g:]), tuple(half[:g]))
     d = vanishing_order_target(pd.curve)
-    m, _, base = _terms(np.zeros(g), _check_tau(pd.tau), char, 1e-14, d)
+    m, _, base = _terms(np.zeros(g), pd.theta_form, char, 1e-14, d)
     terms = base[:, None] * np.vander(2j * np.pi * (m.T @ pd.omega_inv[:, 0]), d + 1, True)
     ratio = np.abs(np.sum(terms, axis=0)) / np.sum(np.abs(terms), axis=0)
     if np.max(ratio[:d]) > _VANISH_RATIO or ratio[d] < _NONZERO_RATIO:
@@ -464,52 +471,34 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData) -> np.ndarray:
 # -- wp from theta ---------------------------------------------------------------
 
 
-def theta_sum_quality(v, tau, char) -> float:
-    """|theta| in units of its largest lattice term (0 on the theta divisor)."""
-    _, _, base = _terms(v, _check_tau(tau), char, 1e-14, 0)
-    return float(abs(np.sum(base)))
-
-
 def wp_theta(pd: PeriodData, char: Characteristic, u, indices) -> complex:
     """Multi-index wp-value at u from logarithmic theta derivatives.
 
     ``indices`` is a tuple of 2 to 4 gap weights, e.g. (1, 3) or
-    (1, 1, 5); the kappa correction applies to the 2-index values and the
-    quadratic exponential drops out of all higher ones.  Calls at one
-    (char, u) share one quality pass and one derivative pass per order
+    (1, 1, 5); the value is minus the partial of log theta[char](omega^-1 u)
+    along those u-coordinates, the joint cumulant of the matching columns
+    of 2 i pi m^t omega^-1 (_log_derivative).  The kappa correction applies
+    to the 2-index values and the quadratic exponential drops out of all
+    higher ones.  Calls at one (char, u) share one theta pass at order 4
     (``pd.theta_memo``, replaced when the argument changes).
     """
-    curve = pd.curve
-    gaps = list(curve.gaps)
+    gaps = list(pd.curve.gaps)
     try:
         pos = [gaps.index(wi) for wi in indices]
     except ValueError as exc:
         raise InvalidCurveError(f"indices {indices} must be gap weights {gaps}") from exc
     if not 2 <= len(pos) <= 4:
         raise InvalidCurveError("wp indices must have between 2 and 4 entries")
-    W = pd.omega_inv
     u = np.asarray(u, dtype=complex)
     key = (char, u.tobytes())
     if pd.theta_memo is None or pd.theta_memo[0] != key:
-        v = W @ u
-        pd.theta_memo = (key, theta_sum_quality(v, pd.tau, char), {}, v)
-    _, quality, tables, v = pd.theta_memo
-    if quality < 1e-8:
+        m, _, base = _terms(pd.omega_inv @ u, pd.theta_form, char, 1e-14, 4)
+        pd.theta_memo = (key, base, 2j * np.pi * (m.T @ pd.omega_inv))
+    _, base, F = pd.theta_memo
+    if abs(np.sum(base)) < 1e-8:  # |theta| in units of its largest lattice term
         raise ThetaDivisorError("u lies on (or too near) the theta divisor")
-    g = curve.genus
-    k = len(pos)
-    if k not in tables:
-        needed = sorted({tuple(sorted(a)) for a in product(range(g), repeat=k)})
-        tables[k] = log_theta_derivatives(v, pd.tau, needed, char=char)
-    L = tables[k]
-    acc = 0j
-    for a in product(range(g), repeat=k):
-        coef = 1.0 + 0j
-        for ai, bi in zip(a, pos):
-            coef *= W[ai, bi]
-        acc += coef * L[tuple(sorted(a))]
-    val = -acc
-    if k == 2:
+    val = -_log_derivative(base, F[:, pos])
+    if len(pos) == 2:
         val += pd.kappa[pos[0], pos[1]]
     return complex(val)
 

@@ -4,14 +4,14 @@ For n = 2 and n = 3 the inverse of the Abel map is cut out by two
 polynomial functions of weights 2g and 2g+1,
 
     R_lo = m_2g     - sum_i  u_i(x, y) p[w_i]
-    R_hi = 2 m_2g+1 + sum_i  s_i u_i(x, y) q[w_i]
+    R_hi = 2 m_2g+1 + sum_i  u_i(x, y) q[w_i]
 
 over the basis monomials u_i of weight 2g-1-w_i, where p[w] is the
 wp-value with index (1, w) and q[w] the odd combination (1,1,w) in the
-hyperelliptic case or (1,1,w) - (2,w) in the trigonal case.  The sign
-table s_i is +1 for every slot in every family; the convention is pinned
+hyperelliptic case or (1,1,w) - (2,w) in the trigonal case.  Every
+q-value enters R_hi with sign +1, in every family, the convention pinned
 down numerically by the derivative cross-check d/du_2 of p[1] against
-the rational (2,2)-value and is exercised in the tests.
+the rational (2,2)-value and exercised in the tests.
 
 Reading the coefficients off interpolations through a divisor gives the
 forward map; extracting common zeros of (R_lo, R_hi, f) gives the inverse.
@@ -84,15 +84,6 @@ class BasisRecord:
         return BasisRecord(dict(self.p), dict(self.q), dict(self.extended))
 
 
-def q_signs(curve: CurveModel) -> dict:
-    """Per-gap sign s_i relating q-values to R_hi coefficients.
-
-    All +1: R_hi = 2 m_2g+1 + sum_i u_i q[w_i] across families, the
-    convention validated by the derivative ladder and identity suites.
-    """
-    return {w: 1.0 for w in curve.gaps}
-
-
 def solution_monomials(curve: CurveModel):
     """(basis monomials by gap, m_2g, m_2g+1) for the inversion system."""
     if curve.n not in (2, 3):
@@ -126,21 +117,19 @@ def divisor_to_basis(curve: CurveModel, D: Divisor) -> BasisRecord:
     resid = np.abs(A @ sol + np.column_stack([rhs[:, 0], 2.0 * rhs[:, 1]]))
     if resid.size and np.max(resid) > 1e-6 * (1.0 + float(np.max(np.abs(rhs)))):
         raise SpecialDivisorError("ill-conditioned inversion system: divisor is nearly special")
-    signs = q_signs(curve)
     p = {w: -sol[i, 0] for i, w in enumerate(curve.gaps)}
-    q = {w: signs[w] * sol[i, 1] for i, w in enumerate(curve.gaps)}
+    q = {w: sol[i, 1] for i, w in enumerate(curve.gaps)}
     return BasisRecord(p, q)
 
 
 def solution_polynomials(curve: CurveModel, rec: BasisRecord):
     """The pair (R_lo, R_hi) determined by a basis record."""
     basis, m_lo, m_hi = solution_monomials(curve)
-    signs = q_signs(curve)
     lo = {(m_lo.i, m_lo.j): 1.0 + 0j}
     hi = {(m_hi.i, m_hi.j): 2.0 + 0j}
     for m, w in zip(basis, curve.gaps):
         lo[(m.i, m.j)] = lo.get((m.i, m.j), 0) - rec.p[w]
-        hi[(m.i, m.j)] = hi.get((m.i, m.j), 0) + signs[w] * rec.q[w]
+        hi[(m.i, m.j)] = hi.get((m.i, m.j), 0) + rec.q[w]
     return PolyFunction(curve, lo), PolyFunction(curve, hi)
 
 
@@ -299,9 +288,8 @@ def basis_jets(curve: CurveModel, xjs, yjs):
     hi = [-2.0 * m_hi.eval(xjs[k], yjs[k]) for k in range(g)]
     c = series.solve_linear([row[:] for row in A], lo)
     d = series.solve_linear([row[:] for row in A], hi)
-    signs = q_signs(curve)
     p = {w: -c[i] for i, w in enumerate(curve.gaps)}
-    q = {w: signs[w] * d[i] for i, w in enumerate(curve.gaps)}
+    q = {w: d[i] for i, w in enumerate(curve.gaps)}
     return p, q
 
 

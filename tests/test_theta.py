@@ -1,23 +1,27 @@
 import importlib
 import math
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kleinian.errors import InvalidCurveError, PrecisionError
 from kleinian.theta import (
     Characteristic,
     _check_tau,
     _lattice,
+    _log_derivative,
     _radius,
+    _terms,
     log_theta_derivatives,
     theta,
     theta_derivatives,
     theta_directional,
 )
-from kleinian.transcendental import theta_sum_quality
-from test_transcendental import all_half_characteristics
+from kleinian.transcendental import wp_theta
+from test_transcendental import _bridge_setup, all_half_characteristics
 
 TAU1 = np.array([[1j]])
 
@@ -317,6 +321,7 @@ def test_ill_conditioned_tau_raises_precision_error():
 def test_each_entry_point_sizes_the_lattice_for_its_derivative_order(monkeypatch):
     theta_module = importlib.import_module("kleinian.theta")
     real, orders = theta_module._lattice, []
+    curve, pd, ch, (u, _) = _bridge_setup()
 
     def spy(v, form, char, tol, k):
         orders.append(k)
@@ -328,5 +333,152 @@ def test_each_entry_point_sizes_the_lattice_for_its_derivative_order(monkeypatch
     theta(v, tau)
     theta_derivatives(v, tau, [(0,), (0, 1, 1), ()])
     theta_directional(v, tau, w, 4)
-    theta_sum_quality(v, tau, None)
-    assert orders == [0, 3, 4, 0]
+    log_theta_derivatives(v, tau, [(0, 1), (1,), (0, 0, 1)])
+    wp_theta(pd, ch, u, (1, 3))
+    wp_theta(pd, ch, u, (1, 1, 3))
+    assert orders == [0, 3, 4, 3, 4]
+
+
+# -- logarithmic derivatives: cumulants -------------------------------------------
+
+
+def _set_partitions(items):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def set_partition_log_derivatives(v, tau, orders, char=None):
+    """Reference: theta_derivatives over the subsets of ``orders``, then the
+    moment-to-cumulant recursion over set partitions,
+    theta_A / theta = sum over partitions of A of prod_B L_B."""
+    closure = set()
+
+    def add_subsets(alpha):
+        alpha = tuple(sorted(alpha))
+        if alpha not in closure:
+            closure.add(alpha)
+            for i in range(len(alpha)):
+                add_subsets(alpha[:i] + alpha[i + 1 :])
+
+    for alpha in orders:
+        add_subsets(alpha)
+    thetas = theta_derivatives(v, tau, sorted(closure, key=len), char=char)
+    L = {}
+    for alpha in sorted(closure, key=len):
+        if alpha:
+            acc = sum(math.prod(L[tuple(sorted(b))] for b in part)
+                      for part in _set_partitions(list(alpha)) if len(part) > 1)
+            L[alpha] = thetas[alpha] / thetas[()] - acc
+    return {tuple(sorted(a)): L[tuple(sorted(a))] for a in orders}
+
+
+def mp_cumulants(mpmath, terms, factors, indices):
+    """Joint cumulants at 30 digits of the per-term factor columns
+    ``factors[j]`` (mpmath numbers, one per entry of ``terms``) for each
+    sorted multi-index in ``indices``, by the explicit sum over set
+    partitions: kappa(A) = sum_pi (-1)^(|pi|-1) (|pi|-1)! prod_(B in pi) mu(B)."""
+    top = max(len(a) for a in indices)
+    with mpmath.workdps(30):
+        parts = {(): np.array([t for _, t in terms])}
+        for alpha in _indices(len(factors), range(1, top + 1)):  # alpha[:-1] is already there
+            parts[alpha] = parts[alpha[:-1]] * factors[alpha[-1]]
+        t0 = mpmath.fsum(parts[()])
+        mu = {alpha: mpmath.fsum(p) / t0 for alpha, p in parts.items()}
+        out = {}
+        for alpha in indices:
+            total = 0
+            for part in _set_partitions(list(alpha)):
+                r = len(part)
+                total += (-1) ** (r - 1) * math.factorial(r - 1) * mpmath.fprod(
+                    mu[tuple(sorted(b))] for b in part)
+            out[alpha] = complex(total)
+    return out
+
+
+def _indices(g, orders=(1, 2, 3, 4)):
+    return [a for k in orders for a in combinations_with_replacement(range(g), k)]
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_PERIODS))
+def test_log_theta_derivatives_match_mpmath_cumulants(name):
+    tau = FIXED_PERIODS[name][0]
+    g = tau.shape[0]
+    orders = _indices(g)
+    for (ep, e), v in zip(ORACLE_CHARS, ORACLE_V):
+        char, v = Characteristic(ep[:g], e[:g]), np.array(v[:g])
+        mpmath, terms = mp_terms(tau, char, v)
+        with mpmath.workdps(30):
+            factors = [np.array([2j * mpmath.pi * mm[a] for mm, _ in terms]) for a in range(g)]
+        exact = mp_cumulants(mpmath, terms, factors, orders)
+        got = log_theta_derivatives(v, tau, orders, char=char)
+        for alpha in orders:
+            assert abs(got[alpha] - exact[alpha]) <= 2e-13 * (1 + abs(exact[alpha])), (char, alpha)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_PERIODS))
+def test_log_theta_derivatives_match_the_set_partition_path(name):
+    tau = FIXED_PERIODS[name][0]
+    g = tau.shape[0]
+    orders = _indices(g)
+    for (ep, e), v in zip(ORACLE_CHARS, ORACLE_V):
+        char, v = Characteristic(ep[:g], e[:g]), np.array(v[:g])
+        got = log_theta_derivatives(v, tau, orders, char=char)
+        ref = set_partition_log_derivatives(v, tau, orders, char=char)
+        for alpha in orders:
+            assert abs(got[alpha] - ref[alpha]) <= 1e-13 * (1 + abs(ref[alpha])), (char, alpha)
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3"])
+def test_wp_theta_matches_mpmath_cumulants_along_the_omega_inverse_columns(name):
+    curve, pd, ch, us = _bridge_setup(name)
+    g = curve.genus
+    gaps = list(curve.gaps)
+    W = pd.omega_inv
+    indices = _indices(g, (2, 3, 4))
+    for u in us:
+        v = W @ u
+        mpmath, terms = mp_terms(pd.tau, ch, v)
+        with mpmath.workdps(30):
+            Wm = [[mpmath.mpc(complex(W[a, j])) for j in range(g)] for a in range(g)]
+            factors = [np.array([2j * mpmath.pi * mpmath.fsum(mm[a] * Wm[a][j] for a in range(g))
+                                 for mm, _ in terms]) for j in range(g)]
+        exact = mp_cumulants(mpmath, terms, factors, indices)
+        for pos in indices:
+            ref = -exact[pos] + (pd.kappa[pos] if len(pos) == 2 else 0.0)
+            got = wp_theta(pd, ch, u, tuple(gaps[j] for j in pos))
+            assert abs(got - ref) <= 2e-13 * (1 + abs(ref)), (u, pos)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_log_derivative_is_symmetric_and_linear_in_each_column(data):
+    def draw_floats(n, bound):
+        return np.array(data.draw(st.lists(st.floats(-bound, bound), min_size=n, max_size=n)))
+
+    g = data.draw(st.integers(1, 3), label="g")
+    A = draw_floats(g * g, 0.6).reshape(g, g)
+    X = draw_floats(g * g, 0.5).reshape(g, g)
+    tau = (X + X.T) + 1j * (A @ A.T + 0.5 * np.eye(g))  # Im tau positive definite
+    v = draw_floats(g, 0.5) + 1j * draw_floats(g, 0.3)
+    n = data.draw(st.integers(1, 4), label="order")
+    dirs = (draw_floats(g * (n + 1), 1.0) + 1j * draw_floats(g * (n + 1), 1.0)).reshape(g, n + 1)
+    m, _, base = _terms(v, _check_tau(tau), None, 1e-14, 4)
+    assume(abs(np.sum(base)) > 1e-3)  # off the theta divisor
+    F = 2j * np.pi * (m.T @ dirs)  # columns 0..n-1, and n for linearity
+    ref = _log_derivative(base, F[:, :n])
+    perm = data.draw(st.permutations(range(n)), label="permutation")
+    assert abs(_log_derivative(base, F[:, perm]) - ref) <= 1e-12 * (1 + abs(ref))
+    j = data.draw(st.integers(0, n - 1), label="column")
+    a, b = draw_floats(2, 2.0) + 1j * draw_floats(2, 2.0)
+    H = F[:, :n].copy()
+    H[:, j] = F[:, n]
+    other = _log_derivative(base, H)
+    H[:, j] = a * F[:, j] + b * F[:, n]
+    scale = 1 + abs(a * ref) + abs(b * other)
+    assert abs(_log_derivative(base, H) - (a * ref + b * other)) <= 1e-12 * scale

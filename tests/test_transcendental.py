@@ -102,7 +102,8 @@ def test_riemann_characteristic_genus2(rng):
     pd = period_matrices(curve)
     ch = riemann_characteristic(pd)
     assert ch.parity() == -1  # odd characteristic
-    assert ch.is_half_integer()
+    twice = 2 * np.concatenate(ch.vectors())
+    assert np.all(np.isin(twice, (0.0, 1.0)))  # half-integer
     assert pd.char is ch  # cached
 
 
@@ -352,7 +353,7 @@ def test_continue_sqrt_matches_serial_reference_on_abel_legs(g, seed):
 
 def _bridge_setup(name="g2"):
     curve = FIXED_CURVES[name]()
-    pd = period_matrices(curve)
+    pd = period_matrices(curve, best_effort_genus3=curve.genus == 3)
     ch = riemann_characteristic(pd)
     rng = np.random.default_rng(21)
     us = [abel(curve, random_divisor(curve, curve.genus, rng), pd) for _ in range(2)]
@@ -374,36 +375,60 @@ def test_wp_theta_memo_values_equal_a_fresh_period_data():
         assert pd.theta_memo[0] == (char, np.asarray(u, dtype=complex).tobytes())
 
 
-def test_wp_theta_bundle_makes_one_quality_and_one_derivative_pass_per_order(monkeypatch):
+def test_wp_theta_makes_one_theta_pass_per_argument(monkeypatch):
     curve, pd, ch, (u1, u2) = _bridge_setup()
-    counts = {"quality": 0, "derivatives": 0}
-    real_quality, real_log = transcendental.theta_sum_quality, transcendental.log_theta_derivatives
+    real, passes = transcendental._terms, []
 
-    def quality(*args, **kwargs):
-        counts["quality"] += 1
-        return real_quality(*args, **kwargs)
+    def spy(v, form, char, tol, k):
+        passes.append(k)
+        return real(v, form, char, tol, k)
 
-    def log_derivatives(*args, **kwargs):
-        counts["derivatives"] += 1
-        return real_log(*args, **kwargs)
-
-    monkeypatch.setattr(transcendental, "theta_sum_quality", quality)
-    monkeypatch.setattr(transcendental, "log_theta_derivatives", log_derivatives)
+    monkeypatch.setattr(transcendental, "_terms", spy)
     bundle = [(1, 1), (1, 3), (3, 3), (1, 1, 1), (1, 1, 3)]  # the genus-2 wp-bundle
     for idx in bundle:
         wp_theta(pd, ch, u1, idx)
-    assert counts == {"quality": 1, "derivatives": 2}
-    for idx in [(1, 1), (1, 1, 1), (1, 3), (1, 1, 3)]:  # interleaved orders at a new u
+    assert passes == [4]
+    for idx in [(1, 1), (1, 1, 1, 3), (1, 3), (1, 1, 3), (3, 3, 3, 3)]:  # interleaved orders
         wp_theta(pd, ch, list(u2), idx)
-    assert counts == {"quality": 2, "derivatives": 4}
+    assert passes == [4, 4]
+    wp_theta(pd, ch, u1, (1, 1, 1))
+    assert passes == [4, 4, 4]
 
 
-def test_wp_theta_memo_raises_on_every_call_on_the_theta_divisor():
+def test_wp_theta_sets_up_theta_once_per_period_data(monkeypatch):
+    curve, pd, ch, (u1, u2) = _bridge_setup()
+    assert "theta_form" in vars(pd)  # riemann_characteristic filled it
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
+    for u in (u1, u2, u1):
+        for idx in [(1, 1), (1, 3), (3, 3), (1, 1, 1), (1, 1, 3), (1, 1, 1, 1)]:
+            wp_theta(pd, ch, u, idx)
+    assert calls == []
+
+
+def test_wp_theta_memo_raises_on_every_call_on_the_theta_divisor(monkeypatch):
     curve, pd, ch, _ = _bridge_setup()
+    real, passes = transcendental._terms, []
+
+    def spy(*args):
+        passes.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(transcendental, "_terms", spy)
     for idx in [(1, 1), (1, 1), (1, 1, 3)]:
         with pytest.raises(ThetaDivisorError):
             wp_theta(pd, ch, np.zeros(2), idx)
-    assert pd.theta_memo[1] < 1e-8 and pd.theta_memo[2] == {}
+    key, base, F = pd.theta_memo
+    assert key == (ch, np.zeros(2, dtype=complex).tobytes()) and passes == [4]
+    assert abs(np.sum(base)) < 1e-8 and F.shape == (base.size, 2)
 
 
 def test_wp_theta_memo_leaves_repr_and_equality_alone():
