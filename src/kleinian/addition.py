@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curves import CurveModel
-from .divisors import Divisor, complement, interpolate
+from .divisors import Divisor, complement, interpolate, poly_mul_raw
 from .errors import (
     DegenerateComplementError,
     DegeneratePairError,
@@ -72,7 +72,9 @@ def _blocks_27(rec: BasisRecord):
     return A, b
 
 
-def add27_explicit(recU: BasisRecord, recUt: BasisRecord, lam) -> tuple[BasisRecord, dict]:
+def add27_explicit(
+    recU: BasisRecord, recUt: BasisRecord, curve: CurveModel
+) -> tuple[BasisRecord, dict]:
     """Basis record at -(u + u~) on the genus-3 hyperelliptic curve.
 
     Solves the 6x6 block system for the gamma coefficients of the
@@ -81,9 +83,6 @@ def add27_explicit(recU: BasisRecord, recUt: BasisRecord, lam) -> tuple[BasisRec
     3x3 system at the new point for the q-values.  Returns the record and
     the gamma coefficients {1, 2, 3, 5, 7, 9}.
     """
-    from .identities import _lam_fn
-
-    L = _lam_fn(lam)
     A_u, b_u = _blocks_27(recU)
     A_t, b_t = _blocks_27(recUt)
     dA = A_u - A_t
@@ -93,7 +92,7 @@ def add27_explicit(recU: BasisRecord, recUt: BasisRecord, lam) -> tuple[BasisRec
     gbreve = -b_u - A_u @ gbar  # (gamma9, gamma7, gamma5)
     g3, g2, g1 = gbar
     g9, g7, g5 = gbreve
-    l4, l6 = L(4), L(6)
+    l4, l6 = curve.lam_get(4), curve.lam_get(6)
     p2u, p4u, p6u = recU.p[1], recU.p[3], recU.p[5]
     p2t, p4t, p6t = recUt.p[1], recUt.p[3], recUt.p[5]
     p2h = -p2u - p2t - 2.0 * g2 + g1**2
@@ -152,27 +151,16 @@ def quotient_identity_residual_27(
     really factors the weight-9 function through the three preimages.
     """
 
-    def mul(a: dict, b: dict) -> dict:
-        out: dict = {}
-        for (i1, j1), c1 in a.items():
-            for (i2, j2), c2 in b.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, 0) + c1 * c2
-        return out
-
     def r6(rec: BasisRecord) -> dict:
         return {(3, 0): 1.0, (2, 0): -rec.p[1], (1, 0): -rec.p[3], (0, 0): -rec.p[5]}
 
-    total = mul(weight9_function(curve, gammas), weight9_function(curve, gammas, mirror=True))
-    prod6 = mul(mul(r6(recU), r6(recUt)), r6(recUh))
-    f_table: dict = {(curve.s, 0): 1.0, (0, curve.n): -1.0}
-    for i, j, k in curve.terms:
-        lk = curve.lam.get(k)
-        if lk:
-            f_table[(i, j)] = f_table.get((i, j), 0) + lk
+    total = poly_mul_raw(
+        weight9_function(curve, gammas), weight9_function(curve, gammas, mirror=True)
+    )
+    prod6 = poly_mul_raw(poly_mul_raw(r6(recU), r6(recUt)), r6(recUh))
     g2 = gammas[2]
     sq = {(2, 0): 1.0, (1, 0): 2.0 * g2, (0, 0): g2**2}
-    corr = mul(sq, f_table)
+    corr = poly_mul_raw(sq, curve.coeffs)
     resid: dict = dict(total)
     for k, v in prod6.items():
         resid[k] = resid.get(k, 0) - v

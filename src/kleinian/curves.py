@@ -10,6 +10,12 @@ puts wgt x = n, wgt y = s, wgt lambda_k = k, so f is homogeneous of weight
 n s.  Genus is (n-1)(s-1)/2 and the Weierstrass gaps at infinity are the
 non-representable values a n + b s.
 
+``CurveModel.coeffs`` holds f once, as the table {(i, j): c} -- x^s, then
+-y^n, then the lambda terms -- in the format of every polynomial function
+on the curve; ``poly_eval`` reads any such table, ``poly_partials`` gives
+the tables of its two partials, and ``y_split`` splits it into
+x-polynomials by powers of y.
+
 The module knows three families with extra structure: hyperelliptic
 (n = 2) and the two trigonal shapes (n = 3, s = 3m+1 or 3m+2).  The
 hyperelliptic and (3,4) cases also carry explicit second-kind differential
@@ -54,6 +60,38 @@ def gap_sequence(n: int, s: int) -> tuple[int, ...]:
     if len(gaps) != expected:
         raise InvalidCurveError("gap sieve inconsistency")
     return gaps
+
+
+def poly_eval(coeffs: dict, x, y):
+    """Sum of c x^i y^j over a table {(i, j): c}, for scalars, numpy arrays
+    and Jets alike."""
+    acc = 0
+    for (i, j), c in coeffs.items():
+        acc = acc + c * x**i * y**j
+    return acc
+
+
+def poly_partials(coeffs: dict) -> tuple[dict, dict]:
+    """The tables of d/dx and d/dy of a table {(i, j): c}, in its term order.
+
+    A partial's term c i x^(i-1) y^j is evaluated as (c i) x^(i-1) y^j,
+    so ``poly_eval`` of a partial table is the derivative bit for bit.
+    """
+    return (
+        {(i - 1, j): c * i for (i, j), c in coeffs.items() if i},
+        {(i, j - 1): c * j for (i, j), c in coeffs.items() if j},
+    )
+
+
+def y_split(coeffs: dict) -> list[np.ndarray]:
+    """Entry j: the coefficients, descending in x, of the y^j part of a
+    table {(i, j): c}; every entry has the table's top x-degree."""
+    dx = max((i for (i, _) in coeffs), default=0)
+    dy = max((j for (_, j) in coeffs), default=0)
+    out = [np.zeros(dx + 1, dtype=complex) for _ in range(dy + 1)]
+    for (i, j), c in coeffs.items():
+        out[j][dx - i] = c
+    return out
 
 
 @dataclass(frozen=True)
@@ -103,6 +141,8 @@ class CurveModel:
     gaps: tuple = field(init=False)
     family: str = field(init=False)
     terms: tuple = field(init=False)  # (i, j, weight) of every lambda slot
+    coeffs: dict = field(init=False, repr=False, compare=False)  # f as {(i, j): c}
+    partials: tuple = field(init=False, repr=False, compare=False)  # f_x, f_y tables
 
     def __post_init__(self):
         n, s = self.n, self.s
@@ -124,6 +164,10 @@ class CurveModel:
                     f"lambda weight {k} does not occur in the canonical (n,s)=({n},{s}) equation"
                 )
         object.__setattr__(self, "lam", lam)
+        coeffs = {(s, 0): 1.0 + 0j, (0, n): -1.0 + 0j}
+        coeffs.update(((i, j), lam[k]) for i, j, k in terms if k in lam)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "partials", poly_partials(coeffs))
         if n == 2:
             fam = HYPERELLIPTIC
         elif n == 3 and s % 3 == 1:
@@ -145,28 +189,13 @@ class CurveModel:
 
     def eval_f(self, x, y):
         """f(x, y); vectorizes over numpy arrays and accepts Jets."""
-        acc = -(y**self.n) + x**self.s
-        for i, j, k in self.terms:
-            lk = self.lam.get(k)
-            if lk:
-                acc = acc + lk * x**i * y**j
-        return acc
-
-    def eval_fy(self, x, y):
-        acc = -self.n * y ** (self.n - 1)
-        for i, j, k in self.terms:
-            lk = self.lam.get(k)
-            if lk and j > 0:
-                acc = acc + lk * j * x**i * y ** (j - 1)
-        return acc
+        return poly_eval(self.coeffs, x, y)
 
     def eval_fx(self, x, y):
-        acc = self.s * x ** (self.s - 1)
-        for i, j, k in self.terms:
-            lk = self.lam.get(k)
-            if lk and i > 0:
-                acc = acc + lk * i * x ** (i - 1) * y**j
-        return acc
+        return poly_eval(self.partials[0], x, y)
+
+    def eval_fy(self, x, y):
+        return poly_eval(self.partials[1], x, y)
 
     def point(self, x, y, tol: float = ON_CURVE_TOL) -> CurvePoint:
         """Validated point; tolerance scales with the point magnitude."""

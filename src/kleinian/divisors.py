@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import series
-from .curves import CurveModel, CurvePoint, Monomial
+from .curves import CurveModel, CurvePoint, Monomial, poly_eval, poly_partials, y_split
 from .errors import (
     BranchPointError,
     DegenerateComplementError,
@@ -47,6 +47,7 @@ class PolyFunction:
         }
         if any(j >= curve.n for (_, j) in self.coeffs):
             raise InvalidCurveError("unreduced y-power in PolyFunction")
+        self.partials = poly_partials(self.coeffs)
 
     @property
     def weight(self) -> int:
@@ -55,36 +56,14 @@ class PolyFunction:
         n, s = self.curve.n, self.curve.s
         return max(i * n + j * s for (i, j) in self.coeffs)
 
-    @property
-    def leading(self):
-        """(monomial, coefficient) of the highest Sato weight."""
-        n, s = self.curve.n, self.curve.s
-        (i, j) = max(self.coeffs, key=lambda ij: ij[0] * n + ij[1] * s)
-        return Monomial(i, j, i * n + j * s), self.coeffs[(i, j)]
-
-    @property
-    def monic(self) -> bool:
-        return bool(self.coeffs) and abs(self.leading[1] - 1.0) < 1e-12
-
     def eval(self, x, y):
-        acc = 0
-        for (i, j), c in self.coeffs.items():
-            acc = acc + c * x**i * y**j
-        return acc
+        return poly_eval(self.coeffs, x, y)
 
     def eval_dx(self, x, y):
-        acc = 0
-        for (i, j), c in self.coeffs.items():
-            if i:
-                acc = acc + c * i * x ** (i - 1) * y**j
-        return acc
+        return poly_eval(self.partials[0], x, y)
 
     def eval_dy(self, x, y):
-        acc = 0
-        for (i, j), c in self.coeffs.items():
-            if j:
-                acc = acc + c * j * x**i * y ** (j - 1)
-        return acc
+        return poly_eval(self.partials[1], x, y)
 
     def term_scale(self, x, y) -> float:
         """max |coeff x^i y^j|; the natural residual normalizer at (x, y)."""
@@ -93,22 +72,6 @@ class PolyFunction:
 
     def y_degree(self) -> int:
         return max((j for (_, j) in self.coeffs), default=0)
-
-    def x_degree(self) -> int:
-        return max((i for (i, _) in self.coeffs), default=0)
-
-    def y_coefficient_polys(self) -> list[np.ndarray]:
-        """Entry j: coefficients (descending in x) of the y^j part."""
-        dy = self.y_degree()
-        dx = self.x_degree()
-        out = []
-        for j in range(dy + 1):
-            c = np.zeros(dx + 1, dtype=complex)
-            for (i, jj), v in self.coeffs.items():
-                if jj == j:
-                    c[dx - i] = v
-            out.append(c)
-        return out
 
     def __repr__(self):
         n, s = self.curve.n, self.curve.s
@@ -121,7 +84,7 @@ def reduce_poly(curve: CurveModel, raw: dict) -> PolyFunction:
     """Ring representative with y-degree < n, equal to ``raw`` mod f.
 
     ``raw`` is any {(i, j): coeff} table; y^n is rewritten as
-    x^s + sum lambda_k y^j x^i until no power of y reaches n.
+    y^n + f = x^s + sum lambda_k y^j x^i until no power of y reaches n.
     """
     n = curve.n
     work = {tuple(k): complex(v) for k, v in raw.items() if v != 0}
@@ -133,22 +96,18 @@ def reduce_poly(curve: CurveModel, raw: dict) -> PolyFunction:
         if j < n:
             done[(i, j)] = done.get((i, j), 0) + c
             continue
-        base = j - n
-        key = (i + curve.s, base)
-        work[key] = work.get(key, 0) + c
-        for ii, jj, k in curve.terms:
-            lk = curve.lam.get(k)
-            if lk:
-                key = (i + ii, base + jj)
-                work[key] = work.get(key, 0) + c * lk
+        for (ii, jj), cf in curve.coeffs.items():
+            if jj < n:
+                key = (i + ii, j - n + jj)
+                work[key] = work.get(key, 0) + c * cf
     return PolyFunction(curve, done)
 
 
-def poly_mul_raw(a: PolyFunction, b: PolyFunction) -> dict:
-    """Plain product in C[x, y], no reduction."""
+def poly_mul_raw(a: dict, b: dict) -> dict:
+    """Plain product of two {(i, j): coeff} tables in C[x, y], no reduction."""
     out: dict = {}
-    for (i1, j1), c1 in a.coeffs.items():
-        for (i2, j2), c2 in b.coeffs.items():
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
             key = (i1 + i2, j1 + j2)
             out[key] = out.get(key, 0) + c1 * c2
     return out
@@ -333,7 +292,7 @@ def interpolation_rows(curve: CurveModel, monomials, D: Divisor) -> np.ndarray:
             yj = branch_jet(curve, p.x, p.y, mult - 1)
             jets = [m.eval(xj, yj) for m in monomials]
             for r in range(mult):
-                rows.append([series.const(j, mult - 1).c[r] if not isinstance(j, series.Jet) else j.c[r] for j in jets])
+                rows.append([j.c[r] for j in jets])
     return np.array(rows, dtype=complex)
 
 
@@ -416,29 +375,13 @@ def _perms_within(live: list[list[int]], head: tuple):
             yield from _perms_within(live, head + (j,))
 
 
-def curve_y_coefficient_polys(curve: CurveModel) -> list[np.ndarray]:
-    """f as a polynomial in y: entry j = x-coefficients (descending) of y^j."""
-    out = []
-    dx = curve.s
-    for j in range(curve.n + 1):
-        c = np.zeros(dx + 1, dtype=complex)
-        if j == 0:
-            c[0] = 1.0  # x^s
-        if j == curve.n:
-            c = np.array([-1.0 + 0j])
-        out.append(c)
-    for i, j, k in curve.terms:
-        lk = curve.lam.get(k)
-        if lk:
-            out[j][dx - i] += lk
-    return out
-
-
 def y_resultant(curve: CurveModel, R: PolyFunction) -> np.ndarray:
     """Coefficients (descending) of Res_y(R, f) as a polynomial in x."""
     n = curve.n
-    fc = curve_y_coefficient_polys(curve)
-    rc = R.y_coefficient_polys()
+    # f's y^n coefficient is the constant -1: one entry, not s + 1 with
+    # leading zeros, keeps each Sylvester term at its own length
+    fc = y_split(curve.coeffs)[:n] + [np.array([-1.0 + 0j])]
+    rc = y_split(R.coeffs)
     dr = R.y_degree()
     if dr == 0:
         raise InvalidCurveError("x-only functions need no resultant")
@@ -460,12 +403,8 @@ def fiber_points(curve: CurveModel, xs) -> np.ndarray:
     n = curve.n
     c = np.zeros((len(xs), n + 1), dtype=complex)
     for row, x0 in zip(c, xs):
-        row[0] = -1.0
-        row[n] += x0**curve.s
-        for i, j, k in curve.terms:
-            lk = curve.lam.get(k)
-            if lk:
-                row[n - j] += lk * x0**i
+        for (i, j), cf in curve.coeffs.items():
+            row[n - j] += cf * x0**i
     # the leading coefficient is exactly -1, so this is np.roots' companion
     comp = np.zeros((len(xs), n, n), dtype=complex)
     comp[:, 0, :] = -c[:, 1:] / c[:, :1]
@@ -546,7 +485,7 @@ def zero_divisor(curve: CurveModel, R: PolyFunction, cluster_tol: float = 1e-6) 
         raise InvalidCurveError("zero polynomial has no zero divisor")
     points: list[CurvePoint] = []
     if R.y_degree() == 0:
-        clusters = clustered_roots(R.y_coefficient_polys()[0], cluster_tol)
+        clusters = clustered_roots(y_split(R.coeffs)[0], cluster_tol)
         for (x0, mult), ys in zip(clusters, fiber_points(curve, [x for x, _ in clusters])):
             for y0 in ys:
                 x1, y1 = _polish_common_zero(curve, R, x0, y0) if mult == 1 else (x0, y0)

@@ -28,23 +28,14 @@ import numpy as np
 from .curves import HYPERELLIPTIC, CurveModel
 from .divisors import Divisor
 from .errors import IncompleteRecordError, InvalidCurveError
-from .uniformization import BasisRecord, basis_jets, divisor_to_basis, flow_jets
-
-
-def _lam_fn(lam):
-    """Accept a CurveModel, a dict keyed by weight, or a callable."""
-    if isinstance(lam, CurveModel):
-        return lam.lam_get
-    if callable(lam):
-        return lam
-    table = {int(k): complex(v) for k, v in lam.items()}
-
-    def get(k: int) -> complex:
-        if k == 0:
-            return 1.0 + 0j
-        return table.get(k, 0j)
-
-    return get
+from .uniformization import (
+    BasisRecord,
+    basis_jets,
+    d_along_u,
+    divisor_to_basis,
+    extended_34,
+    flow_jets,
+)
 
 
 def _residual(terms) -> float:
@@ -57,9 +48,9 @@ def _residual(terms) -> float:
 # -- (2,7): the genus-3 hyperelliptic model ----------------------------------
 
 
-def residuals_27(rec: BasisRecord, lam) -> dict:
+def residuals_27(rec: BasisRecord, curve: CurveModel) -> dict:
     """Normalized residuals of the three weight 10/12/14 model relations."""
-    L = _lam_fn(lam)
+    L = curve.lam_get
     p2, p4, p6 = rec.p[1], rec.p[3], rec.p[5]
     q3, q5, q7 = rec.q[1], rec.q[3], rec.q[5]
     l4, l6, l8, l10, l12, l14 = L(4), L(6), L(8), L(10), L(12), L(14)
@@ -114,7 +105,7 @@ def residuals_27(rec: BasisRecord, lam) -> dict:
 _EXT_34_REQUIRED = [(2, 2), (2, 5), (1, 1, 1), (1, 1, 2), (1, 1, 5)]
 
 
-def residuals_34(rec: BasisRecord, lam) -> dict:
+def residuals_34(rec: BasisRecord, curve: CurveModel) -> dict:
     """Normalized residuals of the (3,4) model and cubic relations.
 
     Needs the extended values (2,2), (2,5) and the implied 3-index
@@ -122,7 +113,7 @@ def residuals_34(rec: BasisRecord, lam) -> dict:
     the quadric list E1111/E1112/E1115 is also evaluated, comparing them
     against their basis-polynomial right-hand sides.
     """
-    L = _lam_fn(lam)
+    L = curve.lam_get
     for key in _EXT_34_REQUIRED:
         if key not in rec.extended:
             raise IncompleteRecordError(f"extended value {key} missing; run extended_34 first")
@@ -236,7 +227,6 @@ def wp55_mixed_derivative_check_34(curve: CurveModel, D: Divisor) -> float:
     (5,5) value itself has no independent single-derivative route, so
     this mixed equality is the strongest honest check available.
     """
-    from .uniformization import extended_34
 
     def wp55(div: Divisor):
         return extended_34(curve, divisor_to_basis(curve, div)).extended[(5, 5)]
@@ -244,8 +234,6 @@ def wp55_mixed_derivative_check_34(curve: CurveModel, D: Divisor) -> float:
     xjs, yjs = flow_jets(curve, D, 5, 1)
     p, _ = basis_jets(curve, xjs, yjs)
     rhs = p[5].derivative_at_zero(1)
-
-    from .uniformization import d_along_u
 
     lhs = d_along_u(curve, D, 1, wp55)
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
@@ -274,16 +262,16 @@ def _sym_get(values: dict, a: int, b: int):
     raise IncompleteRecordError(f"missing two-index value ({a},{b})")
 
 
-def build_H(curve: CurveModel, values: dict, lam=None) -> HMatrixBundle:
+def build_H(curve: CurveModel, values: dict) -> HMatrixBundle:
     """Assemble the bordered matrices of the fundamental cubic relations.
 
     ``values`` maps index pairs (odd gap weights) to two-index wp-values,
     g(g+1)/2 of them, plus (1, 1, w) triples to the three-index values
-    entering Y2.  ``lam`` defaults to the curve parameters.
+    entering Y2.
     """
     if curve.family != HYPERELLIPTIC:
         raise InvalidCurveError("matrix machinery applies to hyperelliptic curves")
-    L = _lam_fn(lam if lam is not None else curve)
+    L = curve.lam_get
     g = curve.genus
     size = g + 2
 
@@ -430,18 +418,9 @@ def two_index_values_27(curve: CurveModel, D: Divisor) -> dict:
     return values
 
 
-EXPLICIT_P_27 = """
-0       0       wp55            wp35            wp15
-0       -2wp55  -wp35           wp33-2wp15      wp13
-wp55    -wp35   2wp15-2wp33     -wp13           wp11
-wp35    wp33-2wp15  -wp13       -2wp11          0
-wp15    wp13    wp11            0               0
-"""
-
-
-def explicit_PL_27(values: dict, lam) -> tuple[np.ndarray, np.ndarray]:
+def explicit_PL_27(values: dict, curve: CurveModel) -> tuple[np.ndarray, np.ndarray]:
     """The genus-3 matrices exactly as displayed; a fixture for build_H."""
-    L = _lam_fn(lam)
+    L = curve.lam_get
     v = lambda a, b: _sym_get(values, a, b)
     P = np.array(
         [

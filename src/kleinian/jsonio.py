@@ -31,6 +31,25 @@ def _j2c(v) -> complex:
     raise InputError(f"expected [re, im], got {v!r}")
 
 
+def _int(key, what: str) -> int:
+    try:
+        return int(key)
+    except (TypeError, ValueError):
+        raise InputError(f"{what} must be an integer, got {key!r}") from None
+
+
+def _index_key(key: str, what: str) -> tuple:
+    """A comma-joined key such as "2,2" as a tuple of integers."""
+    return tuple(_int(t, what) for t in key.split(","))
+
+
+def _weight_map(m, what: str) -> dict:
+    """{weight: complex} from a JSON object keyed by decimal weights."""
+    if not isinstance(m, dict):
+        raise InputError(f"{what} must be a JSON object, got {m!r}")
+    return {_int(k, f"{what} key"): _j2c(v) for k, v in m.items()}
+
+
 def _mat2j(M) -> list:
     return [[_c2j(z) for z in row] for row in np.asarray(M)]
 
@@ -48,7 +67,7 @@ def curve_from_json(data: dict) -> CurveModel:
         n, s = int(data["n"]), int(data["s"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"curve JSON needs integer n and s: {exc}") from exc
-    lam = {int(k): _j2c(v) for k, v in (data.get("lambda") or {}).items()}
+    lam = _weight_map(data.get("lambda") or {}, "lambda")
     extra = set(data) - {"n", "s", "lambda"}
     if extra:
         raise InputError(f"unknown curve keys: {sorted(extra)}")
@@ -65,7 +84,9 @@ def divisor_to_json(D: Divisor) -> dict:
 def divisor_from_json(curve: CurveModel, data: dict, validate: bool = True, tol: float = 1e-8) -> Divisor:
     pts = []
     for row in data.get("points", []):
-        if len(row) != 4:
+        if not (
+            isinstance(row, list) and len(row) == 4 and all(isinstance(v, (int, float)) for v in row)
+        ):
             raise InputError(f"divisor point must be [xre, xim, yre, yim], got {row!r}")
         pts.append((complex(row[0], row[1]), complex(row[2], row[3])))
     return Divisor(curve, pts, validate=validate, tol=tol)
@@ -78,8 +99,10 @@ def poly_to_json(R: PolyFunction) -> dict:
 def poly_from_json(curve: CurveModel, data: dict) -> PolyFunction:
     coeffs = {}
     for key, v in (data.get("coeffs") or {}).items():
-        i, j = (int(t) for t in key.split(","))
-        coeffs[(i, j)] = _j2c(v)
+        ij = _index_key(key, "coefficient key entry")
+        if len(ij) != 2:
+            raise InputError(f"coefficient key must be \"i,j\", got {key!r}")
+        coeffs[ij] = _j2c(v)
     return PolyFunction(curve, coeffs)
 
 
@@ -97,12 +120,12 @@ def record_to_json(rec: BasisRecord) -> dict:
 
 def record_from_json(data: dict) -> BasisRecord:
     try:
-        p = {int(w): _j2c(v) for w, v in data["p"].items()}
-        q = {int(w): _j2c(v) for w, v in data["q"].items()}
+        p = _weight_map(data["p"], "p")
+        q = _weight_map(data["q"], "q")
     except KeyError as exc:
         raise InputError(f"basis record JSON needs p and q maps: {exc}") from exc
     ext = {
-        tuple(int(t) for t in key.split(",")): _j2c(v)
+        _index_key(key, "extended index"): _j2c(v)
         for key, v in (data.get("extended") or {}).items()
     }
     return BasisRecord(p, q, ext)

@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 import scipy.fft
 
-from .curves import HYPERELLIPTIC, CurveModel, infinity_series
+from .curves import HYPERELLIPTIC, CurveModel, infinity_series, y_split
 from .divisors import Divisor
 from .errors import (
     CharacteristicSearchError,
@@ -48,6 +48,7 @@ from .errors import (
     ThetaDivisorError,
 )
 from .roots import newton_polish
+from .series import Jet
 from .theta import (
     Characteristic,
     _check_tau,
@@ -72,13 +73,7 @@ def _require_hyperelliptic(curve: CurveModel):
 def x_polynomial(curve: CurveModel) -> np.ndarray:
     """Coefficients (descending) of P with f = -y^2 + P(x)."""
     _require_hyperelliptic(curve)
-    c = np.zeros(curve.s + 1, dtype=complex)
-    c[0] = 1.0
-    for i, j, k in curve.terms:
-        lk = curve.lam.get(k)
-        if lk:
-            c[curve.s - i] += lk
-    return c
+    return y_split(curve.coeffs)[0]
 
 
 def branch_points(curve: CurveModel) -> np.ndarray:
@@ -294,13 +289,7 @@ def _chain_homology(curve: CurveModel, e: np.ndarray):
     g = curve.genus
     order, clearance = _chain_order(e)
     c = e[order]
-    rho_coeffs = []
-    for table in curve.second_kind_numerators():
-        deg = max((i for (i, _) in table), default=0)
-        coeffs = np.zeros(deg + 1, dtype=complex)
-        for (i, _), v in table.items():
-            coeffs[deg - i] = v
-        rho_coeffs.append(coeffs)
+    rho_coeffs = [y_split(table)[0] for table in curve.second_kind_numerators()]
     raw = np.empty((2 * g, 2 * g), dtype=complex)
     nodes, radii = [], []
     sigma, last = 1.0, None
@@ -542,6 +531,4 @@ def second_kind_residue_matrix(curve: CurveModel, order: int = 60) -> np.ndarray
 
 
 def _series_inv(c: np.ndarray) -> np.ndarray:
-    from .series import Jet
-
     return Jet(c).reciprocal().c

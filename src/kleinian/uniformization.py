@@ -32,6 +32,7 @@ from .curves import HYPERELLIPTIC, CurveModel, CurvePoint
 from .divisors import (
     Divisor,
     PolyFunction,
+    _solve_equilibrated,
     clustered_roots,
     interpolation_rows,
     y_jet,
@@ -107,8 +108,6 @@ def divisor_to_basis(curve: CurveModel, D: Divisor) -> BasisRecord:
     A = interpolation_rows(curve, basis, D)
     rhs = interpolation_rows(curve, [m_lo, m_hi], D)
     try:
-        from .divisors import _solve_equilibrated
-
         sol = _solve_equilibrated(A, -np.column_stack([rhs[:, 0], 2.0 * rhs[:, 1]]))
     except np.linalg.LinAlgError as exc:
         raise SpecialDivisorError(

@@ -142,3 +142,20 @@ def test_unsupported_operation_is_input_error(capsys, tmp_path):
     assert code == 2
     code, _, err = run_cli(capsys, "periods", "--curve", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "verb, flag, payload",
+    [
+        ("describe", "--curve", {"n": 2, "s": 3, "lambda": {"four": [1.0, 0.0]}}),
+        ("uniformize", "--divisor", {"points": [["0.5", 0.0, 1.0, 0.0]]}),
+        ("invert-basis", "--basis", {"p": {"1": [0.1, 0.0]}, "q": {"x": [0.2, 0.0]}}),
+    ],
+)
+def test_malformed_json_is_input_error(capsys, tmp_path, curve34_file, verb, flag, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    argv = [verb, flag, str(path)] if flag == "--curve" else [verb, "--curve", curve34_file, flag, str(path)]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert json.loads(err)["kind"] == "input"

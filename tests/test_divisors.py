@@ -232,13 +232,12 @@ def test_involution_detection():
 
 
 def test_poly_mul_raw():
-    curve = curve_model(2, 5)
-    from kleinian.divisors import PolyFunction
-
-    a = PolyFunction(curve, {(1, 0): 1.0, (0, 1): 2.0})
-    b = PolyFunction(curve, {(0, 1): 1.0})
-    prod = poly_mul_raw(a, b)
+    prod = poly_mul_raw({(1, 0): 1.0, (0, 1): 2.0}, {(0, 1): 1.0})
     assert prod == {(1, 1): 1.0, (0, 2): 2.0}
+    # like terms collect; the product of a table with f is the raw, unreduced one
+    curve = curve_model(2, 5, {4: 0.5})
+    prod = poly_mul_raw({(1, 0): 1.0, (0, 0): 1.0}, curve.coeffs)
+    assert prod == {(6, 0): 1, (1, 2): -1, (4, 0): 0.5, (5, 0): 1, (0, 2): -1, (3, 0): 0.5}
 
 
 # -- bit-identity of the resultant and of the batched fibers ------------------
@@ -313,7 +312,8 @@ def _fiber_xs(curve, rng):
 
 
 def test_fiber_points_bit_identical_to_roots_and_polish(rng):
-    curves = [random_curve(n, s, rng) for n, s in FAMILIES] + [_sparse_34()]
+    families = FAMILIES + ((2, 3), (3, 5))
+    curves = [random_curve(n, s, rng) for n, s in families] + [_sparse_34()]
     for curve in curves:
         xs = _fiber_xs(curve, rng)
         got = fiber_points(curve, xs)

@@ -57,3 +57,23 @@ def test_period_json(rng):
     assert data["legendre_residual"] < 1e-8
     assert len(data["omega"]) == 1 and len(data["omega"][0][0]) == 2
     assert data["characteristic"]["eps"] == [0.5]
+
+
+@pytest.mark.parametrize(
+    "load",
+    [
+        lambda c: jsonio.curve_from_json({"n": 2, "s": 5, "lambda": {"4.5": [1.0, 0.0]}}),
+        lambda c: jsonio.curve_from_json({"n": 2, "s": 5, "lambda": [[1.0, 0.0]]}),
+        lambda c: jsonio.divisor_from_json(c, {"points": [[0.5, 0.0, 1.0]]}),
+        lambda c: jsonio.divisor_from_json(c, {"points": [[0.5, 0.0, None, 1.0]]}),
+        lambda c: jsonio.divisor_from_json(c, {"points": ["0.5,0,1,0"]}),
+        lambda c: jsonio.poly_from_json(c, {"coeffs": {"1;0": [1.0, 0.0]}}),
+        lambda c: jsonio.poly_from_json(c, {"coeffs": {"1,0,2": [1.0, 0.0]}}),
+        lambda c: jsonio.record_from_json({"p": [[0.1, 0.0]], "q": {}}),
+        lambda c: jsonio.record_from_json({"p": {"w": [0.1, 0.0]}, "q": {}}),
+        lambda c: jsonio.record_from_json({"p": {}, "q": {}, "extended": {"2,x": [0.1, 0.0]}}),
+    ],
+)
+def test_malformed_json_raises_input_error(load):
+    with pytest.raises(InputError):
+        load(random_curve(2, 5, np.random.default_rng(0)))
