@@ -421,9 +421,13 @@ def _polish_multiple_zero(
     """Newton for an m-fold zero of R along the curve branch.
 
     h(x) = R(x, y(x)) has an m-fold root; Newton on h^(m-1) restores the
-    quadratic convergence that plain Newton loses at multiple roots.
+    quadratic convergence that plain Newton loses at multiple roots.  It
+    stops after a step below 1e-15 (1 + |x|), and before a step that is no
+    smaller than the last: at a double zero the attainable step floor is a
+    few 1e-15, so a step that stops shrinking is rounding noise.
     Requires the branch to be smooth there (f_y != 0), else returns input.
     """
+    last = np.inf
     try:
         for _ in range(steps):
             xj = series.var(x, m)
@@ -432,8 +436,9 @@ def _polish_multiple_zero(
             if abs(h.c[m]) == 0:
                 break
             step = h.c[m - 1] / (m * h.c[m])
-            if abs(step) > 0.5 * (1.0 + abs(x)):
+            if abs(step) > 0.5 * (1.0 + abs(x)) or abs(step) >= last:
                 break
+            last = abs(step)
             x = x - step
             y = _nearest_fiber_y(curve, x, y)
             if abs(step) < 1e-15 * (1.0 + abs(x)):
@@ -449,9 +454,26 @@ def _nearest_fiber_y(curve: CurveModel, x: complex, y_guess: complex) -> complex
 
 
 def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: complex, steps: int = 5):
-    """Newton on the joint system (R, f) = 0; returns the input on failure."""
+    """At most ``steps`` Newton steps on the joint system (R, f) = 0.
+
+    The rule is ``roots.newton_polish``'s: the point stops once a step is
+    below rounding, |dx| + |dy| <= 4e-16 (1 + |x| + |y|), and a step that
+    raised the residual is undone and the point stops there.  The residual
+    is |R| and |f| over the row sums of the Jacobian ahead of the step,
+    read from the next step's R and f, so a step below rounding costs one
+    more evaluation of R and f and the budget's last step is unchecked.
+    Returns the point it has when the Jacobian is singular or a step jumps
+    by more than half the point's scale.
+    """
+    before, small = None, False  # (x, y, row weights, residual) ahead of the last step
     for _ in range(steps):
         r1, r2 = R.eval(x, y), curve.eval_f(x, y)
+        if before is not None:
+            bx, by, w1, w2, res = before
+            if abs(r1) * w1 + abs(r2) * w2 > res:
+                return bx, by
+            if small:
+                return x, y
         j11, j12 = R.eval_dx(x, y), R.eval_dy(x, y)
         j21, j22 = curve.eval_fx(x, y), curve.eval_fy(x, y)
         det = j11 * j22 - j12 * j21
@@ -461,7 +483,10 @@ def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: compl
         dy = (r2 * j11 - r1 * j21) / det
         if abs(dx) + abs(dy) > 0.5 * (1 + abs(x) + abs(y)):
             return x, y
+        w1, w2 = 1.0 / (abs(j11) + abs(j12)), 1.0 / (abs(j21) + abs(j22))
+        before = (x, y, w1, w2, abs(r1) * w1 + abs(r2) * w2)
         x, y = x - dx, y - dy
+        small = abs(dx) + abs(dy) <= 4e-16 * (1 + abs(x) + abs(y))
     return x, y
 
 

@@ -43,11 +43,15 @@ def _index_key(key: str, what: str) -> tuple:
     return tuple(_int(t, what) for t in key.split(","))
 
 
-def _weight_map(m, what: str) -> dict:
-    """{weight: complex} from a JSON object keyed by decimal weights."""
+def _object(m, what: str) -> dict:
     if not isinstance(m, dict):
         raise InputError(f"{what} must be a JSON object, got {m!r}")
-    return {_int(k, f"{what} key"): _j2c(v) for k, v in m.items()}
+    return m
+
+
+def _weight_map(m, what: str) -> dict:
+    """{weight: complex} from a JSON object keyed by decimal weights."""
+    return {_int(k, f"{what} key"): _j2c(v) for k, v in _object(m, what).items()}
 
 
 def _mat2j(M) -> list:
@@ -82,8 +86,11 @@ def divisor_to_json(D: Divisor) -> dict:
 
 
 def divisor_from_json(curve: CurveModel, data: dict, validate: bool = True, tol: float = 1e-8) -> Divisor:
+    rows = _object(data, "divisor JSON").get("points", [])
+    if not isinstance(rows, list):
+        raise InputError(f"divisor points must be a JSON list, got {rows!r}")
     pts = []
-    for row in data.get("points", []):
+    for row in rows:
         if not (
             isinstance(row, list) and len(row) == 4 and all(isinstance(v, (int, float)) for v in row)
         ):
@@ -98,7 +105,7 @@ def poly_to_json(R: PolyFunction) -> dict:
 
 def poly_from_json(curve: CurveModel, data: dict) -> PolyFunction:
     coeffs = {}
-    for key, v in (data.get("coeffs") or {}).items():
+    for key, v in _object(_object(data, "function JSON").get("coeffs") or {}, "coeffs").items():
         ij = _index_key(key, "coefficient key entry")
         if len(ij) != 2:
             raise InputError(f"coefficient key must be \"i,j\", got {key!r}")
@@ -119,6 +126,7 @@ def record_to_json(rec: BasisRecord) -> dict:
 
 
 def record_from_json(data: dict) -> BasisRecord:
+    _object(data, "basis record JSON")
     try:
         p = _weight_map(data["p"], "p")
         q = _weight_map(data["q"], "q")
@@ -126,7 +134,7 @@ def record_from_json(data: dict) -> BasisRecord:
         raise InputError(f"basis record JSON needs p and q maps: {exc}") from exc
     ext = {
         _index_key(key, "extended index"): _j2c(v)
-        for key, v in (data.get("extended") or {}).items()
+        for key, v in _object(data.get("extended") or {}, "extended").items()
     }
     return BasisRecord(p, q, ext)
 

@@ -1,8 +1,9 @@
 """Complex polynomial roots tuned for the divisor-algebra workloads.
 
 Roots are companion-matrix eigenvalues (``np.roots``).  Every root is
-polished by a few Newton steps on the original coefficients, and a
-clustering pass recovers multiplicities from nearly-coincident roots.
+polished by Newton steps on the original coefficients until its step is
+below rounding or raises |p|, and a clustering pass recovers
+multiplicities from nearly-coincident roots.
 """
 
 from __future__ import annotations
@@ -33,26 +34,44 @@ def poly_roots(coeffs, polish: bool = True) -> np.ndarray:
 
 
 def newton_polish(coeffs, roots, steps: int = 3) -> np.ndarray:
-    """Damped Newton steps on the roots of one polynomial or of a stack.
+    """At most ``steps`` damped Newton steps on the roots of one polynomial
+    or of a stack.
+
+    A root stops once its step is below rounding, 4e-16 (1 + |r|), and a
+    step that raised |p| is undone and the root stops there: at a multiple
+    root p and p' are both rounding noise, and their quotient can move one
+    copy far off a root that ``np.roots`` had right.  The |p| compared is
+    the next step's Horner value, so the budget's last step is unchecked.
 
     ``coeffs`` is (d+1,) with roots (k,), or (m, d+1) with roots (m, k):
     row r of ``roots`` is polished on row r of ``coeffs``.  The Horner
-    recurrence is ``np.polyval``'s, so a stack gives each row the bits a
-    separate call would.
+    recurrence is ``np.polyval``'s and every rule acts per root, so a stack
+    gives each row the bits a separate call would.
     """
     c = np.asarray(coeffs, dtype=complex)
     dc = c[..., :-1] * np.arange(c.shape[-1] - 1, 0, -1)
     r = np.array(roots, dtype=complex)
+    live = np.ones(r.shape, dtype=bool)  # roots that take the next step
+    stepped = live  # roots whose last step this |p| checks
+    before, p_before = r, np.full(r.shape, np.inf)
     for _ in range(steps):
         p = _horner(c, r)
+        ap = np.abs(p)
+        raised = stepped & (ap > p_before)
+        r[raised] = before[raised]
+        live = live & ~raised
+        if not live.any():
+            break
         dp = _horner(dc, r)
-        ok = np.abs(dp) > 1e-30
+        ok = live & (np.abs(dp) > 1e-30)
         step = np.zeros_like(r)
         step[ok] = p[ok] / dp[ok]
         # near-multiple roots make Newton overshoot; damp large steps
         big = np.abs(step) > 0.1 * (1.0 + np.abs(r))
         step[big] = 0.0
+        before, p_before, stepped = r, ap, live
         r = r - step
+        live = live & (np.abs(step) > 4e-16 * (1.0 + np.abs(r)))
     return r
 
 

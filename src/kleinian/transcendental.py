@@ -220,8 +220,15 @@ def _canonical_rows(g: int):
 
 
 def _bernstein_radius(z: np.ndarray):
-    """Radius of the Bernstein ellipse of [-1, 1] through the nearest of z (last axis)."""
-    return np.min(np.abs(z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)), axis=-1)
+    """Radius of the Bernstein ellipse of [-1, 1] through the nearest of z (last axis).
+
+    z +- w, w = sqrt(z - 1) sqrt(z + 1), are the two roots of r + 1/r = 2z,
+    and the radius is the larger modulus: for real z < -1 with Im z = -0,
+    z - 1 and z + 1 fall on opposite sides of the cut and z + w is the
+    smaller one.
+    """
+    w = np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+    return np.min(np.maximum(np.abs(z + w), np.abs(z - w)), axis=-1)
 
 
 def _node_count(rho: float, path: str) -> int:

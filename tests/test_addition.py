@@ -4,7 +4,7 @@ from kleinian.addition import add, add27_explicit, negate, quotient_identity_res
 from kleinian.divisors import Divisor, complement, interpolate, multiset_distance
 from kleinian.errors import DegeneratePairError
 from kleinian.sampling import random_curve, random_divisor
-from kleinian.uniformization import divisor_to_basis
+from kleinian.uniformization import basis_to_divisor, divisor_to_basis
 
 
 def test_negate_hyperelliptic_is_involution(rng):
@@ -127,3 +127,16 @@ def test_add27_degenerate_pair(rng):
     rec = divisor_to_basis(curve, D)
     with pytest.raises(DegeneratePairError):
         add27_explicit(rec, rec.copy(), curve)
+
+
+@pytest.mark.parametrize("key", ["1:111", "7:21", "7:489", "7:525", "7:543"])
+def test_confluent_benchmark_ops_pass_roundtrip_and_group_law(algebra_ops, key):
+    # confluent (2,5) ops where a double root of an interpolating function
+    # was once split in two, and negate or add raised InconsistencyError
+    kind, curve, D1, D2 = algebra_ops[key]
+    assert kind == "confluent" and (curve.n, curve.s) == (2, 5)
+    back = basis_to_divisor(curve, divisor_to_basis(curve, D1))
+    assert multiset_distance(D1, back) < 1e-8
+    mirror = Divisor(curve, [(p.x, -p.y) for p in D1.points])
+    assert multiset_distance(mirror, negate(curve, D1)) < 1e-10
+    assert multiset_distance(D1, add(curve, add(curve, D1, D2), negate(curve, D2))) < 1e-7

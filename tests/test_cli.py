@@ -150,6 +150,9 @@ def test_unsupported_operation_is_input_error(capsys, tmp_path):
         ("describe", "--curve", {"n": 2, "s": 3, "lambda": {"four": [1.0, 0.0]}}),
         ("uniformize", "--divisor", {"points": [["0.5", 0.0, 1.0, 0.0]]}),
         ("invert-basis", "--basis", {"p": {"1": [0.1, 0.0]}, "q": {"x": [0.2, 0.0]}}),
+        ("uniformize", "--divisor", [1, 2]),
+        ("invert-basis", "--basis", {"p": {"1": [0.1, 0.0]}, "q": {"2": [0.2, 0.0]}, "extended": [1]}),
+        ("invert-basis", "--basis", [1]),
     ],
 )
 def test_malformed_json_is_input_error(capsys, tmp_path, curve34_file, verb, flag, payload):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kleinian import divisors
+from kleinian.addition import add, negate
 from kleinian.curves import curve_model
 from kleinian.divisors import (
     Divisor,
@@ -21,10 +22,12 @@ from kleinian.divisors import (
 from kleinian.errors import (
     BranchPointError,
     InconsistencyError,
+    KleinianError,
     NonReducedDivisorError,
 )
 from kleinian.roots import newton_polish, poly_roots
 from kleinian.sampling import random_curve, random_divisor
+from kleinian.uniformization import basis_to_divisor, divisor_to_basis
 
 FAMILIES = ((2, 5), (2, 7), (3, 4))
 
@@ -351,3 +354,96 @@ def test_zero_divisor_solves_fibers_once(rng, monkeypatch):
             Z = zero_divisor(curve, R)
             assert len(calls) == 1
             assert Z.degree == w
+
+
+def _polish_common_zero_5_steps(curve, R, x, y):
+    """The joint Newton polish as it was before its stopping rule: always 5
+    steps, with the same determinant and big-step guards."""
+    for _ in range(5):
+        r1, r2 = R.eval(x, y), curve.eval_f(x, y)
+        j11, j12 = R.eval_dx(x, y), R.eval_dy(x, y)
+        j21, j22 = curve.eval_fx(x, y), curve.eval_fy(x, y)
+        det = j11 * j22 - j12 * j21
+        if abs(det) < 1e-12 * (1 + abs(j11) + abs(j12) + abs(j21) + abs(j22)) ** 2:
+            return x, y
+        dx = (r1 * j22 - r2 * j12) / det
+        dy = (r2 * j11 - r1 * j21) / det
+        if abs(dx) + abs(dy) > 0.5 * (1 + abs(x) + abs(y)):
+            return x, y
+        x, y = x - dx, y - dy
+    return x, y
+
+
+def _joint_residual(curve, R, x, y):
+    """max of |R| and |f| at (x, y), each over the sum of its |terms|, the
+    scale of the rounding error in evaluating it."""
+    def rel(coeffs, value):
+        return abs(value) / sum(abs(c) * abs(x) ** i * abs(y) ** j for (i, j), c in coeffs.items())
+
+    return max(rel(R.coeffs, R.eval(x, y)), rel(curve.coeffs, curve.eval_f(x, y)))
+
+
+def test_polish_common_zero_is_as_accurate_as_five_fixed_steps(algebra_ops, monkeypatch):
+    calls = []
+    real = divisors._polish_common_zero
+    monkeypatch.setattr(divisors, "_polish_common_zero",
+                        lambda curve, R, x, y: calls.append((curve, R, x, y)) or real(curve, R, x, y))
+    for _, curve, D1, D2 in algebra_ops.values():
+        try:
+            basis_to_divisor(curve, divisor_to_basis(curve, D1))
+            negate(curve, D1)
+            add(curve, add(curve, D1, D2), negate(curve, D2))
+        except KleinianError:
+            pass
+    assert len(calls) > 1000
+    # the starts the pipeline gives, and the same moved by 1e-6 of their
+    # scale, which one Newton step leaves far above rounding
+    def moved(x, y):
+        d = 1e-6j * (1 + abs(x) + abs(y))
+        return x + d, y - d
+
+    starts = calls + [(c, R, *moved(x, y)) for c, R, x, y in calls]
+    got = np.array([_joint_residual(c, R, *real(c, R, x, y)) for c, R, x, y in starts])
+    ref = np.array([_joint_residual(c, R, *_polish_common_zero_5_steps(c, R, x, y))
+                    for c, R, x, y in starts])
+    # both sit at the rounding floor; a point can land a few units above
+    # the reference's, which went on taking steps of rounding noise
+    eps = np.finfo(float).eps
+    assert np.all(got <= ref + 2 * eps)
+    assert np.mean(got) <= np.mean(ref)
+
+
+def test_polish_multiple_zero_stops_when_its_step_stops_shrinking(algebra_ops, monkeypatch):
+    # at the double zeros of these two confluent ops the step floor is a few
+    # 1e-15, above the 1e-15 exit, and the polish used to take all 30 steps
+    rounds, made = [], []
+    real_jet, real_polish = divisors.branch_jet, divisors._polish_multiple_zero
+    monkeypatch.setattr(divisors, "branch_jet", lambda *a: rounds.append(1) or real_jet(*a))
+
+    def polish(*args):
+        rounds.clear()
+        out = real_polish(*args)
+        made.append(len(rounds))
+        return out
+
+    monkeypatch.setattr(divisors, "_polish_multiple_zero", polish)
+    for key in ("1:257", "3:361"):
+        _, curve, D1, D2 = algebra_ops[key]
+        made.clear()
+        add(curve, add(curve, D1, D2), negate(curve, D2))
+        assert made and max(made) <= 6
+
+
+def test_exact_double_root_stays_double():
+    # the x-polynomial of an interpolating function in the group law of a
+    # confluent (2,5) benchmark op (seed 7, op 21): an exact square, whose
+    # double root np.roots returns twice with p and p' both rounding noise
+    c = np.array([
+        1.0,
+        complex(float.fromhex("-0x1.a06fde7821cdap+0"), float.fromhex("0x1.29ddbb0fae7cep+0")),
+        complex(float.fromhex("0x1.4ad787d236bd5p-2"), float.fromhex("-0x1.e48a79f7a6d3bp-1")),
+    ])
+    r = newton_polish(c, np.roots(c))
+    assert abs(r[0] - r[1]) < 1e-7
+    [(x, m)] = divisors.clustered_roots(c)
+    assert m == 2 and abs(x - r[0]) < 1e-7

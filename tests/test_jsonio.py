@@ -72,6 +72,12 @@ def test_period_json(rng):
         lambda c: jsonio.record_from_json({"p": [[0.1, 0.0]], "q": {}}),
         lambda c: jsonio.record_from_json({"p": {"w": [0.1, 0.0]}, "q": {}}),
         lambda c: jsonio.record_from_json({"p": {}, "q": {}, "extended": {"2,x": [0.1, 0.0]}}),
+        lambda c: jsonio.record_from_json({"p": {}, "q": {}, "extended": [1]}),
+        lambda c: jsonio.record_from_json([1]),
+        lambda c: jsonio.divisor_from_json(c, [[0.5, 0.0, 1.0, 0.0]]),
+        lambda c: jsonio.divisor_from_json(c, {"points": 5}),
+        lambda c: jsonio.poly_from_json(c, [[1.0, 0.0]]),
+        lambda c: jsonio.poly_from_json(c, {"coeffs": [[1.0, 0.0]]}),
     ],
 )
 def test_malformed_json_raises_input_error(load):

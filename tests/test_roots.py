@@ -18,31 +18,60 @@ def test_leading_zero_stripping():
 
 
 def _polish_reference(c, r, steps=3):
-    """newton_polish as a loop of np.polyval calls, the reference for its Horner form."""
+    """newton_polish as one loop of np.polyval calls per root, its stopping
+    rule written out; returns the roots and how each one stopped."""
     dc = np.polyder(c)
-    r = np.array(r, dtype=complex)
-    for _ in range(steps):
-        p = np.polyval(c, r)
-        dp = np.polyval(dc, r)
-        ok = np.abs(dp) > 1e-30
-        step = np.zeros_like(r)
-        step[ok] = p[ok] / dp[ok]
-        big = np.abs(step) > 0.1 * (1.0 + np.abs(r))
-        step[big] = 0.0
-        r = r - step
-    return r
+    out, how = [], []
+    for z in np.array(r, dtype=complex):
+        z = np.array([z])
+        before = p_before = None
+        why = "budget"
+        for _ in range(steps):
+            p = np.polyval(c, z)
+            if p_before is not None and np.abs(p)[0] > p_before:
+                z, why = before, "raised"  # undo the step that raised |p|
+                break
+            if why == "rounding":
+                break
+            dp = np.polyval(dc, z)
+            step = p / dp if np.abs(dp)[0] > 1e-30 else np.zeros(1, dtype=complex)
+            if np.abs(step)[0] > 0.1 * (1.0 + np.abs(z)[0]):
+                step = np.zeros(1, dtype=complex)
+            before, p_before = z, np.abs(p)[0]
+            z = z - step
+            if np.abs(step)[0] <= 4e-16 * (1.0 + np.abs(z)[0]):
+                why = "rounding"  # the next |p| still checks this step
+        out.append(z[0])
+        how.append(why)
+    return np.array(out), how
 
 
-def test_newton_polish_bit_identical_to_polyval_loop():
-    rng = np.random.default_rng(7)
+def _polish_cases(rng):
+    """(coefficient stack, start roots) pairs: perturbed simple roots, and
+    exact double roots where p and p' are both rounding noise."""
     for deg in (1, 2, 3, 5, 8):
         c = rng.standard_normal((6, deg + 1)) + 1j * rng.standard_normal((6, deg + 1))
-        r = np.array([np.roots(row) for row in c]) + 1e-4 * rng.standard_normal((6, deg))
+        r = np.array([np.roots(row) for row in c])
+        for eps in (1e-4, 1e-9, 0.0):
+            yield c, r + eps * rng.standard_normal((6, deg))
+    for deg in (2, 3, 5):
+        roots = rng.standard_normal((6, deg)) + 1j * rng.standard_normal((6, deg))
+        roots[:, 1] = roots[:, 0]
+        c = np.array([np.poly(row) for row in roots])
+        yield c, np.array([np.roots(row) for row in c])
+
+
+def test_newton_polish_bit_identical_to_per_root_polyval_loop():
+    rng = np.random.default_rng(7)
+    seen = set()
+    for c, r in _polish_cases(rng):
         stacked = newton_polish(c, r)
-        for k in range(6):
-            ref = _polish_reference(c[k], r[k])
+        for k in range(len(c)):
+            ref, how = _polish_reference(c[k], r[k])
+            seen.update(how)
             assert np.array_equal(newton_polish(c[k], r[k]), ref)
             assert np.array_equal(stacked[k], ref)
+    assert seen == {"budget", "rounding", "raised"}
 
 
 def _cluster_reference(roots, rel_tol=1e-6):

@@ -851,3 +851,10 @@ def test_period_data_records_the_edge_quadrature():
     assert max(quad["bernstein"]) > 100 and np.argmin(quad["bernstein"]) == np.argmax(quad["nodes"])
     assert "quadrature" not in repr(pd) and "quadrature" not in period_to_json(pd)
     assert dataclasses.replace(pd, quadrature=None) == pd
+
+
+def test_bernstein_radius_is_the_same_on_both_sides_of_a_signed_zero():
+    # z = -3 - 0j: z - 1 and z + 1 get imaginary parts -0 and +0, so the
+    # product of principal roots picks the root of modulus 3 - 2 sqrt 2
+    z = np.array([[complex(-3.0, 0.0)], [complex(-3.0, -0.0)], [complex(3.0, -0.0)], [4j]])
+    assert np.allclose(_bernstein_radius(z), [3.0 + 8.0**0.5] * 3 + [4.0 + 17.0**0.5], rtol=1e-15)
