@@ -200,9 +200,12 @@ class CurveModel:
     def point(self, x, y, tol: float = ON_CURVE_TOL) -> CurvePoint:
         """Validated point; tolerance scales with the point magnitude."""
         x, y = complex(x), complex(y)
-        res = abs(self.eval_f(x, y))
-        scale = max(1.0, abs(x) ** self.s, abs(y) ** self.n)
-        if res > tol * scale:
+        try:
+            res = abs(self.eval_f(x, y))
+            scale = max(1.0, abs(x) ** self.s, abs(y) ** self.n)
+        except OverflowError as exc:
+            raise InvalidCurveError(f"point ({x}, {y}) overflows the curve equation") from exc
+        if not res <= tol * scale:  # a NaN residual, as from infinite coordinates, fails too
             raise InvalidCurveError(f"point ({x}, {y}) off the curve: |f| = {res:.3e}")
         return CurvePoint(x, y, res)
 

@@ -35,6 +35,7 @@ from .roots import cluster_roots, newton_polish, poly_roots
 
 PAIR_TOL = 1e-9  # involution-pair detection, relative
 MATCH_TOL = 1e-8  # multiset matching, relative
+CLUSTER_TOL = 1e-6  # multiple-root detection, relative to each root
 
 
 class PolyFunction:
@@ -377,6 +378,11 @@ def _perms_within(live: list[list[int]], head: tuple):
 
 def y_resultant(curve: CurveModel, R: PolyFunction) -> np.ndarray:
     """Coefficients (descending) of Res_y(R, f) as a polynomial in x."""
+    return _poly_det(_sylvester(curve, R))
+
+
+def _sylvester(curve: CurveModel, R: PolyFunction) -> list[list[np.ndarray]]:
+    """Sylvester matrix of (f, R) in y, entries x-polynomials (descending)."""
     n = curve.n
     # f's y^n coefficient is the constant -1: one entry, not s + 1 with
     # leading zeros, keeps each Sylvester term at its own length
@@ -394,7 +400,7 @@ def y_resultant(curve: CurveModel, R: PolyFunction) -> np.ndarray:
     for r in range(n):  # n shifted copies of R
         for k in range(dr + 1):
             mat[dr + r][r + k] = rc[dr - k]
-    return _poly_det(mat)
+    return mat
 
 
 def fiber_points(curve: CurveModel, xs) -> np.ndarray:
@@ -490,17 +496,17 @@ def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: compl
     return x, y
 
 
-def clustered_roots(c: np.ndarray, cluster_tol: float = 1e-6) -> list:
+def clustered_roots(c: np.ndarray) -> list:
     """(root, multiplicity) of the polynomial c (descending): the centres of
     ``cluster_roots``, a multiple one Newton-polished on the (m-1)-st
     derivative, where it is a simple root."""
     return [
         (x if m == 1 else complex(newton_polish(np.polyder(c, m - 1), [x])[0]), m)
-        for x, m in cluster_roots(poly_roots(c), cluster_tol)
+        for x, m in cluster_roots(poly_roots(c), CLUSTER_TOL)
     ]
 
 
-def zero_divisor(curve: CurveModel, R: PolyFunction, cluster_tol: float = 1e-6) -> Divisor:
+def zero_divisor(curve: CurveModel, R: PolyFunction) -> Divisor:
     """All affine common zeros of (R, f), with multiplicity.
 
     The degree equals the weight of R unless zeros escaped to infinity;
@@ -510,21 +516,25 @@ def zero_divisor(curve: CurveModel, R: PolyFunction, cluster_tol: float = 1e-6) 
         raise InvalidCurveError("zero polynomial has no zero divisor")
     points: list[CurvePoint] = []
     if R.y_degree() == 0:
-        clusters = clustered_roots(y_split(R.coeffs)[0], cluster_tol)
+        clusters = clustered_roots(y_split(R.coeffs)[0])
         for (x0, mult), ys in zip(clusters, fiber_points(curve, [x for x, _ in clusters])):
             for y0 in ys:
                 x1, y1 = _polish_common_zero(curve, R, x0, y0) if mult == 1 else (x0, y0)
                 points.extend([CurvePoint(x1, y1)] * mult)
         return Divisor(curve, points, validate=False)
 
-    res = y_resultant(curve, R)
-    scale = float(np.max(np.abs(res))) if res.size else 0.0
-    if scale == 0.0:
+    res = np.trim_zeros(y_resultant(curve, R), "f")
+    if not res.size:
         raise InvalidCurveError("resultant vanishes identically: R shares a component with f")
+    scale = float(np.max(np.abs(res)))
     res = res / scale
-    lead = int(np.argmax(np.abs(res) > 1e-11))
-    res = res[lead:]
-    clusters = cluster_roots(poly_roots(res), cluster_tol)
+    if abs(res[0]) < 1e-11:
+        # a small lead is either a far root's genuine coefficient or the
+        # rounding residue of cancelling terms, a zero lost to infinity:
+        # strip it only within rounding of the sum of its terms' magnitudes
+        bound = _poly_det([[np.abs(e) for e in row] for row in _sylvester(curve, R)]) / scale
+        res = res[int(np.argmax(np.abs(res) > 1e-13 * bound[len(bound) - len(res) :])) :]
+    clusters = cluster_roots(poly_roots(res), CLUSTER_TOL)
     for (x0, mult), ys in zip(clusters, fiber_points(curve, [x for x, _ in clusters])):
         vals = np.array([abs(R.eval(x0, yy)) for yy in ys])
         rs = max(R.term_scale(x0, yy) for yy in ys)
@@ -580,9 +590,7 @@ def _merge_near_doubles(curve: CurveModel, R: PolyFunction, points, band: float 
     return pts
 
 
-def complement(
-    curve: CurveModel, R: PolyFunction, D: Divisor, rel_tol: float = MATCH_TOL
-) -> Divisor:
+def complement(curve: CurveModel, R: PolyFunction, D: Divisor) -> Divisor:
     """The divisor D* with (R)_0 = D + D*.
 
     Raises DegenerateComplementError when zeros of R escaped to infinity
@@ -609,7 +617,7 @@ def complement(
     mult_d = _mults(dx, dy)
     mult_z = _mults(zx, zy)
     for r, c in zip(rows, cols):
-        gate = rel_tol if (mult_d[r] == 1 and mult_z[c] == 1) else max(rel_tol, 1e-5)
+        gate = MATCH_TOL if (mult_d[r] == 1 and mult_z[c] == 1) else 1e-5
         if cost[r, c] / scale > gate:
             raise InconsistencyError(
                 f"divisor does not embed in zeros of R: {cost[r, c] / scale:.2e} relative"

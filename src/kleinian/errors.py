@@ -38,10 +38,6 @@ class DegenerateComplementError(KleinianError):
     """A complement divisor lost points to infinity (degree deficiency)."""
 
 
-class AmbiguousSelectionError(KleinianError):
-    """Point filtering could not decide between candidates within tolerance."""
-
-
 class InconsistentRecordError(KleinianError):
     """Basis-function values do not define a valid divisor."""
 

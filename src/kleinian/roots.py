@@ -86,16 +86,16 @@ def cluster_roots(roots, rel_tol: float = 1e-6):
     """Group nearly-equal roots; returns list of (center, multiplicity).
 
     Centers are multiplicity-weighted means, which averages out the
-    characteristic eps^(1/m) splitting of an m-fold numerical root.
+    characteristic eps^(1/m) splitting of an m-fold numerical root.  A
+    root joins a group within rel_tol (1 + |z|) of its own size, so one
+    far root does not widen the tolerance of all the others.
     """
     r = sorted(np.asarray(roots, dtype=complex), key=lambda z: (z.real, z.imag))
-    scale = 1.0 + max((abs(z) for z in r), default=0.0)
-    tol = rel_tol * scale
     groups: list[list[complex]] = []
     means = []  # np.mean of each group, renewed when it grows
     for z in r:
         for k, grp in enumerate(groups):
-            if abs(z - means[k]) < tol:
+            if abs(z - means[k]) < rel_tol * (1.0 + abs(z)):
                 grp.append(z)
                 means[k] = np.mean(grp)
                 break

@@ -14,7 +14,10 @@ down numerically by the derivative cross-check d/du_2 of p[1] against
 the rational (2,2)-value and exercised in the tests.
 
 Reading the coefficients off interpolations through a divisor gives the
-forward map; extracting common zeros of (R_lo, R_hi, f) gives the inverse.
+forward map.  Both polynomials are linear in y on every supported curve,
+so the inverse is one path for every family: the x-roots of their 2x2
+y-resultant, y from whichever of the two depends on y more strongly, an
+on-curve check and one Newton polish.
 The module also provides exact directional derivatives along Jacobian
 coordinates (finite differences through the inverse Abel Jacobian, plus a
 jet-based flow for higher order), which downstream identity checks use to
@@ -28,18 +31,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series
-from .curves import HYPERELLIPTIC, CurveModel, CurvePoint
+from .curves import CurveModel, CurvePoint, y_split
 from .divisors import (
     Divisor,
     PolyFunction,
+    _polish_common_zero,
     _solve_equilibrated,
     clustered_roots,
     interpolation_rows,
     y_jet,
-    zero_divisor,
 )
 from .errors import (
-    AmbiguousSelectionError,
     BranchPointError,
     DerivativeError,
     IncompleteRecordError,
@@ -133,45 +135,32 @@ def solution_polynomials(curve: CurveModel, rec: BasisRecord):
 
 
 def basis_to_divisor(curve: CurveModel, rec: BasisRecord) -> Divisor:
-    """Common zeros of (R_lo, R_hi, f): the unique degree-g preimage."""
-    g = curve.genus
+    """Common zeros of (R_lo, R_hi) on the curve: the unique degree-g preimage.
+
+    Both polynomials are linear in y, R_lo = a_1 y + a_0 and R_hi = b_1 y + b_0
+    (for n = 2, a_1 = 0 and b_1 = 2: Mumford's (u, v) form), so their common
+    zeros lie over the g roots x of the y-resultant a_1 b_0 - a_0 b_1.  Over
+    each root y = -R(x, 0) / R_y(x, 0) from whichever of the two has the
+    larger |R_y| there; a root where both are free of y, or a point off the
+    curve by more than 1e-6 relative, raises InconsistentRecordError.  Each
+    simple point then takes one Newton polish on (R_hi, f).
+    """
     if set(rec.p) != set(curve.gaps) or set(rec.q) != set(curve.gaps):
         raise InconsistentRecordError("record keys must be exactly the gap weights")
     R_lo, R_hi = solution_polynomials(curve, rec)
-    if curve.family == HYPERELLIPTIC:
-        # R_lo depends on x alone: x^g - sum p x^(g-i); y from R_hi linearly
-        coeffs = np.zeros(g + 1, dtype=complex)
-        coeffs[0] = 1.0
-        for i, w in enumerate(curve.gaps):
-            coeffs[i + 1] = -rec.p[w]
-        pts = []
-        for xk, m in clustered_roots(coeffs):
-            yk = -0.5 * sum(rec.q[w] * xk ** (g - 1 - i) for i, w in enumerate(curve.gaps))
-            pts.extend([(xk, yk)] * m)
+    a, b = y_split(R_lo.coeffs) + [np.zeros(1)], y_split(R_hi.coeffs)
+    points = []
+    for x, m in clustered_roots(np.polysub(np.polymul(a[1], b[0]), np.polymul(a[0], b[1]))):
+        ry, R = max(((R.eval_dy(x, 0.0), R) for R in (R_lo, R_hi)), key=lambda t: abs(t[0]))
+        if ry == 0:
+            raise InconsistentRecordError(f"R_lo and R_hi are both free of y at x = {x:.6g}")
+        y = -R.eval(x, 0.0) / ry
         try:
-            return Divisor(curve, pts, tol=1e-6)
+            curve.point(x, y, 1e-6)
         except InvalidCurveError as exc:
             raise InconsistentRecordError(f"record defines off-curve points: {exc}") from exc
-
-    Z = zero_divisor(curve, R_lo)
-    if Z.degree != 2 * g:
-        raise InconsistentRecordError(
-            f"R_lo has {Z.degree} affine zeros, expected {2 * g}: inconsistent record"
-        )
-    res = np.array(
-        [abs(R_hi.eval(p.x, p.y)) / max(1.0, R_hi.term_scale(p.x, p.y)) for p in Z.points]
-    )
-    order = np.argsort(res)
-    picked, rejected = res[order[g - 1]], res[order[g]]
-    if picked > 1e-6:
-        raise InconsistentRecordError(
-            f"selected points fail R_hi by {picked:.2e}: inconsistent record"
-        )
-    if rejected < 10.0 * picked + 1e-9:
-        raise AmbiguousSelectionError(
-            f"R_hi residual gap too small ({picked:.2e} vs {rejected:.2e})"
-        )
-    return Divisor(curve, [Z.points[i] for i in order[:g]], validate=False)
+        points += [_polish_common_zero(curve, R_hi, x, y) if m == 1 else (x, y)] * m
+    return Divisor(curve, points, validate=False)
 
 
 # -- derivatives along Jacobian coordinates ----------------------------------

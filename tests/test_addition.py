@@ -140,3 +140,16 @@ def test_confluent_benchmark_ops_pass_roundtrip_and_group_law(algebra_ops, key):
     mirror = Divisor(curve, [(p.x, -p.y) for p in D1.points])
     assert multiset_distance(mirror, negate(curve, D1)) < 1e-10
     assert multiset_distance(D1, add(curve, add(curve, D1, D2), negate(curve, D2))) < 1e-7
+
+
+@pytest.mark.parametrize("key", ["61:208", "3:224"])
+def test_plain_benchmark_ops_pass_roundtrip_and_group_law(algebra_ops, key):
+    # 61:208 (2,7): one resultant root at |x| ~ 8.9e4 once widened the
+    # clustering tolerance and merged two divisor x-values 0.078 apart;
+    # 3:224 (3,4): a weight-9 resultant whose roots reach |x| ~ 724 has
+    # its genuine x^9 coefficient at 9e-13 of the largest, once cut as noise
+    kind, curve, D1, D2 = algebra_ops[key]
+    assert kind == "plain"
+    back = basis_to_divisor(curve, divisor_to_basis(curve, D1))
+    assert multiset_distance(D1, back) < 1e-8
+    assert multiset_distance(D1, add(curve, add(curve, D1, D2), negate(curve, D2))) < 1e-7

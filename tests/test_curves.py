@@ -135,3 +135,22 @@ def test_on_curve_tolerance_scales():
     assert pt.residual >= 0
     with pytest.raises(InvalidCurveError):
         curve.point(1.0, 1.5)
+
+
+@pytest.mark.parametrize("ns", [(2, 5), (3, 4)])
+@pytest.mark.parametrize(
+    "xy",
+    [
+        (math.nan, 1.0),
+        (math.inf, 1.0),
+        (1.0, math.inf),
+        (complex(0, math.inf), 1.0),
+        (1.0, complex(math.nan, 0)),
+        (1e200, 1.0),
+    ],
+)
+def test_point_rejects_non_finite_coordinates(ns, xy):
+    # a NaN residual compares False with any tolerance, so it once passed
+    curve = curve_model(*ns, {2 * ns[1] - 2: 0.3})
+    with pytest.raises(InvalidCurveError):
+        curve.point(*xy)

@@ -447,3 +447,21 @@ def test_exact_double_root_stays_double():
     assert abs(r[0] - r[1]) < 1e-7
     [(x, m)] = divisors.clustered_roots(c)
     assert m == 2 and abs(x - r[0]) < 1e-7
+
+
+def test_zero_divisor_keeps_the_small_lead_of_far_roots():
+    # points at |x| = 60 .. 700 put the weight-9 resultant's genuine x^9
+    # coefficient at ~4e-12 of its largest; cut as noise, one zero was lost
+    rng = np.random.default_rng(5)
+    curve = random_curve(3, 4, rng)
+    pts = list(random_divisor(curve, 2, rng).points)
+    for r in (60.0, 80.0, 200.0, 700.0):
+        x = r * np.exp(2j * np.pi * rng.uniform())
+        pts.append((x, fiber_points(curve, [x])[0][0]))
+    D = Divisor(curve, pts)
+    R = interpolate(curve, 9, D)
+    res = np.trim_zeros(y_resultant(curve, R), "f")
+    assert abs(res[0]) < 1e-11 * np.max(np.abs(res))
+    Z = zero_divisor(curve, R)
+    assert Z.degree == 9
+    assert multiset_distance(D + complement(curve, R, D), Z) < 1e-12

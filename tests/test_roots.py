@@ -75,14 +75,13 @@ def test_newton_polish_bit_identical_to_per_root_polyval_loop():
 
 
 def _cluster_reference(roots, rel_tol=1e-6):
-    """cluster_roots as a loop that recomputes each group's np.mean per comparison."""
+    """cluster_roots as a loop that recomputes each group's np.mean per
+    comparison, each root compared at the tolerance of its own size."""
     r = sorted(np.asarray(roots, dtype=complex), key=lambda z: (z.real, z.imag))
-    scale = 1.0 + max((abs(z) for z in r), default=0.0)
-    tol = rel_tol * scale
     groups = []
     for z in r:
         for grp in groups:
-            if abs(z - np.mean(grp)) < tol:
+            if abs(z - np.mean(grp)) < rel_tol * (1.0 + abs(z)):
                 grp.append(z)
                 break
         else:
@@ -109,3 +108,12 @@ def test_cluster_roots_centers_bit_identical_to_recomputed_means():
         ])
         rel_tol = float(rng.choice([1e-8, 1e-6, 1e-5]))
         assert _bits(cluster_roots(roots, rel_tol)) == _bits(_cluster_reference(roots, rel_tol))
+
+
+def test_cluster_roots_one_far_root_does_not_merge_near_ones():
+    # seed 61 op 208's shape: one root at |x| ~ 8.9e4 once set a common
+    # tolerance of ~0.09 and merged two distinct roots 0.078 apart
+    roots = [0.5, 0.578, 8.9e4, 2.0, 2.0 + 1e-9]
+    clusters = sorted(cluster_roots(roots), key=lambda t: t[0].real)
+    assert [m for _, m in clusters] == [1, 1, 2, 1]
+    assert [m for _, m in cluster_roots([8.9e4, 8.9e4 * (1 + 1e-9), 0.1])] in ([1, 2], [2, 1])

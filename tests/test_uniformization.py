@@ -1,16 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kleinian import divisors, uniformization
 from kleinian.curves import curve_model
-from kleinian.divisors import Divisor, interpolate, multiset_distance
+from kleinian.divisors import (
+    Divisor,
+    PolyFunction,
+    fiber_points,
+    interpolate,
+    multiset_distance,
+    y_resultant,
+)
 from kleinian.errors import (
-    AmbiguousSelectionError,
     InconsistentRecordError,
     InvalidCurveError,
     PoleOfRepresentationError,
 )
 from kleinian.sampling import random_curve, random_divisor
 from kleinian.uniformization import (
+    BasisRecord,
     abel_jacobian,
     basis_flow_derivative,
     basis_to_divisor,
@@ -21,6 +31,7 @@ from kleinian.uniformization import (
 )
 
 FAMILIES = ((2, 5), (2, 7), (3, 4))
+FAMILY_IDS = ["2-5", "2-7", "3-4"]
 
 
 def test_genus1_record():
@@ -99,14 +110,84 @@ def test_special_divisor_raises(rng):
     assert exc_info.type.__name__ in ("NonReducedDivisorError", "SpecialDivisorError")
 
 
-def test_perturbed_record_rejected(rng):
+@pytest.mark.parametrize("ns", FAMILIES, ids=FAMILY_IDS)
+def test_perturbed_record_rejected(rng, ns):
     # a 10 percent violation of the model must not invert cleanly
-    curve = random_curve(3, 4, rng)
-    D = random_divisor(curve, 3, rng)
+    curve = random_curve(*ns, rng)
+    D = random_divisor(curve, curve.genus, rng)
     rec = divisor_to_basis(curve, D)
-    rec.q[2] = rec.q[2] * 1.1 + 0.1
-    with pytest.raises((InconsistentRecordError, AmbiguousSelectionError)):
+    w = curve.gaps[1]
+    rec.q[w] = rec.q[w] * 1.1 + 0.1
+    with pytest.raises(InconsistentRecordError):
         basis_to_divisor(curve, rec)
+
+
+def test_record_free_of_y_at_a_root_rejected():
+    # (3,4) with p[1] = q[1] = 0: R_lo = (x - x1)(x - x2) and
+    # R_hi = 2 x y + q[2] x + q[5] through two curve points, so the
+    # resultant's root x = 0 has no y in either polynomial
+    curve = curve_model(3, 4, {6: 0.3})
+    (x1, y1), (x2, y2) = ((x, fiber_points(curve, [x])[0][0]) for x in (0.4 + 0.2j, -0.7 + 0.5j))
+    q2, q5 = np.linalg.solve([[x1, 1.0], [x2, 1.0]], [-2.0 * x1 * y1, -2.0 * x2 * y2])
+    rec = BasisRecord({1: 0.0, 2: x1 + x2, 5: -x1 * x2}, {1: 0.0, 2: q2, 5: q5})
+    with pytest.raises(InconsistentRecordError, match="free of y"):
+        basis_to_divisor(curve, rec)
+
+
+def test_basis_to_divisor_takes_no_resultant_with_f(rng, monkeypatch):
+    # one path for every family: the 2x2 y-resultant of (R_lo, R_hi), never
+    # the zero divisor of R_lo nor its resultant with the curve equation
+    calls = []
+    for module in (divisors, uniformization):
+        for name in ("zero_divisor", "y_resultant"):
+            monkeypatch.setattr(module, name, lambda *a, _n=name: calls.append(_n), raising=False)
+    for n, s in FAMILIES:
+        curve = random_curve(n, s, rng)
+        D = random_divisor(curve, curve.genus, rng)
+        assert multiset_distance(D, basis_to_divisor(curve, divisor_to_basis(curve, D))) < 1e-8
+    assert calls == []
+
+
+def test_roundtrip_of_simple_divisors_ends_at_rounding(algebra_ops):
+    # one Newton polish on (R_hi, f) per simple point: unpolished, 4 of the
+    # fixture's non-confluent ops come back 1.2e-14 .. 5.1e-14 off
+    worst = 0.0
+    for kind, curve, D1, _ in algebra_ops.values():
+        if kind != "confluent":
+            back = basis_to_divisor(curve, divisor_to_basis(curve, D1))
+            worst = max(worst, multiset_distance(D1, back))
+    assert worst < 1e-14
+
+
+def _ramification_xs(curve):
+    """x-roots of Res_y(f_y, f): where the fiber has a repeated y."""
+    fy = PolyFunction(curve, curve.partials[1])
+    return np.roots(np.trim_zeros(y_resultant(curve, fy), "f"))
+
+
+@pytest.mark.parametrize("kind", ["confluent", "far-x", "near-ramification"])
+@pytest.mark.parametrize("ns", FAMILIES, ids=FAMILY_IDS)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-5.0, -2.0))
+def test_roundtrip_at_hard_divisors(ns, kind, seed, log10_dist):
+    # the benchmark's hard shares: a doubled point on |x| = 1, a point at
+    # |x| = 10, a point 1e-5..1e-2 from a ramification point
+    rng = np.random.default_rng(seed)
+    curve = random_curve(*ns, rng)
+    turn = np.exp(2j * np.pi * rng.uniform())
+    if kind == "confluent":
+        x, copies = turn, 2
+    elif kind == "far-x":
+        x, copies = 10.0 * turn, 1
+    else:
+        r = _ramification_xs(curve)
+        x, copies = r[int(rng.integers(len(r)))] + 10.0**log10_dist * turn, 1
+    ys = fiber_points(curve, [x])[0]
+    special = [(x, ys[int(rng.integers(len(ys)))])] * copies
+    rest = random_divisor(curve, curve.genus - copies, rng).points
+    D = Divisor(curve, special + list(rest), tol=1e-8)
+    back = basis_to_divisor(curve, divisor_to_basis(curve, D))
+    assert multiset_distance(D, back) < 1e-8
 
 
 def test_wrong_degree_rejected(rng):
