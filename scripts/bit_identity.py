@@ -16,8 +16,10 @@ seeds 1 and 3 it digests, as exact float hex strings,
   ``period_matrices``, and ``second_kind_residue_matrix``, on the first
   PERIOD_CURVES (default 60) ``periods`` pool curves.
 
-An op that raises contributes the name of its exception class.  Equal
-digests on two commits mean equal bits on every output digested.
+An op that raises a ``KleinianError`` contributes the name of its class;
+any other exception (a ``NameError`` from a deleted helper, say) aborts
+the run instead of becoming digest content.  Equal digests on two commits
+mean equal bits on every output digested.
 """
 
 import hashlib
@@ -36,6 +38,7 @@ from kleinian import divisors as DV  # noqa: E402
 from kleinian import identities as I  # noqa: E402
 from kleinian import transcendental as T  # noqa: E402
 from kleinian import uniformization as U  # noqa: E402
+from kleinian.errors import KleinianError  # noqa: E402
 
 
 def _hex(values) -> list:
@@ -49,7 +52,7 @@ def _points(D) -> list:
 def _guarded(fn):
     try:
         return fn()
-    except Exception as exc:  # the failure class is part of the output
+    except KleinianError as exc:  # the failure class is part of the output
         return ("raise", type(exc).__name__)
 
 

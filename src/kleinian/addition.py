@@ -1,13 +1,17 @@
 """Divisor-level groupoid structure: inversion and addition.
 
-The class group operations are realized by complements inside divisors of
-zeros of interpolated polynomial functions:
+The class group operations are realized by complements: the zeros of a
+function interpolated through a divisor, less that divisor, read off the
+quotient of the function's y-resultant with the curve equation by the
+divisor's x-polynomial (``divisors.complement``):
 
-* ``negate``  complements D inside the zeros of the weight-2g function
-  through D (hyperelliptic curves recover the pointwise involution
-  (x, y) -> (x, -y) this way);
-* ``add``     complements D1 + D2 inside the zeros of the weight-3g
-  function through it (yielding the class of -(u + u~)), then negates.
+* ``negate``  complements D in the zeros of the weight-2g function
+  through D; on hyperelliptic curves that function is x-only, and the
+  complement is the pointwise involution (x, y) -> (x, -y), found with
+  no root-finder;
+* ``add``     complements D1 + D2 in the zeros of the weight-3g function
+  through it, whose quotient has degree g (yielding the class of
+  -(u + u~)), then negates.
 
 For the genus-3 hyperelliptic curve there is a second, fully explicit
 path through basis wp-values: the weight-9 function with unknown gamma

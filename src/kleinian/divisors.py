@@ -2,17 +2,16 @@
 
 The coordinate ring C[x, y] / f is represented by coefficient tables over
 monomials x^i y^j with j < n; reduction rewrites higher y-powers through
-the curve equation.  The two workhorses are
+the curve equation.  The workhorses are
 
 * :func:`interpolate` -- the unique monic polynomial function of weight w
   through a positive divisor of degree w - g (repeated points contribute
-  derivative conditions along the branch y(x)); and
-* :func:`zero_divisor` -- the full degree-w divisor of zeros of a
-  polynomial function, via the y-resultant with the curve equation and
-  one batched solve for the fibers over all of its roots.
-
-Together they realize complements of divisors inside divisors of zeros,
-which is all the group law needs.
+  derivative conditions along the branch y(x));
+* :func:`complement` -- the zeros of such a function beyond the divisor:
+  its y-resultant with the curve equation divided exactly by the divisor's
+  x-polynomial, the step the group law repeats; and
+* :func:`zero_divisor` -- the full divisor of zeros, from the roots of the
+  resultant itself.  Both solve the fibers over all their roots at once.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .errors import (
 from .roots import cluster_roots, newton_polish, poly_roots
 
 PAIR_TOL = 1e-9  # involution-pair detection, relative
-MATCH_TOL = 1e-8  # multiset matching, relative
+MATCH_TOL = 1e-8  # complement's checks, relative
 CLUSTER_TOL = 1e-6  # multiple-root detection, relative to each root
 
 
@@ -165,33 +164,20 @@ class Divisor:
 
         A doubled point plus a second fiber point over the same x is NOT
         a group: the divisor must contain every y of the fiber, each
-        matched to a distinct divisor point.
+        matched to a distinct divisor point.  x and y values match within
+        rel_tol of 1 + their own size.
         """
         n = self.curve.n
-        if self.degree < n:
-            return []
         xs, ys = self.xs(), self.ys()
-        scale = 1.0 + float(np.max(np.abs(xs)))
-        yscale = 1.0 + float(np.max(np.abs(ys)))
-        groups = []
+        groups: list = []
         used: set = set()
-        for i in range(len(xs)):
-            if i in used:
+        for i, x in enumerate(xs):
+            shared = [j for j in range(i, len(xs)) if j not in used and _near(x, xs[j], rel_tol)]
+            if i in used or len(shared) < n:
                 continue
-            shared = [i] + [
-                j
-                for j in range(i + 1, len(xs))
-                if j not in used and abs(xs[j] - xs[i]) < rel_tol * scale
-            ]
-            if len(shared) < n:
-                continue
-            fiber_ys = fiber_points(self.curve, [xs[i]])[0]
             picked: list[int] = []
-            for yf in fiber_ys:
-                hit = next(
-                    (j for j in shared if j not in picked and abs(ys[j] - yf) < rel_tol * yscale),
-                    None,
-                )
+            for yf in fiber_points(self.curve, [x])[0]:
+                hit = next((j for j in shared if j not in picked and _near(yf, ys[j], rel_tol)), None)
                 if hit is None:
                     break
                 picked.append(hit)
@@ -251,14 +237,19 @@ def y_jet(curve: CurveModel, xj: series.Jet, y0: complex) -> series.Jet:
     return yj
 
 
+def _near(a: complex, b: complex, rel_tol: float) -> bool:
+    """|a - b| below rel_tol (1 + |a|): a tolerance at a's own scale."""
+    return abs(a - b) < rel_tol * (1.0 + abs(a))
+
+
 def _grouped_points(D: Divisor, rel_tol: float = PAIR_TOL):
-    """Cluster literally repeated points into (point, multiplicity)."""
+    """Cluster literally repeated points into (point, multiplicity), each
+    coordinate within rel_tol of 1 + its own size."""
     out: list[list] = []
-    scale = 1.0 + float(np.max(np.abs(D.xs()))) if D.degree else 1.0
     for p in D.points:
         for grp in out:
             q = grp[0]
-            if abs(p.x - q.x) < rel_tol * scale and abs(p.y - q.y) < rel_tol * scale:
+            if _near(p.x, q.x, rel_tol) and _near(p.y, q.y, rel_tol):
                 grp[1] += 1
                 break
         else:
@@ -377,12 +368,9 @@ def _perms_within(live: list[list[int]], head: tuple):
 
 
 def y_resultant(curve: CurveModel, R: PolyFunction) -> np.ndarray:
-    """Coefficients (descending) of Res_y(R, f) as a polynomial in x."""
-    return _poly_det(_sylvester(curve, R))
-
-
-def _sylvester(curve: CurveModel, R: PolyFunction) -> list[list[np.ndarray]]:
-    """Sylvester matrix of (f, R) in y, entries x-polynomials (descending)."""
+    """Coefficients (descending) of Res_y(R, f) as a polynomial in x: the
+    determinant of the Sylvester matrix of (f, R) in y, whose entries are
+    x-polynomials."""
     n = curve.n
     # f's y^n coefficient is the constant -1: one entry, not s + 1 with
     # leading zeros, keeps each Sylvester term at its own length
@@ -400,7 +388,7 @@ def _sylvester(curve: CurveModel, R: PolyFunction) -> list[list[np.ndarray]]:
     for r in range(n):  # n shifted copies of R
         for k in range(dr + 1):
             mat[dr + r][r + k] = rc[dr - k]
-    return mat
+    return _poly_det(mat)
 
 
 def fiber_points(curve: CurveModel, xs) -> np.ndarray:
@@ -421,10 +409,8 @@ def fiber_points(curve: CurveModel, xs) -> np.ndarray:
     return newton_polish(c, ys)
 
 
-def _polish_multiple_zero(
-    curve: CurveModel, R: PolyFunction, x: complex, y: complex, m: int, steps: int = 30
-):
-    """Newton for an m-fold zero of R along the curve branch.
+def _polish_multiple_zero(curve: CurveModel, R: PolyFunction, x: complex, y: complex, m: int):
+    """At most 30 Newton steps for an m-fold zero of R along the curve branch.
 
     h(x) = R(x, y(x)) has an m-fold root; Newton on h^(m-1) restores the
     quadratic convergence that plain Newton loses at multiple roots.  It
@@ -435,7 +421,7 @@ def _polish_multiple_zero(
     """
     last = np.inf
     try:
-        for _ in range(steps):
+        for _ in range(30):
             xj = series.var(x, m)
             yj = branch_jet(curve, x, y, m)
             h = R.eval(xj, yj)
@@ -446,17 +432,13 @@ def _polish_multiple_zero(
                 break
             last = abs(step)
             x = x - step
-            y = _nearest_fiber_y(curve, x, y)
+            ys = fiber_points(curve, [x])[0]
+            y = complex(ys[int(np.argmin(np.abs(ys - y)))])
             if abs(step) < 1e-15 * (1.0 + abs(x)):
                 break
     except BranchPointError:
-        return x, y
+        pass
     return x, y
-
-
-def _nearest_fiber_y(curve: CurveModel, x: complex, y_guess: complex) -> complex:
-    ys = fiber_points(curve, [x])[0]
-    return complex(ys[int(np.argmin(np.abs(ys - y_guess)))])
 
 
 def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: complex, steps: int = 5):
@@ -506,122 +488,120 @@ def clustered_roots(c: np.ndarray) -> list:
     ]
 
 
-def zero_divisor(curve: CurveModel, R: PolyFunction) -> Divisor:
-    """All affine common zeros of (R, f), with multiplicity.
+def _nearest(ys: np.ndarray, held) -> np.ndarray:
+    """How many of the points ``held`` lie nearest to each fiber value in ys."""
+    return np.bincount([int(np.argmin(np.abs(ys - p.y))) for p in held], minlength=len(ys))
 
-    The degree equals the weight of R unless zeros escaped to infinity;
-    callers needing the full count compare against ``R.weight``.
+
+def _fiber_zeros(curve: CurveModel, R: PolyFunction, clusters) -> list:
+    """Common zeros of (R, f) over the x-roots ``clusters``, [(x, m, held)].
+
+    Over x, the m new zeros and the points ``held`` there spread evenly over
+    the fiber points where |R| is below 1e-5 of its term scale (the nearest
+    one if none is); each held point keeps back one zero at its nearest
+    fiber point.  A simple zero is polished on (R, f), a multiple one along
+    the curve branch, unless R is x-only: x is then a root of r(x) or a
+    point's own, and fiber_points polishes y on f.
     """
-    if not R.coeffs:
-        raise InvalidCurveError("zero polynomial has no zero divisor")
     points: list[CurvePoint] = []
-    if R.y_degree() == 0:
-        clusters = clustered_roots(y_split(R.coeffs)[0])
-        for (x0, mult), ys in zip(clusters, fiber_points(curve, [x for x, _ in clusters])):
-            for y0 in ys:
-                x1, y1 = _polish_common_zero(curve, R, x0, y0) if mult == 1 else (x0, y0)
-                points.extend([CurvePoint(x1, y1)] * mult)
-        return Divisor(curve, points, validate=False)
-
-    res = np.trim_zeros(y_resultant(curve, R), "f")
-    if not res.size:
-        raise InvalidCurveError("resultant vanishes identically: R shares a component with f")
-    scale = float(np.max(np.abs(res)))
-    res = res / scale
-    if abs(res[0]) < 1e-11:
-        # a small lead is either a far root's genuine coefficient or the
-        # rounding residue of cancelling terms, a zero lost to infinity:
-        # strip it only within rounding of the sum of its terms' magnitudes
-        bound = _poly_det([[np.abs(e) for e in row] for row in _sylvester(curve, R)]) / scale
-        res = res[int(np.argmax(np.abs(res) > 1e-13 * bound[len(bound) - len(res) :])) :]
-    clusters = cluster_roots(poly_roots(res), CLUSTER_TOL)
-    for (x0, mult), ys in zip(clusters, fiber_points(curve, [x for x, _ in clusters])):
+    for (x0, m, held), ys in zip(clusters, fiber_points(curve, [c[0] for c in clusters])):
         vals = np.array([abs(R.eval(x0, yy)) for yy in ys])
         rs = max(R.term_scale(x0, yy) for yy in ys)
-        qualify = [int(t) for t in np.nonzero(vals < 1e-5 * rs)[0]]
-        if not qualify:
-            qualify = [int(np.argmin(vals))]
-        if mult % len(qualify) != 0:
+        qualify = [int(t) for t in np.nonzero(vals < 1e-5 * rs)[0]] or [int(np.argmin(vals))]
+        total, kept = m + len(held), _nearest(ys, held)
+        if total % len(qualify) != 0:
             raise PrecisionError(
-                f"cannot distribute multiplicity {mult} over {len(qualify)} fiber zeros at x={x0:.6g}"
+                f"cannot distribute multiplicity {total} over {len(qualify)} fiber zeros at x={x0:.6g}"
             )
-        m_each = mult // len(qualify)
+        each = total // len(qualify)
         for t in qualify:
-            if m_each == 1:
-                x1, y1 = _polish_common_zero(curve, R, x0, ys[t])
-            else:
-                x1, y1 = _polish_multiple_zero(curve, R, x0, ys[t], m_each)
-            points.extend([CurvePoint(x1, y1)] * m_each)
-    points = _merge_near_doubles(curve, R, points)
-    return Divisor(curve, points, validate=False)
+            x1, y1 = x0, ys[t]
+            if each > kept[t] and R.y_degree():
+                if each == 1:
+                    x1, y1 = _polish_common_zero(curve, R, x1, y1)
+                else:
+                    x1, y1 = _polish_multiple_zero(curve, R, x1, y1, each)
+            points.extend([CurvePoint(x1, y1)] * (each - kept[t]))
+    return points
 
 
-def _merge_near_doubles(curve: CurveModel, R: PolyFunction, points, band: float = 3e-5):
-    """Rescue double zeros whose root pair straddled the cluster tolerance.
+def zero_divisor(curve: CurveModel, R: PolyFunction) -> Divisor:
+    """All affine common zeros of (R, f), with multiplicity: the complement
+    of the empty divisor, so the fiber zeros over the roots of Res_y(R, f)
+    (r^n for an x-only R = r(x)).  Zeros lost to infinity raise
+    DegenerateComplementError."""
+    if not R.coeffs:
+        raise InvalidCurveError("zero polynomial has no zero divisor")
+    return complement(curve, R, Divisor(curve, (), validate=False))
 
-    A pair of recovered points closer than ``band`` is tested as a true
-    double zero: the multiple-root polish must converge nearby with both
-    h and h' vanishing along the branch; only then is the pair replaced.
+
+def _divide(num: np.ndarray, xs) -> tuple[np.ndarray, float]:
+    """Quotient q of num by prod_k (x - xs_k), all its coefficients from one
+    weighted least-squares solve, and the largest weighted remainder.
+
+    Row i weighs 1 / (|num_i| + (ubar (|q| + |num_0|))_i): the terms of both
+    sides with each root's modulus floored at 1, as in ``term_scale``, where
+    ubar = prod_k (x + max(1, |xs_k|)) and q is 0 in a first solve, then its
+    result.  So each coefficient counts at its own scale however far the
+    roots spread, and a root at x = 0 does not hold one to rounding noise.
     """
-    if len(points) < 2:
-        return points
-    scale = 1.0 + max(abs(p.x) for p in points)
-    pts = list(points)
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            pa, pb = pts[a], pts[b]
-            split = abs(pa.x - pb.x) + abs(pa.y - pb.y)
-            if split == 0.0 or split > band * scale:
-                continue
-            xm, ym = 0.5 * (pa.x + pb.x), 0.5 * (pa.y + pb.y)
-            x2, y2 = _polish_multiple_zero(curve, R, xm, ym, 2)
-            if abs(x2 - xm) > 5.0 * split + 1e-12 * scale:
-                continue
-            try:
-                xj = series.var(x2, 2)
-                yj = branch_jet(curve, x2, y2, 2)
-            except BranchPointError:
-                continue
-            h = R.eval(xj, yj)
-            href = max(1.0, R.term_scale(x2, y2))
-            if abs(h.c[0]) < 1e-10 * href and abs(h.c[1]) < 1e-8 * href:
-                pts[a] = CurvePoint(x2, y2)
-                pts[b] = CurvePoint(x2, y2)
-    return pts
+    k = len(num) - len(xs)
+    if k < 1:
+        raise InconsistencyError(f"divisor of degree {len(xs)} exceeds the zeros of R")
+    u, ubar = np.ones(1, dtype=complex), np.ones(1)
+    for x in xs:
+        u, ubar = np.convolve(u, [1.0, -x]), np.convolve(ubar, [1.0, max(1.0, abs(x))])
+    T, Tbar = np.zeros((len(num), k), dtype=complex), np.zeros((len(num), k))
+    for j in range(k):
+        T[j : j + len(u), j], Tbar[j : j + len(u), j] = u, ubar
+    q = np.zeros(k)
+    for _ in range(2):
+        wt = 1.0 / (np.abs(num) + Tbar @ (np.abs(q) + abs(num[0])))
+        A = T * wt[:, None]
+        c = np.max(np.abs(A), axis=0)
+        q = np.linalg.lstsq(A / c, num * wt, rcond=None)[0] / c
+    return q, float(np.max(np.abs(num - T @ q) * wt))
 
 
 def complement(curve: CurveModel, R: PolyFunction, D: Divisor) -> Divisor:
-    """The divisor D* with (R)_0 = D + D*.
+    """The divisor D* with (R)_0 = D + D*, from the zeros of R that D lacks.
 
-    Raises DegenerateComplementError when zeros of R escaped to infinity
-    (degree deficiency) and InconsistencyError when D fails to embed in
-    the divisor of zeros within tolerance.
+    For R with y-terms, Res_y(R, f) / prod_(P in D) (x - x_P) is the
+    x-polynomial of D* (Cantor's exact division u3 = (f - v^2) / (u1 u2), on
+    C_ab curves after Arita, Miura and Sekiguchi): D* holds the fiber zeros
+    over its roots, less D's points there.  An x-only R = r(x) vanishes on
+    whole fibers: D* holds the fiber points D lacks over each of D's
+    x-values, as often as r's root there, and whole fibers over the roots of
+    r's quotient.  The division sees only x, so InconsistencyError is raised
+    when |R(P)| over R's term scale at a P in D, or the weighted remainder,
+    exceeds MATCH_TOL; a degree deficit raises DegenerateComplementError.
     """
-    Z = zero_divisor(curve, R)
-    if Z.degree != R.weight:
+    worst = max((abs(R.eval(p.x, p.y)) / max(1.0, R.term_scale(p.x, p.y)) for p in D), default=0.0)
+    if worst > MATCH_TOL:
+        raise InconsistencyError(f"divisor is off the zeros of R: |R| {worst:.2e} relative")
+    if R.y_degree() == 0:
+        fibers: list = []  # [x, largest point multiplicity, D's points over x]
+        for p, m in _grouped_points(D):
+            hit = next((f for f in fibers if _near(p.x, f[0], PAIR_TOL)), None)
+            if hit is None:
+                fibers.append([p.x, m, [p] * m])
+            else:
+                hit[1], hit[2] = max(hit[1], m), hit[2] + [p] * m
+        q, rem = _divide(y_split(R.coeffs)[0], [x for x, m, _ in fibers for _ in range(m)])
+        clusters = [(x, curve.n * m - len(held), held) for x, m, held in fibers]
+        clusters += [(x, curve.n * m, ()) for x, m in clustered_roots(q)]
+    else:
+        q, rem = _divide(np.trim_zeros(y_resultant(curve, R), "f"), D.xs())
+        clusters = [
+            (x, m, [p for p in D if _near(x, p.x, CLUSTER_TOL)])
+            for x, m in clustered_roots(q)
+        ]
+    if rem > MATCH_TOL:
+        raise InconsistencyError(f"divisor does not divide the zeros of R: remainder {rem:.2e}")
+    points = _fiber_zeros(curve, R, clusters)
+    if len(points) + D.degree != R.weight:
         raise DegenerateComplementError(
-            f"divisor of zeros has degree {Z.degree} < weight {R.weight}: points at infinity"
+            f"zeros of R found to degree {len(points) + D.degree}, not its weight {R.weight}: "
+            "points at infinity"
         )
-    zx, zy = Z.xs(), Z.ys()
-    dx, dy = D.xs(), D.ys()
-    cost = np.abs(dx[:, None] - zx[None, :]) + np.abs(dy[:, None] - zy[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    scale = 1.0 + max(np.max(np.abs(dx)), np.max(np.abs(dy))) if D.degree else 1.0
-    # points recovered from multiple zeros carry eps^(1/m) splitting, so
-    # their matching gate must be wider than the simple-zero one; the
-    # multiplicity is read on both sides of the pairing
-    def _mults(px, py):
-        near = np.abs(px[:, None] - px[None, :]) < 1e-5 * scale
-        return np.sum(near & (np.abs(py[:, None] - py[None, :]) < 1e-5 * scale), axis=1)
-
-    mult_d = _mults(dx, dy)
-    mult_z = _mults(zx, zy)
-    for r, c in zip(rows, cols):
-        gate = MATCH_TOL if (mult_d[r] == 1 and mult_z[c] == 1) else 1e-5
-        if cost[r, c] / scale > gate:
-            raise InconsistencyError(
-                f"divisor does not embed in zeros of R: {cost[r, c] / scale:.2e} relative"
-            )
-    taken = set(int(c) for c in cols)
-    remaining = [p for k, p in enumerate(Z.points) if k not in taken]
-    return Divisor(curve, remaining, validate=False)
+    return Divisor(curve, points, validate=False)

@@ -17,7 +17,7 @@ Reading the coefficients off interpolations through a divisor gives the
 forward map.  Both polynomials are linear in y on every supported curve,
 so the inverse is one path for every family: the x-roots of their 2x2
 y-resultant, y from whichever of the two depends on y more strongly, an
-on-curve check and one Newton polish.
+on-curve check and one Newton polish on the better-conditioned of the two.
 The module also provides exact directional derivatives along Jacobian
 coordinates (finite differences through the inverse Abel Jacobian, plus a
 jet-based flow for higher order), which downstream identity checks use to
@@ -143,7 +143,9 @@ def basis_to_divisor(curve: CurveModel, rec: BasisRecord) -> Divisor:
     each root y = -R(x, 0) / R_y(x, 0) from whichever of the two has the
     larger |R_y| there; a root where both are free of y, or a point off the
     curve by more than 1e-6 relative, raises InconsistentRecordError.  Each
-    simple point then takes one Newton polish on (R_hi, f).
+    simple point then takes one Newton polish on (R_lo, f) or (R_hi, f),
+    whichever has the larger |det J| over the product of J's row sums, of
+    those with a y-term.
     """
     if set(rec.p) != set(curve.gaps) or set(rec.q) != set(curve.gaps):
         raise InconsistentRecordError("record keys must be exactly the gap weights")
@@ -159,8 +161,20 @@ def basis_to_divisor(curve: CurveModel, rec: BasisRecord) -> Divisor:
             curve.point(x, y, 1e-6)
         except InvalidCurveError as exc:
             raise InconsistentRecordError(f"record defines off-curve points: {exc}") from exc
-        points += [_polish_common_zero(curve, R_hi, x, y) if m == 1 else (x, y)] * m
+        if m == 1:
+            # an x-only R_lo (every n = 2 record) would leave y to f alone
+            R = max((R for R in (R_lo, R_hi) if R.y_degree()),
+                    key=lambda R: _conditioning(curve, R, x, y))
+            x, y = _polish_common_zero(curve, R, x, y)
+        points += [(x, y)] * m
     return Divisor(curve, points, validate=False)
+
+
+def _conditioning(curve: CurveModel, R: PolyFunction, x: complex, y: complex) -> float:
+    """|det J| of (R, f) at (x, y) over the product of J's row sums."""
+    j11, j12, j21, j22 = R.eval_dx(x, y), R.eval_dy(x, y), curve.eval_fx(x, y), curve.eval_fy(x, y)
+    rows = (abs(j11) + abs(j12)) * (abs(j21) + abs(j22))
+    return abs(j11 * j22 - j12 * j21) / rows if rows else 0.0
 
 
 # -- derivatives along Jacobian coordinates ----------------------------------

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kleinian.addition import add, add27_explicit, negate, quotient_identity_residual_27
 from kleinian.divisors import Divisor, complement, interpolate, multiset_distance
@@ -153,3 +155,16 @@ def test_plain_benchmark_ops_pass_roundtrip_and_group_law(algebra_ops, key):
     back = basis_to_divisor(curve, divisor_to_basis(curve, D1))
     assert multiset_distance(D1, back) < 1e-8
     assert multiset_distance(D1, add(curve, add(curve, D1, D2), negate(curve, D2))) < 1e-7
+
+
+@pytest.mark.parametrize("kind", ["confluent", "far-x", "near-ramification"])
+@pytest.mark.parametrize("ns", ((2, 5), (2, 7), (3, 4)), ids=["2-5", "2-7", "3-4"])
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-5.0, -2.0))
+def test_group_law_at_hard_divisors(hard_divisor, ns, kind, seed, log10_dist):
+    # the hard shares of test_roundtrip_at_hard_divisors through the group
+    # law: D1 + D2 - D2 and -(-D1) give D1 back
+    curve, D1, rng = hard_divisor(ns, kind, seed, log10_dist)
+    D2 = random_divisor(curve, curve.genus, rng)
+    assert multiset_distance(add(curve, add(curve, D1, D2), negate(curve, D2)), D1) < 1e-7
+    assert multiset_distance(negate(curve, negate(curve, D1)), D1) < 1e-10

@@ -218,6 +218,128 @@ def test_complement_rejects_foreign_divisor(rng):
         complement(curve, R, other)
 
 
+def test_complement_of_two_points_of_a_trigonal_fiber(rng):
+    # the weight-6 function through two points of one fiber and a third
+    # point is x-only, (x - x0)(x - x1): D* is the fiber's third point and
+    # the two points over x1 that D lacks, found without a root-finder
+    curve = random_curve(3, 4, rng)
+    x0, x1 = 0.4 + 0.3j, -0.5 + 0.2j
+    y0, y1 = fiber_points(curve, [x0, x1])
+    D = Divisor(curve, [(x0, y0[0]), (x0, y0[1]), (x1, y1[2])])
+    R = interpolate(curve, 6, D)
+    assert R.y_degree() == 0
+    want = Divisor(curve, [(x0, y0[2]), (x1, y1[0]), (x1, y1[1])])
+    assert multiset_distance(complement(curve, R, D), want) < 1e-12
+
+
+def test_complement_leaves_out_ds_point_of_a_shared_fiber(rng):
+    # R of weight 9 through four points and two points of one fiber; D is
+    # the four and one of the two, so a root of the quotient shares its
+    # fiber with D, where R vanishes at both points and D* takes only one
+    curve = random_curve(3, 4, rng)
+    x0 = 0.3 - 0.4j
+    ys = fiber_points(curve, [x0])[0]
+    four = list(random_divisor(curve, 4, rng).points)
+    R = interpolate(curve, 9, Divisor(curve, four + [(x0, ys[0]), (x0, ys[1])]))
+    assert R.y_degree()
+    Dstar = complement(curve, R, Divisor(curve, four + [(x0, ys[0])]))
+    assert Dstar.degree == 4
+    assert min(abs(p.x - x0) + abs(p.y - ys[1]) for p in Dstar) < 1e-10
+    assert min(abs(p.x - x0) + abs(p.y - ys[0]) for p in Dstar) > 1e-3
+
+
+def test_complement_rejects_a_point_off_the_zeros_over_the_right_x(rng):
+    # the division sees only x: a point swapped for another of its fiber
+    # leaves u_D unchanged, and only |R(P)| at the point catches it
+    for n, s in FAMILIES:
+        curve = random_curve(n, s, rng)
+        g = curve.genus
+        D = random_divisor(curve, 2 * g, rng)
+        R = interpolate(curve, 3 * g, D)
+        p = D.points[0]
+        ys = fiber_points(curve, [p.x])[0]
+        other = Divisor(curve, [(p.x, ys[np.argmax(np.abs(ys - p.y))])] + list(D.points[1:]))
+        with pytest.raises(InconsistencyError, match="off the zeros"):
+            complement(curve, R, other)
+
+
+def test_complement_rejects_a_divisor_doubling_a_simple_zero(rng):
+    # every point of D is a zero of R, but R's zero at the doubled one is
+    # simple: only the division remainder catches it
+    for n, s in FAMILIES:
+        curve = random_curve(n, s, rng)
+        g = curve.genus
+        for w in (2 * g, 3 * g):
+            E = random_divisor(curve, w - g, rng).points
+            R = interpolate(curve, w, Divisor(curve, E))
+            with pytest.raises(InconsistencyError, match="remainder"):
+                complement(curve, R, Divisor(curve, (E[0],) + E[:-1]))
+
+
+def test_complement_with_a_point_at_x_zero(rng):
+    # a root at x = 0 leaves a resultant coefficient at its rounding
+    # noise; the division weighs it at the scale of a root of modulus 1
+    for n, s in FAMILIES:
+        curve = random_curve(n, s, rng)
+        g = curve.genus
+        origin = (0j, fiber_points(curve, [0j])[0][0])
+        D1 = Divisor(curve, [origin] + list(random_divisor(curve, g - 1, rng).points))
+        D2 = random_divisor(curve, g, rng)
+        assert multiset_distance(add(curve, add(curve, D1, D2), negate(curve, D2)), D1) < 1e-7
+        assert multiset_distance(negate(curve, negate(curve, D1)), D1) < 1e-10
+
+
+def test_divide_keeps_each_root_of_the_quotient_at_its_own_precision():
+    # roots from 1e-3 to 1e5: with every coefficient at its own scale the
+    # quotient's roots come back to rounding, where a solve weighting rows
+    # alike leaves the small ones to the rounding of the largest (7e-12
+    # relative on these)
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        turn = lambda: np.exp(2j * np.pi * rng.uniform())  # noqa: E731
+        xs = np.array([r * turn() for r in (1e5, 3e4, 0.5, 0.8, 1.3, 2.0)])
+        want = np.array([r * turn() for r in (1e4, 1e-3, 0.9)])
+        q, rem = divisors._divide(np.poly(np.r_[xs, want]), xs)
+        got = np.roots(q)
+        assert rem < 1e-14
+        assert max(min(abs(got - w)) / abs(w) for w in want) < 1e-13
+
+
+def test_resultant_lead_of_interpolated_functions_is_one(algebra_ops):
+    # Res_y(R, f) of a monic R of weight w is +/- the product of (x - x_k)
+    # over its w zeros, and its x^w coefficient comes out exactly +/-1 even
+    # where the roots reach |x| ~ 724 (op 3:224); no lead is lost to rounding
+    for _, curve, D1, D2 in algebra_ops.values():
+        g = curve.genus
+        one = Divisor(curve, D2.points[:1])
+        for w, D in ((2 * g, D1), (2 * g + 1, D1 + one), (3 * g, D1 + D2)):
+            R = interpolate(curve, w, D)
+            if R.y_degree():
+                res = np.trim_zeros(y_resultant(curve, R), "f")
+                assert abs(res[0]) == 1.0 and len(res) == w + 1
+
+
+def test_grouped_points_at_each_points_own_scale():
+    # a far point once set the tolerance of every point: at 1e-9 (1 + 1e4)
+    # two points 1e-7 apart merged into one double point
+    curve = curve_model(2, 5, {4: 0.3})
+    xs = [0.3 + 0.1j, 0.3 + 0.1j + 1e-7, 1e4 + 0j]
+    D = Divisor(curve, [(x, fiber_points(curve, [x])[0][0]) for x in xs])
+    assert [m for _, m in divisors._grouped_points(D)] == [1, 1, 1]
+
+
+def test_involution_groups_at_each_points_own_scale():
+    # (x0, y0) and (x0 + 1e-6, -y) are no fiber pair, whatever a far point
+    # does to the scale of the others
+    curve = curve_model(2, 5, {4: 0.3})
+    x0, x1 = 0.7 + 0.2j, 0.7 + 0.2j + 1e-6
+    y0 = fiber_points(curve, [x0])[0][0]
+    ys1 = fiber_points(curve, [x1])[0]
+    far = (1e4 + 0j, fiber_points(curve, [1e4 + 0j])[0][0])
+    D = Divisor(curve, [(x0, y0), (x1, ys1[np.argmin(np.abs(ys1 + y0))]), far])
+    assert D.involution_groups() == []
+
+
 def test_involution_detection():
     curve = curve_model(2, 5, {4: 0.3})
     x = 0.7 + 0.2j
@@ -393,6 +515,12 @@ def test_polish_common_zero_is_as_accurate_as_five_fixed_steps(algebra_ops, monk
             basis_to_divisor(curve, divisor_to_basis(curve, D1))
             negate(curve, D1)
             add(curve, add(curve, D1, D2), negate(curve, D2))
+            # complement polishes only the new zeros; every zero of the
+            # op's interpolants of weights 2g + 1 and 3g adds starts
+            g = curve.genus
+            for D in (D1 + Divisor(curve, D2.points[:1]), D2 + Divisor(curve, D1.points[:1])):
+                zero_divisor(curve, interpolate(curve, 2 * g + 1, D))
+            zero_divisor(curve, interpolate(curve, 3 * g, D1 + D2))
         except KleinianError:
             pass
     assert len(calls) > 1000

@@ -7,11 +7,9 @@ from kleinian import divisors, uniformization
 from kleinian.curves import curve_model
 from kleinian.divisors import (
     Divisor,
-    PolyFunction,
     fiber_points,
     interpolate,
     multiset_distance,
-    y_resultant,
 )
 from kleinian.errors import (
     InconsistentRecordError,
@@ -149,8 +147,8 @@ def test_basis_to_divisor_takes_no_resultant_with_f(rng, monkeypatch):
 
 
 def test_roundtrip_of_simple_divisors_ends_at_rounding(algebra_ops):
-    # one Newton polish on (R_hi, f) per simple point: unpolished, 4 of the
-    # fixture's non-confluent ops come back 1.2e-14 .. 5.1e-14 off
+    # one Newton polish per simple point: unpolished, 4 of the fixture's
+    # non-confluent ops come back 1.2e-14 .. 5.1e-14 off
     worst = 0.0
     for kind, curve, D1, _ in algebra_ops.values():
         if kind != "confluent":
@@ -159,33 +157,25 @@ def test_roundtrip_of_simple_divisors_ends_at_rounding(algebra_ops):
     assert worst < 1e-14
 
 
-def _ramification_xs(curve):
-    """x-roots of Res_y(f_y, f): where the fiber has a repeated y."""
-    fy = PolyFunction(curve, curve.partials[1])
-    return np.roots(np.trim_zeros(y_resultant(curve, fy), "f"))
+def test_roundtrip_polishes_on_the_better_conditioned_pair(algebra_ops, monkeypatch):
+    # a (3,4) op whose points, polished on (R_hi, f), once came back 8.1e-14
+    # off, 27x their unpolished 3.0e-15; (R_lo, f) is the better-conditioned
+    # system there
+    _, curve, D1, _ = algebra_ops["9:278"]
+    rec = divisor_to_basis(curve, D1)
+    polished = multiset_distance(D1, basis_to_divisor(curve, rec))
+    monkeypatch.setattr(uniformization, "_polish_common_zero", lambda curve, R, x, y: (x, y))
+    assert polished <= 4.0 * multiset_distance(D1, basis_to_divisor(curve, rec))
 
 
 @pytest.mark.parametrize("kind", ["confluent", "far-x", "near-ramification"])
 @pytest.mark.parametrize("ns", FAMILIES, ids=FAMILY_IDS)
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 2**32 - 1), st.floats(-5.0, -2.0))
-def test_roundtrip_at_hard_divisors(ns, kind, seed, log10_dist):
+def test_roundtrip_at_hard_divisors(hard_divisor, ns, kind, seed, log10_dist):
     # the benchmark's hard shares: a doubled point on |x| = 1, a point at
     # |x| = 10, a point 1e-5..1e-2 from a ramification point
-    rng = np.random.default_rng(seed)
-    curve = random_curve(*ns, rng)
-    turn = np.exp(2j * np.pi * rng.uniform())
-    if kind == "confluent":
-        x, copies = turn, 2
-    elif kind == "far-x":
-        x, copies = 10.0 * turn, 1
-    else:
-        r = _ramification_xs(curve)
-        x, copies = r[int(rng.integers(len(r)))] + 10.0**log10_dist * turn, 1
-    ys = fiber_points(curve, [x])[0]
-    special = [(x, ys[int(rng.integers(len(ys)))])] * copies
-    rest = random_divisor(curve, curve.genus - copies, rng).points
-    D = Divisor(curve, special + list(rest), tol=1e-8)
+    curve, D, _ = hard_divisor(ns, kind, seed, log10_dist)
     back = basis_to_divisor(curve, divisor_to_basis(curve, D))
     assert multiset_distance(D, back) < 1e-8
 
