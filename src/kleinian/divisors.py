@@ -488,11 +488,6 @@ def clustered_roots(c: np.ndarray) -> list:
     ]
 
 
-def _nearest(ys: np.ndarray, held) -> np.ndarray:
-    """How many of the points ``held`` lie nearest to each fiber value in ys."""
-    return np.bincount([int(np.argmin(np.abs(ys - p.y))) for p in held], minlength=len(ys))
-
-
 def _fiber_zeros(curve: CurveModel, R: PolyFunction, clusters) -> list:
     """Common zeros of (R, f) over the x-roots ``clusters``, [(x, m, held)].
 
@@ -508,7 +503,8 @@ def _fiber_zeros(curve: CurveModel, R: PolyFunction, clusters) -> list:
         vals = np.array([abs(R.eval(x0, yy)) for yy in ys])
         rs = max(R.term_scale(x0, yy) for yy in ys)
         qualify = [int(t) for t in np.nonzero(vals < 1e-5 * rs)[0]] or [int(np.argmin(vals))]
-        total, kept = m + len(held), _nearest(ys, held)
+        kept = np.bincount([int(np.argmin(np.abs(ys - p.y))) for p in held], minlength=len(ys))
+        total = m + len(held)
         if total % len(qualify) != 0:
             raise PrecisionError(
                 f"cannot distribute multiplicity {total} over {len(qualify)} fiber zeros at x={x0:.6g}"
