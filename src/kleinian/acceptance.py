@@ -4,7 +4,9 @@ Each criterion returns (ok, details); the runner seeds every criterion
 independently off the master seed, so individual suites reproduce
 regardless of which subset runs.  The CLI `selftest` verb and the pytest
 acceptance module both call into this file, keeping CI and command-line
-verification identical.
+verification identical; the CLI `verify-identities` and `theta-bridge`
+verbs run the same per-divisor checks (identity_residuals, keep_worst and
+identities_pass; bridge_errors).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .addition import add, add27_explicit, negate
 from .curves import curve_model, gap_sequence
 from .divisors import Divisor, interpolate, complement, multiset_distance
-from .errors import KleinianError, ThetaDivisorError
+from .errors import InputError, KleinianError, ThetaDivisorError
 from .identities import (
     build_H,
     cubic_residual,
@@ -86,33 +88,55 @@ def uniformization_roundtrip(rng, tols, trials: int = 100):
     return worst < tols["roundtrip"], {"worst": worst, "tol": tols["roundtrip"]}
 
 
+def identity_residuals(curve, D) -> dict:
+    """Model residuals of D's record on a (2,7) or (3,4) curve; a (3,4)
+    record is extended, four-index derivatives included."""
+    rec = divisor_to_basis(curve, D)
+    if (curve.n, curve.s) == (2, 7):
+        return residuals_27(rec, curve)
+    if (curve.n, curve.s) == (3, 4):
+        rec = extended_34(curve, rec)
+        rec.extended.update(four_index_derivatives_34(curve, D))
+        return residuals_34(rec, curve)
+    raise InputError("verify-identities supports the (2,7) and (3,4) curves")
+
+
+def keep_worst(worst: dict, residuals: dict) -> None:
+    """Raise each worst[name] to its residual where that is larger."""
+    for k, v in residuals.items():
+        worst[k] = max(worst.get(k, 0.0), v)
+
+
+def identities_pass(worst: dict, tols) -> bool:
+    """Every residual below its tolerance: identity-extended for the (3,4)
+    extension identities (names starting with E), identity for the rest."""
+    return all(
+        v < tols["identity-extended" if k.startswith("E") else "identity"] for k, v in worst.items()
+    )
+
+
 def jacobian_model_residuals(rng, tols, trials: int = 100, deriv_trials: int = 30):
     """All model identities vanish on records from random divisors."""
-    worst: dict = {}
+    worst27: dict = {}
+    worst34: dict = {}
     for _ in range(trials):
         curve = random_curve(2, 7, rng)
-        D = random_divisor(curve, 3, rng)
-        for k, v in residuals_27(divisor_to_basis(curve, D), curve).items():
-            worst[f"27:{k}"] = max(worst.get(f"27:{k}", 0.0), v)
+        keep_worst(worst27, identity_residuals(curve, random_divisor(curve, 3, rng)))
     for t in range(trials):
         curve = random_curve(3, 4, rng)
         D = random_divisor(curve, 3, rng)
-        rec = extended_34(curve, divisor_to_basis(curve, D))
         if t < deriv_trials:
-            rec.extended.update(four_index_derivatives_34(curve, D))
-        for k, v in residuals_34(rec, curve).items():
-            worst[f"34:{k}"] = max(worst.get(f"34:{k}", 0.0), v)
+            keep_worst(worst34, identity_residuals(curve, D))
+        else:  # the extended record without four-index derivatives
+            keep_worst(worst34, residuals_34(extended_34(curve, divisor_to_basis(curve, D)), curve))
     for t in range(max(5, deriv_trials // 3)):
         curve = random_curve(3, 4, rng)
         D = random_divisor(curve, 3, rng)
-        worst["34:E55-mixed"] = max(
-            worst.get("34:E55-mixed", 0.0), wp55_mixed_derivative_check_34(curve, D)
-        )
-    ok = True
-    for key, v in worst.items():
-        tol = tols["identity-extended"] if key.split(":")[1].startswith("E") else tols["identity"]
-        ok &= v < tol
-    return bool(ok), {"worst": worst}
+        keep_worst(worst34, {"E55-mixed": wp55_mixed_derivative_check_34(curve, D)})
+    ok = identities_pass(worst27, tols) and identities_pass(worst34, tols)
+    worst = {f"27:{k}": v for k, v in worst27.items()}
+    worst.update({f"34:{k}": v for k, v in worst34.items()})
+    return ok, {"worst": worst}
 
 
 def derivative_ladder(rng, tols, trials: int = 50):
@@ -223,6 +247,18 @@ def genus1_cubic_from_theta(rng, tols, trials: int = 5):
     return worst < tols["g1-cubic"], {"worst": worst, "tol": tols["g1-cubic"]}
 
 
+def bridge_errors(curve, D, pd, ch):
+    """u = abel(D) and the relative gaps, keyed "p[w]" and "q[w]", between
+    wp from theta at u and the basis values of D from divisor algebra."""
+    rec = divisor_to_basis(curve, D)
+    u = abel(curve, D, pd)
+    errors = {}
+    for w in curve.gaps:
+        errors[f"p[{w}]"] = abs(wp_theta(pd, ch, u, (1, w)) - rec.p[w]) / (1.0 + abs(rec.p[w]))
+        errors[f"q[{w}]"] = abs(wp_theta(pd, ch, u, (1, 1, w)) - rec.q[w]) / (1.0 + abs(rec.q[w]))
+    return u, errors
+
+
 def theta_bridge(rng, tols, trials: int = 20):
     """wp from theta equals wp from divisor algebra (genus 2)."""
     worst = 0.0
@@ -237,17 +273,11 @@ def theta_bridge(rng, tols, trials: int = 20):
         attempts = 0
         while completed < per_curve and attempts < 4 * per_curve:
             attempts += 1
-            D = random_divisor(curve, 2, rng)
             try:
-                rec = divisor_to_basis(curve, D)
-                u = abel(curve, D, pd)
-                for w in curve.gaps:
-                    v2 = wp_theta(pd, ch, u, (1, w))
-                    worst = max(worst, abs(v2 - rec.p[w]) / (1.0 + abs(rec.p[w])))
-                    v3 = wp_theta(pd, ch, u, (1, 1, w))
-                    worst = max(worst, abs(v3 - rec.q[w]) / (1.0 + abs(rec.q[w])))
+                _, errors = bridge_errors(curve, random_divisor(curve, 2, rng), pd, ch)
             except ThetaDivisorError:
                 continue  # near Sigma: draw a fresh divisor
+            worst = max(worst, *errors.values())
             completed += 1
         done += completed
     return worst < tols["bridge"] and done >= trials, {"worst": worst, "trials": done}

@@ -3,17 +3,21 @@
 Verbs:
 
     describe            curve invariants (genus, gaps, monomial order)
-    uniformize          divisor -> basis wp-values
+    uniformize          divisor -> basis wp-values; --extended adds the
+                        (3,4) extension values
     invert-basis        basis wp-values -> divisor
     add / negate        divisor group law
-    verify-identities   model residuals at a divisor (or random trials)
+    verify-identities   model residuals at --divisor, else the worst over
+                        --trials random divisors (default 5)
     periods             period matrices, Legendre residual, tau, kappa
-    theta-bridge        wp from theta vs wp from algebra at random divisors
+    theta-bridge        wp from theta vs wp from algebra at --divisor, else
+                        at --trials random divisors (default 3)
     selftest            the full acceptance suite (seeded, deterministic)
 
 Exit codes: 0 all checks pass, 1 a check failed its tolerance, 2 bad
 input, 3 numerical failure.  `--tol name=value` overrides any named
-tolerance; `--seed` fixes every randomized trial.
+tolerance; `--seed` fixes every randomized trial.  verify-identities and
+theta-bridge run the per-divisor checks of the acceptance suite.
 """
 
 from __future__ import annotations
@@ -22,39 +26,30 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jsonio
-from .acceptance import CRITERIA, run_acceptance
+from .acceptance import (
+    CRITERIA,
+    bridge_errors,
+    identities_pass,
+    identity_residuals,
+    keep_worst,
+    run_acceptance,
+)
 from .addition import add as divisor_add
 from .addition import negate as divisor_negate
 from .errors import InputError, InvalidCurveError, KleinianError
-from .identities import four_index_derivatives_34, residuals_27, residuals_34
 from .sampling import random_divisor
 from .tolerances import resolve
-from .transcendental import abel, period_matrices, riemann_characteristic, wp_theta
+from .transcendental import period_matrices, riemann_characteristic
 from .uniformization import basis_to_divisor, divisor_to_basis, extended_34
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    curve_path: str | None = None
-    input_paths: list = field(default_factory=list)
-    tol_overrides: dict = field(default_factory=dict)
-    seed: int = 0
-    output: str | None = None
-    trials: int = 5
-    suites: list = field(default_factory=list)
-    extended: bool = False
-    with_timings: bool = False
 
 
 def _parse_tol(items) -> dict:
@@ -72,40 +67,34 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, curve=True):
+    def verb(name, summary, handler, curve=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         if curve:
             p.add_argument("--curve", required=True, help="curve JSON file")
         p.add_argument("--tol", action="append", metavar="NAME=VALUE", help="tolerance override")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--output", help="write the JSON report here instead of stdout")
+        return p
 
-    p = sub.add_parser("describe", help="curve invariants")
-    common(p)
-    p = sub.add_parser("uniformize", help="divisor -> basis record")
-    common(p)
+    verb("describe", "curve invariants", _cmd_describe)
+    p = verb("uniformize", "divisor -> basis record", _cmd_uniformize)
     p.add_argument("--divisor", required=True)
     p.add_argument("--extended", action="store_true", help="add the (3,4) extension values")
-    p = sub.add_parser("invert-basis", help="basis record -> divisor")
-    common(p)
+    p = verb("invert-basis", "basis record -> divisor", _cmd_invert_basis)
     p.add_argument("--basis", required=True)
-    p = sub.add_parser("add", help="sum of two divisor classes")
-    common(p)
+    p = verb("add", "sum of two divisor classes", _cmd_add)
     p.add_argument("--divisors", nargs=2, required=True, metavar=("D1", "D2"))
-    p = sub.add_parser("negate", help="inverse divisor class")
-    common(p)
+    p = verb("negate", "inverse divisor class", _cmd_negate)
     p.add_argument("--divisor", required=True)
-    p = sub.add_parser("verify-identities", help="model residuals")
-    common(p)
+    p = verb("verify-identities", "model residuals", _cmd_verify_identities)
     p.add_argument("--divisor", help="divisor JSON; omit for random trials")
     p.add_argument("--trials", type=int, default=5)
-    p = sub.add_parser("periods", help="period matrices and Legendre check")
-    common(p)
-    p = sub.add_parser("theta-bridge", help="wp from theta vs algebra")
-    common(p)
+    verb("periods", "period matrices and Legendre check", _cmd_periods)
+    p = verb("theta-bridge", "wp from theta vs algebra", _cmd_theta_bridge)
     p.add_argument("--divisor", help="divisor JSON; omit for random trials")
     p.add_argument("--trials", type=int, default=3)
-    p = sub.add_parser("selftest", help="acceptance suite")
-    common(p, curve=False)
+    p = verb("selftest", "acceptance suite", _cmd_selftest, curve=False)
     p.add_argument("--suite", action="append", dest="suites",
                    choices=[k for k, _, _ in CRITERIA], help="run only these suites")
     p.add_argument("--with-timings", action="store_true",
@@ -113,48 +102,45 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def config_from_args(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    cfg.curve_path = getattr(args, "curve", None)
-    cfg.tol_overrides = _parse_tol(getattr(args, "tol", None))
-    cfg.seed = getattr(args, "seed", 0)
-    cfg.output = getattr(args, "output", None)
-    cfg.trials = getattr(args, "trials", 5)
-    cfg.suites = getattr(args, "suites", None) or []
-    cfg.extended = getattr(args, "extended", False)
-    cfg.with_timings = getattr(args, "with_timings", False)
-    for name in ("divisor", "basis"):
-        v = getattr(args, name, None)
-        if v:
-            cfg.input_paths.append(v)
-    for v in getattr(args, "divisors", None) or []:
-        cfg.input_paths.append(v)
-    return cfg
-
-
-def run(config: RunConfig) -> tuple[int, dict]:
-    """Execute one verb; returns (exit_status, JSON report)."""
+def run(args) -> tuple[int, dict]:
+    """Execute one parsed verb; returns (exit_status, JSON report)."""
     try:
-        tols = resolve(config.tol_overrides)
+        tols = resolve(_parse_tol(args.tol))
     except KeyError as exc:
         raise InputError(str(exc)) from exc
     t0 = time.time()
-    handler = _HANDLERS[config.command]
-    status, body = handler(config, tols)
-    report = {"command": config.command, "seed": config.seed, **body}
-    if config.command != "selftest" or config.with_timings:
+    status, body = args.handler(args, tols)
+    report = {"command": args.command, "seed": args.seed, **body}
+    if args.command != "selftest" or args.with_timings:
         report["elapsed_s"] = round(time.time() - t0, 3)
     return status, report
 
 
-def _load_curve(config: RunConfig):
-    if not config.curve_path:
-        raise InputError("this command requires --curve")
-    return jsonio.curve_from_json(jsonio.load_json(config.curve_path))
+def _load_curve(args):
+    return jsonio.curve_from_json(jsonio.load_json(args.curve))
 
 
-def _cmd_describe(config, tols):
-    curve = _load_curve(config)
+def _load_divisor(curve, path, tols):
+    return jsonio.divisor_from_json(curve, jsonio.load_json(path), tol=tols["on-curve"])
+
+
+def _divisors(args, curve, tols) -> list:
+    """The given --divisor, else --trials random divisors drawn from --seed."""
+    if args.divisor:
+        return [_load_divisor(curve, args.divisor, tols)]
+    rng = np.random.default_rng(args.seed)
+    return [random_divisor(curve, curve.genus, rng) for _ in range(args.trials)]
+
+
+def _divisor_result(inputs: dict, D, tols):
+    """Report of a verb that returns the divisor D: the check is D on the curve."""
+    worst = D.max_curve_residual()
+    body = {"inputs": inputs, "divisor": jsonio.divisor_to_json(D), "max_curve_residual": worst}
+    return (EXIT_OK if worst < tols["on-curve"] else EXIT_CHECK_FAILED), body
+
+
+def _cmd_describe(args, tols):
+    curve = _load_curve(args)
     body = {
         "inputs": {"curve": jsonio.curve_to_json(curve)},
         "genus": curve.genus,
@@ -166,12 +152,11 @@ def _cmd_describe(config, tols):
     return EXIT_OK, body
 
 
-def _cmd_uniformize(config, tols):
-    curve = _load_curve(config)
-    D = jsonio.divisor_from_json(curve, jsonio.load_json(config.input_paths[0]),
-                                 tol=tols["on-curve"])
+def _cmd_uniformize(args, tols):
+    curve = _load_curve(args)
+    D = _load_divisor(curve, args.divisor, tols)
     rec = divisor_to_basis(curve, D)
-    if config.extended and (curve.n, curve.s) == (3, 4):
+    if args.extended and (curve.n, curve.s) == (3, 4):
         rec = extended_34(curve, rec)
     body = {
         "inputs": {"curve": jsonio.curve_to_json(curve), "divisor": jsonio.divisor_to_json(D)},
@@ -180,90 +165,46 @@ def _cmd_uniformize(config, tols):
     return EXIT_OK, body
 
 
-def _cmd_invert_basis(config, tols):
-    curve = _load_curve(config)
-    rec = jsonio.record_from_json(jsonio.load_json(config.input_paths[0]))
-    D = basis_to_divisor(curve, rec)
-    worst = D.max_curve_residual()
-    body = {
-        "inputs": {"curve": jsonio.curve_to_json(curve)},
-        "divisor": jsonio.divisor_to_json(D),
-        "max_curve_residual": worst,
+def _cmd_invert_basis(args, tols):
+    curve = _load_curve(args)
+    D = basis_to_divisor(curve, jsonio.record_from_json(jsonio.load_json(args.basis)))
+    return _divisor_result({"curve": jsonio.curve_to_json(curve)}, D, tols)
+
+
+def _cmd_negate(args, tols):
+    curve = _load_curve(args)
+    D = _load_divisor(curve, args.divisor, tols)
+    inputs = {"curve": jsonio.curve_to_json(curve), "divisor": jsonio.divisor_to_json(D)}
+    return _divisor_result(inputs, divisor_negate(curve, D), tols)
+
+
+def _cmd_add(args, tols):
+    curve = _load_curve(args)
+    D1, D2 = (_load_divisor(curve, path, tols) for path in args.divisors)
+    inputs = {
+        "curve": jsonio.curve_to_json(curve),
+        "divisors": [jsonio.divisor_to_json(D1), jsonio.divisor_to_json(D2)],
     }
-    return (EXIT_OK if worst < tols["on-curve"] else EXIT_CHECK_FAILED), body
+    return _divisor_result(inputs, divisor_add(curve, D1, D2), tols)
 
 
-def _cmd_negate(config, tols):
-    curve = _load_curve(config)
-    D = jsonio.divisor_from_json(curve, jsonio.load_json(config.input_paths[0]),
-                                 tol=tols["on-curve"])
-    N = divisor_negate(curve, D)
-    worst = N.max_curve_residual()
-    body = {
-        "inputs": {"curve": jsonio.curve_to_json(curve), "divisor": jsonio.divisor_to_json(D)},
-        "divisor": jsonio.divisor_to_json(N),
-        "max_curve_residual": worst,
-    }
-    return (EXIT_OK if worst < tols["on-curve"] else EXIT_CHECK_FAILED), body
-
-
-def _cmd_add(config, tols):
-    curve = _load_curve(config)
-    D1 = jsonio.divisor_from_json(curve, jsonio.load_json(config.input_paths[0]),
-                                  tol=tols["on-curve"])
-    D2 = jsonio.divisor_from_json(curve, jsonio.load_json(config.input_paths[1]),
-                                  tol=tols["on-curve"])
-    S = divisor_add(curve, D1, D2)
-    worst = S.max_curve_residual()
-    body = {
-        "inputs": {
-            "curve": jsonio.curve_to_json(curve),
-            "divisors": [jsonio.divisor_to_json(D1), jsonio.divisor_to_json(D2)],
-        },
-        "divisor": jsonio.divisor_to_json(S),
-        "max_curve_residual": worst,
-    }
-    return (EXIT_OK if worst < tols["on-curve"] else EXIT_CHECK_FAILED), body
-
-
-def _identity_residuals(curve, D):
-    rec = divisor_to_basis(curve, D)
-    if (curve.n, curve.s) == (2, 7):
-        return residuals_27(rec, curve)
-    if (curve.n, curve.s) == (3, 4):
-        rec = extended_34(curve, rec)
-        rec.extended.update(four_index_derivatives_34(curve, D))
-        return residuals_34(rec, curve)
-    raise InputError("verify-identities supports the (2,7) and (3,4) curves")
-
-
-def _cmd_verify_identities(config, tols):
-    curve = _load_curve(config)
-    rng = np.random.default_rng(config.seed)
+def _cmd_verify_identities(args, tols):
+    curve = _load_curve(args)
+    divisors = _divisors(args, curve, tols)
     worst: dict = {}
-    if config.input_paths:
-        divisors = [jsonio.divisor_from_json(curve, jsonio.load_json(config.input_paths[0]),
-                                             tol=tols["on-curve"])]
-    else:
-        divisors = [random_divisor(curve, curve.genus, rng) for _ in range(config.trials)]
     for D in divisors:
-        for k, v in _identity_residuals(curve, D).items():
-            worst[k] = max(worst.get(k, 0.0), v)
-    ok = all(
-        v < (tols["identity-extended"] if k.startswith("E") else tols["identity"])
-        for k, v in worst.items()
-    )
+        keep_worst(worst, identity_residuals(curve, D))
     body = {
         "inputs": {"curve": jsonio.curve_to_json(curve)},
         "trials": len(divisors),
         "residuals": worst,
         "tolerances": {"identity": tols["identity"], "identity-extended": tols["identity-extended"]},
     }
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), body
+    return (EXIT_OK if identities_pass(worst, tols) else EXIT_CHECK_FAILED), body
 
 
-def _cmd_periods(config, tols):
-    curve = _load_curve(config)
+def _cmd_periods(args, tols):
+    curve = _load_curve(args)
     pd = period_matrices(curve)
     riemann_characteristic(pd)
     ok = pd.legendre_residual < tols["legendre"]
@@ -274,29 +215,16 @@ def _cmd_periods(config, tols):
     return (EXIT_OK if ok else EXIT_CHECK_FAILED), body
 
 
-def _cmd_theta_bridge(config, tols):
-    curve = _load_curve(config)
+def _cmd_theta_bridge(args, tols):
+    curve = _load_curve(args)
     pd = period_matrices(curve)
     ch = riemann_characteristic(pd)
-    rng = np.random.default_rng(config.seed)
-    if config.input_paths:
-        divisors = [jsonio.divisor_from_json(curve, jsonio.load_json(config.input_paths[0]),
-                                             tol=tols["on-curve"])]
-    else:
-        divisors = [random_divisor(curve, curve.genus, rng) for _ in range(config.trials)]
     rows = []
     worst = 0.0
-    for D in divisors:
-        rec = divisor_to_basis(curve, D)
-        u = abel(curve, D, pd)
-        row = {"u": [[z.real, z.imag] for z in u]}
-        for w in curve.gaps:
-            p_alg, p_theta = rec.p[w], wp_theta(pd, ch, u, (1, w))
-            q_alg, q_theta = rec.q[w], wp_theta(pd, ch, u, (1, 1, w))
-            row[f"p[{w}]"] = abs(p_alg - p_theta) / (1.0 + abs(p_alg))
-            row[f"q[{w}]"] = abs(q_alg - q_theta) / (1.0 + abs(q_alg))
-            worst = max(worst, row[f"p[{w}]"], row[f"q[{w}]"])
-        rows.append(row)
+    for D in _divisors(args, curve, tols):
+        u, errors = bridge_errors(curve, D, pd, ch)
+        rows.append({"u": [[z.real, z.imag] for z in u], **errors})
+        worst = max(worst, *errors.values())
     body = {
         "inputs": {"curve": jsonio.curve_to_json(curve)},
         "legendre_residual": pd.legendre_residual,
@@ -307,38 +235,24 @@ def _cmd_theta_bridge(config, tols):
     return (EXIT_OK if worst < tols["bridge"] else EXIT_CHECK_FAILED), body
 
 
-def _cmd_selftest(config, tols):
+def _cmd_selftest(args, tols):
     report = run_acceptance(
-        seed=config.seed,
-        suites=config.suites or None,
-        tol_overrides=config.tol_overrides,
+        seed=args.seed,
+        suites=args.suites,
+        tol_overrides=tols,
         echo=lambda line: print(line, file=sys.stderr),
     )
-    if not config.with_timings:
+    if not args.with_timings:
         for c in report["criteria"]:
             c.pop("elapsed_s", None)
     return (EXIT_OK if report["ok"] else EXIT_CHECK_FAILED), report
-
-
-_HANDLERS = {
-    "describe": _cmd_describe,
-    "uniformize": _cmd_uniformize,
-    "invert-basis": _cmd_invert_basis,
-    "add": _cmd_add,
-    "negate": _cmd_negate,
-    "verify-identities": _cmd_verify_identities,
-    "periods": _cmd_periods,
-    "theta-bridge": _cmd_theta_bridge,
-    "selftest": _cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        config = config_from_args(args)
-        status, report = run(config)
+        status, report = run(args)
     except (InputError, InvalidCurveError, FileNotFoundError) as exc:
         # domain violations (unsupported family, wrong degrees, bad weights)
         # are input problems, not numerical failures
@@ -348,8 +262,8 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}), file=sys.stderr)
         return EXIT_NUMERIC
     text = json.dumps(report, indent=2, sort_keys=True)
-    if config.output:
-        with open(config.output, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)

@@ -33,6 +33,7 @@ from .errors import (
 from .roots import cluster_roots, newton_polish, poly_roots
 
 PAIR_TOL = 1e-9  # involution-pair detection, relative
+COMMON_ZERO_STEPS = 5  # budget of _polish_common_zero
 MATCH_TOL = 1e-8  # complement's checks, relative
 CLUSTER_TOL = 1e-6  # multiple-root detection, relative to each root
 
@@ -159,25 +160,25 @@ class Divisor:
             worst = max(worst, abs(self.curve.eval_f(p.x, p.y)) / scale)
         return worst
 
-    def involution_groups(self, rel_tol: float = PAIR_TOL) -> list[tuple[int, ...]]:
+    def involution_groups(self) -> list[tuple[int, ...]]:
         """Index tuples forming a full fiber over one x (all n points).
 
         A doubled point plus a second fiber point over the same x is NOT
         a group: the divisor must contain every y of the fiber, each
         matched to a distinct divisor point.  x and y values match within
-        rel_tol of 1 + their own size.
+        PAIR_TOL of 1 + their own size.
         """
         n = self.curve.n
         xs, ys = self.xs(), self.ys()
         groups: list = []
         used: set = set()
         for i, x in enumerate(xs):
-            shared = [j for j in range(i, len(xs)) if j not in used and _near(x, xs[j], rel_tol)]
+            shared = [j for j in range(i, len(xs)) if j not in used and _near(x, xs[j], PAIR_TOL)]
             if i in used or len(shared) < n:
                 continue
             picked: list[int] = []
             for yf in fiber_points(self.curve, [x])[0]:
-                hit = next((j for j in shared if j not in picked and _near(yf, ys[j], rel_tol)), None)
+                hit = next((j for j in shared if j not in picked and _near(yf, ys[j], PAIR_TOL)), None)
                 if hit is None:
                     break
                 picked.append(hit)
@@ -242,14 +243,14 @@ def _near(a: complex, b: complex, rel_tol: float) -> bool:
     return abs(a - b) < rel_tol * (1.0 + abs(a))
 
 
-def _grouped_points(D: Divisor, rel_tol: float = PAIR_TOL):
+def _grouped_points(D: Divisor):
     """Cluster literally repeated points into (point, multiplicity), each
-    coordinate within rel_tol of 1 + its own size."""
+    coordinate within PAIR_TOL of 1 + its own size."""
     out: list[list] = []
     for p in D.points:
         for grp in out:
             q = grp[0]
-            if _near(p.x, q.x, rel_tol) and _near(p.y, q.y, rel_tol):
+            if _near(p.x, q.x, PAIR_TOL) and _near(p.y, q.y, PAIR_TOL):
                 grp[1] += 1
                 break
         else:
@@ -441,8 +442,8 @@ def _polish_multiple_zero(curve: CurveModel, R: PolyFunction, x: complex, y: com
     return x, y
 
 
-def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: complex, steps: int = 5):
-    """At most ``steps`` Newton steps on the joint system (R, f) = 0.
+def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: complex):
+    """At most COMMON_ZERO_STEPS Newton steps on the joint system (R, f) = 0.
 
     The rule is ``roots.newton_polish``'s: the point stops once a step is
     below rounding, |dx| + |dy| <= 4e-16 (1 + |x| + |y|), and a step that
@@ -454,7 +455,7 @@ def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: compl
     by more than half the point's scale.
     """
     before, small = None, False  # (x, y, row weights, residual) ahead of the last step
-    for _ in range(steps):
+    for _ in range(COMMON_ZERO_STEPS):
         r1, r2 = R.eval(x, y), curve.eval_f(x, y)
         if before is not None:
             bx, by, w1, w2, res = before

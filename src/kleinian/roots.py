@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+NEWTON_STEPS = 3  # budget of newton_polish
+
 
 def _strip(coeffs: np.ndarray) -> np.ndarray:
     """Drop negligible leading coefficients (highest degree first)."""
@@ -22,20 +24,18 @@ def _strip(coeffs: np.ndarray) -> np.ndarray:
     return c[first:]
 
 
-def poly_roots(coeffs, polish: bool = True) -> np.ndarray:
-    """Roots of sum coeffs[k] x^(deg-k); coeffs[0] is the leading term."""
+def poly_roots(coeffs) -> np.ndarray:
+    """Newton-polished roots of sum coeffs[k] x^(deg-k); coeffs[0] is the
+    leading term."""
     c = _strip(coeffs)
     if len(c) <= 1:
         return np.zeros(0, dtype=complex)
-    r = np.roots(c)
-    if polish:
-        r = newton_polish(c, r)
-    return r
+    return newton_polish(c, np.roots(c))
 
 
-def newton_polish(coeffs, roots, steps: int = 3) -> np.ndarray:
-    """At most ``steps`` damped Newton steps on the roots of one polynomial
-    or of a stack.
+def newton_polish(coeffs, roots) -> np.ndarray:
+    """At most NEWTON_STEPS damped Newton steps on the roots of one
+    polynomial or of a stack.
 
     A root stops once its step is below rounding, 4e-16 (1 + |r|), and a
     step that raised |p| is undone and the root stops there: at a multiple
@@ -54,7 +54,7 @@ def newton_polish(coeffs, roots, steps: int = 3) -> np.ndarray:
     live = np.ones(r.shape, dtype=bool)  # roots that take the next step
     stepped = live  # roots whose last step this |p| checks
     before, p_before = r, np.full(r.shape, np.inf)
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         p = _horner(c, r)
         ap = np.abs(p)
         raised = stepped & (ap > p_before)

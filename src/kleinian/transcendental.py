@@ -10,11 +10,10 @@ it by sign tracking (_continue_sqrt, which every sampled path in this
 module uses).  The sheet of each edge follows from the last one by going
 round their shared branch point on the left of the chain, so consecutive
 loops meet once and the intersection matrix is the tridiagonal chain
-matrix.  Fixed integer rows of it give canonical cycles (_canonical_rows);
-the orientation that makes Im(tau) positive definite is selected, and
-the Legendre relation is the exit gate certifying the whole construction
-(chain, sheets, quadrature and the associated second-kind numerators
-together).
+matrix.  Fixed integer rows of it give canonical cycles (_canonical_rows),
+Im(tau) positive definite is checked, and the Legendre relation is the
+exit gate certifying the whole construction (chain, sheets, quadrature
+and the associated second-kind numerators together).
 
 The Abel map (base point infinity) starts from the branch points, whose
 images are half-periods: sums of half edge integrals, snapped to the
@@ -77,7 +76,17 @@ def x_polynomial(curve: CurveModel) -> np.ndarray:
 
 
 def branch_points(curve: CurveModel) -> np.ndarray:
-    """The 2g+1 finite branch points, ordered lexicographically by (Re, Im)."""
+    """The 2g+1 finite branch points, ordered lexicographically by (Re, Im).
+
+    Two points closer than 1e-8 (1 + max |e|) raise DegenerateCurveError.
+    The scale is global on purpose.  The points feed only the period
+    chain, and _chain_order requires a clearance of 1e-6 (1 + max |e|).
+    The clearance is at most the least pair distance, since the chain
+    edge that leaves one point of a pair passes the other.  So a pair
+    closer than the global scale could not be chained even where it is
+    distinct at its own scale; this test only names it a collision
+    rather than a cluster.
+    """
     c = x_polynomial(curve)
     r = newton_polish(c, np.roots(c))
     order = np.lexsort((r.imag, r.real))
@@ -326,9 +335,13 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
     """First and second kind period matrices over a canonical homology basis.
 
     The returned data passes the Legendre relation below LEGENDRE_TOL and
-    has symmetric tau with positive definite imaginary part; failure to
-    reach that accuracy raises PrecisionError rather than returning
-    doubtful matrices.
+    has symmetric tau with positive definite imaginary part; a gate that
+    fails (omega singular, tau not symmetric, Im tau not positive definite,
+    Legendre, or the branch images off the half-periods) raises a
+    PrecisionError naming it rather than returning doubtful matrices.  The
+    cycles of _canonical_rows are the only ones tried: swapping a and b
+    flips the sign of their intersection pairing, so the swapped matrices
+    miss the Legendre relation by 4 pi wherever the canonical ones meet it.
     """
     _require_hyperelliptic(curve)
     g = curve.genus
@@ -339,43 +352,38 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
     e = branch_points(curve)
     raw, chain, quadrature = _chain_homology(curve, e)
     a_rows, b_rows = _canonical_rows(g)
-    for ar, br in ((a_rows, b_rows), (b_rows, a_rows)):
-        omega = raw[:g] @ ar.T
-        omega_p = raw[:g] @ br.T
-        eta = raw[g:] @ ar.T
-        eta_p = raw[g:] @ br.T
-        try:
-            tau = np.linalg.solve(omega, omega_p)
-        except np.linalg.LinAlgError:
-            continue
-        if np.max(np.abs(tau - tau.T)) > 1e-8 * (1.0 + np.max(np.abs(tau))):
-            continue
-        tau = 0.5 * (tau + tau.T)
-        if np.min(np.linalg.eigvalsh(tau.imag)) <= 0:
-            continue
-        Omega = np.block([[omega, omega_p], [eta, eta_p]])
-        J = np.block(
-            [[np.zeros((g, g)), -np.eye(g)], [np.eye(g), np.zeros((g, g))]]
-        )
-        resid = float(np.max(np.abs(Omega.T @ J @ Omega - 2j * np.pi * J)))
-        if resid > LEGENDRE_TOL * max(1.0, float(np.max(np.abs(Omega))) ** 2):
-            continue
-        # U[c_k+1] = U[c_k] + half the loop round edge k, and sum_k U[c_k] = 0
-        # (div y = sum_k c_k - (2g+1) inf) with 2 U[c_0] in the lattice
-        S = np.concatenate([np.zeros((g, 1)), np.cumsum(0.5 * raw[:g], axis=1)], axis=1)
-        L = np.hstack([omega, omega_p])
-        twice = 2.0 * _lattice_coords(L, S + np.sum(S, axis=1, keepdims=True))
-        quadrature["snap"] = snap = float(np.max(np.abs(twice - np.round(twice))))
-        if snap > _SNAP_TOL:
-            raise PrecisionError(f"branch images miss the half-periods by {snap:.2e}")
-        pd = PeriodData(
-            curve=curve, omega=omega, omega_prime=omega_p, eta=eta, eta_prime=eta_p, tau=tau,
-            kappa=None, legendre_residual=resid, branch=e, chain=chain,
-            images=L @ (0.5 * (np.round(twice) % 2.0)), quadrature=quadrature,
-        )
-        pd.kappa = eta @ pd.omega_inv
-        return pd
-    raise PrecisionError("no orientation satisfied Legendre + positivity; quadrature suspect")
+    omega, omega_p = raw[:g] @ a_rows.T, raw[:g] @ b_rows.T
+    eta, eta_p = raw[g:] @ a_rows.T, raw[g:] @ b_rows.T
+    try:
+        tau = np.linalg.solve(omega, omega_p)
+    except np.linalg.LinAlgError:
+        raise PrecisionError("omega is singular; quadrature suspect") from None
+    asym = np.max(np.abs(tau - tau.T))
+    if asym > 1e-8 * (1.0 + np.max(np.abs(tau))):
+        raise PrecisionError(f"tau is not symmetric (defect {asym:.2e}); quadrature suspect")
+    tau = 0.5 * (tau + tau.T)
+    if np.min(np.linalg.eigvalsh(tau.imag)) <= 0:
+        raise PrecisionError("Im tau is not positive definite; quadrature suspect")
+    Omega = np.block([[omega, omega_p], [eta, eta_p]])
+    J = np.block([[np.zeros((g, g)), -np.eye(g)], [np.eye(g), np.zeros((g, g))]])
+    resid = float(np.max(np.abs(Omega.T @ J @ Omega - 2j * np.pi * J)))
+    if resid > LEGENDRE_TOL * max(1.0, float(np.max(np.abs(Omega))) ** 2):
+        raise PrecisionError(f"Legendre relation fails by {resid:.2e}; quadrature suspect")
+    # U[c_k+1] = U[c_k] + half the loop round edge k, and sum_k U[c_k] = 0
+    # (div y = sum_k c_k - (2g+1) inf) with 2 U[c_0] in the lattice
+    S = np.concatenate([np.zeros((g, 1)), np.cumsum(0.5 * raw[:g], axis=1)], axis=1)
+    L = np.hstack([omega, omega_p])
+    twice = 2.0 * _lattice_coords(L, S + np.sum(S, axis=1, keepdims=True))
+    quadrature["snap"] = snap = float(np.max(np.abs(twice - np.round(twice))))
+    if snap > _SNAP_TOL:
+        raise PrecisionError(f"branch images miss the half-periods by {snap:.2e}")
+    pd = PeriodData(
+        curve=curve, omega=omega, omega_prime=omega_p, eta=eta, eta_prime=eta_p, tau=tau,
+        kappa=None, legendre_residual=resid, branch=e, chain=chain,
+        images=L @ (0.5 * (np.round(twice) % 2.0)), quadrature=quadrature,
+    )
+    pd.kappa = eta @ pd.omega_inv
+    return pd
 
 
 # -- Riemann constants ---------------------------------------------------------

@@ -162,3 +162,118 @@ def test_malformed_json_is_input_error(capsys, tmp_path, curve34_file, verb, fla
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert json.loads(err)["kind"] == "input"
+
+
+@pytest.fixture
+def curve25_file(tmp_path):
+    path = tmp_path / "c25.json"
+    path.write_text(json.dumps({"n": 2, "s": 5, "lambda": {"4": [0.2, 0.1], "8": [-0.3, 0.2]}}))
+    return str(path)
+
+
+def _divisor_file(tmp_path, curve_file, seed, name="d.json"):
+    curve = curve_from_json(json.load(open(curve_file)))
+    D = random_divisor(curve, curve.genus, np.random.default_rng(seed))
+    path = tmp_path / name
+    path.write_text(json.dumps(divisor_to_json(D)))
+    return str(path)
+
+
+def test_uniformize_extended(capsys, tmp_path, curve34_file):
+    dpath = _divisor_file(tmp_path, curve34_file, 3)
+    code, out, _ = run_cli(capsys, "uniformize", "--curve", curve34_file, "--divisor", dpath)
+    assert code == 0
+    plain = json.loads(out)["record"]
+    code, out, _ = run_cli(capsys, "uniformize", "--curve", curve34_file, "--divisor", dpath,
+                           "--extended")
+    assert code == 0
+    ext = json.loads(out)["record"]
+    assert "extended" not in plain and ext["extended"]
+    assert ext["p"] == plain["p"] and ext["q"] == plain["q"]
+
+
+def test_verify_identities_given_divisor(capsys, tmp_path, curve34_file):
+    dpath = _divisor_file(tmp_path, curve34_file, 3)
+    code, out, _ = run_cli(capsys, "verify-identities", "--curve", curve34_file, "--divisor", dpath)
+    assert code == 0
+    data = json.loads(out)
+    assert data["trials"] == 1
+    assert all(v < 1e-7 for k, v in data["residuals"].items() if not k.startswith("E"))
+
+
+def test_verify_identities_default_trials(capsys, curve34_file):
+    code, out, _ = run_cli(capsys, "verify-identities", "--curve", curve34_file)
+    assert code == 0
+    assert json.loads(out)["trials"] == 5
+
+
+def test_theta_bridge_given_divisor(capsys, tmp_path, curve25_file):
+    dpath = _divisor_file(tmp_path, curve25_file, 4)
+    code, out, _ = run_cli(capsys, "theta-bridge", "--curve", curve25_file, "--divisor", dpath)
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["bridge"]) == 1
+    assert set(data["bridge"][0]) == {"u", "p[1]", "p[3]", "q[1]", "q[3]"}
+    assert data["worst"] < 1e-6
+
+
+def test_theta_bridge_default_trials(capsys, curve25_file):
+    code, out, _ = run_cli(capsys, "theta-bridge", "--curve", curve25_file)
+    assert code == 0
+    assert len(json.loads(out)["bridge"]) == 3
+
+
+def test_selftest_with_timings(capsys):
+    argv = ("selftest", "--suite", "structural")
+    _, plain, _ = run_cli(capsys, *argv)
+    code, timed, _ = run_cli(capsys, *argv, "--with-timings")
+    plain, timed = json.loads(plain), json.loads(timed)
+    assert code == 0
+    assert "elapsed_s" not in plain and "elapsed_s" not in plain["criteria"][0]
+    assert "elapsed_s" in timed and "elapsed_s" in timed["criteria"][0]
+
+
+def test_report_keys_of_every_verb(capsys, tmp_path, curve34_file, curve25_file):
+    d1 = _divisor_file(tmp_path, curve34_file, 5, "d1.json")
+    d2 = _divisor_file(tmp_path, curve34_file, 6, "d2.json")
+    d25 = _divisor_file(tmp_path, curve25_file, 4, "d25.json")
+    _, out, _ = run_cli(capsys, "uniformize", "--curve", curve34_file, "--divisor", d1)
+    bpath = tmp_path / "b.json"
+    bpath.write_text(json.dumps(json.loads(out)["record"]))
+    head = {"command", "seed", "inputs", "elapsed_s"}
+    cases = [
+        (["describe", "--curve", curve34_file],
+         {"genus", "gaps", "family", "wgt_sigma", "monomials"}, {"curve"}),
+        (["uniformize", "--curve", curve34_file, "--divisor", d1], {"record"}, {"curve", "divisor"}),
+        (["invert-basis", "--curve", curve34_file, "--basis", str(bpath)],
+         {"divisor", "max_curve_residual"}, {"curve"}),
+        (["negate", "--curve", curve34_file, "--divisor", d1],
+         {"divisor", "max_curve_residual"}, {"curve", "divisor"}),
+        (["add", "--curve", curve34_file, "--divisors", d1, d2],
+         {"divisor", "max_curve_residual"}, {"curve", "divisors"}),
+        (["verify-identities", "--curve", curve34_file, "--divisor", d1],
+         {"trials", "residuals", "tolerances"}, {"curve"}),
+        (["periods", "--curve", curve25_file], {"periods"}, {"curve"}),
+        (["theta-bridge", "--curve", curve25_file, "--divisor", d25],
+         {"legendre_residual", "bridge", "worst", "tolerance"}, {"curve"}),
+    ]
+    for argv, keys, inputs in cases:
+        code, out, _ = run_cli(capsys, *argv)
+        data = json.loads(out)
+        assert code == 0, argv
+        assert set(data) == head | keys, argv
+        assert set(data["inputs"]) == inputs, argv
+        assert data["command"] == argv[0] and data["seed"] == 0
+    code, out, _ = run_cli(capsys, "selftest", "--suite", "structural")
+    data = json.loads(out)
+    assert code == 0 and set(data) == {"command", "seed", "criteria", "ok"}
+    assert set(data["criteria"][0]) == {"id", "key", "name", "ok", "details"}
+
+
+def test_numerical_failure_exits_3(capsys, tmp_path):
+    # y^2 = x^3: every branch point collides
+    path = tmp_path / "cusp.json"
+    path.write_text(json.dumps({"n": 2, "s": 3, "lambda": {}}))
+    code, out, err = run_cli(capsys, "periods", "--curve", str(path))
+    assert code == 3 and out == ""
+    assert json.loads(err)["kind"] == "DegenerateCurveError"

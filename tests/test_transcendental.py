@@ -56,6 +56,23 @@ def test_branch_points_degenerate():
         branch_points(curve_model(2, 3))  # y^2 = x^3 has a triple root
 
 
+def test_branch_point_collisions_use_the_chain_scale():
+    # a far root and a pair 1e-6 apart: distinct at the pair's own scale,
+    # yet too close for any chain at the global one, so either test refuses it
+    e = np.array([1000.0, -1000.6 - 1e-6, 0.3, 0.3 + 1e-6, 0.0])
+    with pytest.raises(DegenerateCurveError, match="collide at 0.3"):
+        branch_points(_curve_from_branch_points(e))
+    with pytest.raises(PrecisionError, match="too clustered"):
+        _chain_order(np.sort_complex(e.astype(complex)))
+    # with the far root at 10 the same pair clears the collision test, is
+    # resolved, and the chain gate still refuses it
+    e = np.array([10.0, -10.6 - 1e-6, 0.3, 0.3 + 1e-6, 0.0])
+    got = branch_points(_curve_from_branch_points(e))
+    assert np.max(np.abs(got - np.sort_complex(e.astype(complex)))) < 1e-9
+    with pytest.raises(PrecisionError, match="too clustered"):
+        period_matrices(_curve_from_branch_points(e))
+
+
 def test_branch_points_continuity(rng):
     curve = random_curve(2, 5, rng)
     e1 = branch_points(curve)
@@ -531,6 +548,44 @@ def test_branch_images_off_the_half_periods_raise(monkeypatch):
     period_matrices(curve)
     monkeypatch.setattr(transcendental, "_SNAP_TOL", 0.5 * snap)
     with pytest.raises(PrecisionError, match="half-periods"):
+        period_matrices(curve)
+
+
+def _scale_loops(rows, cols, factor):
+    """Edit of the raw loop integrals: rows x cols scaled by factor."""
+    def edit(raw):
+        raw[np.ix_(rows, cols)] *= factor
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, gate",
+    [
+        (_scale_loops([0, 1], [0, 1, 2, 3], 0.0), "omega is singular"),
+        (_scale_loops([0], [3], 1.01), "not symmetric"),
+        (_scale_loops([2, 3], [0, 1, 2, 3], 1.01), "Legendre relation fails"),
+    ],
+)
+def test_each_period_gate_raises_naming_itself(monkeypatch, edit, gate):
+    curve = FIXED_CURVES["g2"]()
+    chain_homology = transcendental._chain_homology
+
+    def edited(curve, e):
+        raw, chain, quadrature = chain_homology(curve, e)
+        edit(raw)
+        return raw, chain, quadrature
+
+    monkeypatch.setattr(transcendental, "_chain_homology", edited)
+    with pytest.raises(PrecisionError, match=gate):
+        period_matrices(curve)
+
+
+def test_swapped_cycles_fail_the_positivity_gate(monkeypatch):
+    # the one orientation period_matrices tries is the one that can pass
+    curve = FIXED_CURVES["g2"]()
+    rows = transcendental._canonical_rows
+    monkeypatch.setattr(transcendental, "_canonical_rows", lambda g: rows(g)[::-1])
+    with pytest.raises(PrecisionError, match="not positive definite"):
         period_matrices(curve)
 
 
