@@ -32,8 +32,8 @@ from .divisors import Divisor, PolyFunction, complement, interpolate, reduce_pol
 from .uniformization import (
     BasisRecord,
     abel_jacobian,
+    basis_flow,
     basis_to_divisor,
-    d_along_u,
     divisor_to_basis,
     extended_34,
 )
@@ -76,7 +76,7 @@ __all__ = [
     "divisor_to_basis",
     "basis_to_divisor",
     "abel_jacobian",
-    "d_along_u",
+    "basis_flow",
     "extended_34",
     "residuals_27",
     "residuals_34",

@@ -58,7 +58,10 @@ def _parse_tol(items) -> dict:
         if "=" not in item:
             raise InputError(f"--tol expects name=value, got {item!r}")
         name, val = item.split("=", 1)
-        out[name] = float(val)
+        try:
+            out[name] = float(val)
+        except ValueError:
+            raise InputError(f"--tol {name} expects a number, got {val!r}") from None
     return out
 
 
@@ -126,6 +129,8 @@ def _load_divisor(curve, path, tols):
 
 def _divisors(args, curve, tols) -> list:
     """The given --divisor, else --trials random divisors drawn from --seed."""
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
     if args.divisor:
         return [_load_divisor(curve, args.divisor, tols)]
     rng = np.random.default_rng(args.seed)

@@ -46,10 +46,6 @@ class IncompleteRecordError(KleinianError):
     """Record lacks extended values required by the requested identity set."""
 
 
-class DerivativeError(KleinianError):
-    """Finite-difference directional derivative failed to converge."""
-
-
 class BranchPointError(KleinianError):
     """A divisor point sits on a branch point where d f / d y vanishes."""
 

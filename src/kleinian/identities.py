@@ -14,9 +14,10 @@ The module covers
   rank-1 quadric system.
 
 Multi-index wp-values that feed these checks come either from the theta
-side (transcendental module) or from jet-flow derivatives of the basis
-functions (uniformization module); helpers for the (2,7) derivative
-route live here.
+side (transcendental module) or from derivatives of the basis functions
+along Jacobian coordinates, read off the jets of
+uniformization.basis_flow; helpers for the (2,7) derivative route and the
+(3,4) four-index and mixed (5,5) derivative checks live here.
 """
 
 from __future__ import annotations
@@ -28,14 +29,7 @@ import numpy as np
 from .curves import HYPERELLIPTIC, CurveModel
 from .divisors import Divisor
 from .errors import IncompleteRecordError, InvalidCurveError
-from .uniformization import (
-    BasisRecord,
-    basis_jets,
-    d_along_u,
-    divisor_to_basis,
-    extended_34,
-    flow_jets,
-)
+from .uniformization import BasisRecord, basis_flow, divisor_to_basis, extended_34
 
 
 def _residual(terms) -> float:
@@ -213,8 +207,7 @@ def four_index_derivatives_34(curve: CurveModel, D: Divisor) -> dict:
     """
     out = {}
     for w, key in ((1, (1, 1, 1, 1)), (2, (1, 1, 1, 2)), (5, (1, 1, 1, 5))):
-        xjs, yjs = flow_jets(curve, D, w, 1)
-        p, q = basis_jets(curve, xjs, yjs)
+        p, q = basis_flow(curve, D, w, 1)
         out[key] = (q[1] + p[2]).derivative_at_zero(1)
     return out
 
@@ -223,19 +216,15 @@ def wp55_mixed_derivative_check_34(curve: CurveModel, D: Divisor) -> float:
     """Consistency of the (5,5) formula: d(wp_55)/du_1 = d(wp_15)/du_5.
 
     Both sides equal wp_{1,5,5}; the left evaluates the rational (5,5)
-    expression along the u_1 flow, the right flows p[5] along u_5.  The
-    (5,5) value itself has no independent single-derivative route, so
-    this mixed equality is the strongest honest check available.
+    expression on the record of jets along the u_1 flow, the right flows
+    p[5] along u_5.  The (5,5) value itself has no independent
+    single-derivative route, so this mixed equality is the strongest
+    honest check available.
     """
-
-    def wp55(div: Divisor):
-        return extended_34(curve, divisor_to_basis(curve, div)).extended[(5, 5)]
-
-    xjs, yjs = flow_jets(curve, D, 5, 1)
-    p, _ = basis_jets(curve, xjs, yjs)
+    p, q = basis_flow(curve, D, 1, 1)
+    lhs = extended_34(curve, BasisRecord(p, q)).extended[(5, 5)].derivative_at_zero(1)
+    p, _ = basis_flow(curve, D, 5, 1)
     rhs = p[5].derivative_at_zero(1)
-
-    lhs = d_along_u(curve, D, 1, wp55)
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
 
 
@@ -395,16 +384,13 @@ def two_index_values_27(curve: CurveModel, D: Divisor) -> dict:
         (1, 1, 5): rec.q[5],
     }
     # single-derivative slots
-    xjs, yjs = flow_jets(curve, D, 3, 1)
-    p, q = basis_jets(curve, xjs, yjs)
+    _, q = basis_flow(curve, D, 3, 1)
     wp1113 = q[1].derivative_at_zero(1)
-    xjs, yjs = flow_jets(curve, D, 5, 1)
-    p, q = basis_jets(curve, xjs, yjs)
+    _, q = basis_flow(curve, D, 5, 1)
     wp1115 = q[1].derivative_at_zero(1)
     wp1135 = q[3].derivative_at_zero(1)
     # third u_1-derivative of q_7 = wp_115 gives wp_111115
-    xjs, yjs = flow_jets(curve, D, 1, 3)
-    p, q = basis_jets(curve, xjs, yjs)
+    _, q = basis_flow(curve, D, 1, 3)
     wp111115 = q[5].derivative_at_zero(3)
     values[(3, 3)] = -0.5 * wp1113 + 3 * p2 * p4 + 3 * p6
     values[(3, 5)] = -0.5 * wp1115 + 3 * p2 * p6

@@ -8,7 +8,7 @@ DEFAULTS = {
     "roundtrip": 1e-8,
     "identity": 1e-7,
     "identity-extended": 1e-5,
-    "ladder": 1e-6,
+    "ladder": 1e-10,
     "negate-pointwise": 1e-10,
     "group-law": 1e-7,
     "explicit-add": 1e-6,

@@ -18,10 +18,10 @@ forward map.  Both polynomials are linear in y on every supported curve,
 so the inverse is one path for every family: the x-roots of their 2x2
 y-resultant, y from whichever of the two depends on y more strongly, an
 on-curve check and one Newton polish on the better-conditioned of the two.
-The module also provides exact directional derivatives along Jacobian
-coordinates (finite differences through the inverse Abel Jacobian, plus a
-jet-based flow for higher order), which downstream identity checks use to
-manufacture multi-index wp-values.
+Derivatives along Jacobian coordinates take one route, basis_flow: the
+basis values as Taylor jets along a u_w coordinate line, exact to
+truncation.  Downstream identity checks read multi-index wp-values off
+these jets, and extended_34 runs on a record of jets as on one of numbers.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import series
-from .curves import CurveModel, CurvePoint, y_split
+from .curves import CurveModel, y_split
 from .divisors import (
     Divisor,
     PolyFunction,
@@ -43,13 +43,14 @@ from .divisors import (
 )
 from .errors import (
     BranchPointError,
-    DerivativeError,
     IncompleteRecordError,
     InconsistentRecordError,
     InvalidCurveError,
     PoleOfRepresentationError,
     SpecialDivisorError,
 )
+
+SPECIAL_COND = 1e8  # abel_jacobian's special-divisor gate; the flow keeps ~8 digits there
 
 
 @dataclass
@@ -181,92 +182,51 @@ def _conditioning(curve: CurveModel, R: PolyFunction, x: complex, y: complex) ->
 
 
 def abel_jacobian(curve: CurveModel, D: Divisor):
-    """Matrix du_i/dx_k = u_i(P_k) / f_y(P_k) and its inverse."""
+    """Matrix du_i/dx_k = u_i(P_k) / f_y(P_k) and its inverse.
+
+    A point where f_y vanishes raises BranchPointError.  M is singular
+    exactly when the monomial matrix u_i(P_k) is; past a row- and
+    column-equilibrated condition number of SPECIAL_COND that matrix marks
+    the divisor as (nearly) special, an involution pair say, and raises
+    SpecialDivisorError.
+    """
     g = curve.genus
     if D.degree != g:
         raise InvalidCurveError(f"need a degree-{g} divisor")
     basis = curve.basis_monomials()
-    M = np.zeros((g, g), dtype=complex)
-    for k, pt in enumerate(D.points):
-        fy = curve.eval_fy(pt.x, pt.y)
-        if abs(fy) < 1e-8 * max(1.0, abs(pt.x), abs(pt.y)) ** (curve.n - 1):
+    U = np.array([[m.eval(pt.x, pt.y) for pt in D.points] for m in basis], dtype=complex)
+    fy = np.array([curve.eval_fy(pt.x, pt.y) for pt in D.points], dtype=complex)
+    for pt, d in zip(D.points, fy):
+        if abs(d) < 1e-8 * max(1.0, abs(pt.x), abs(pt.y)) ** (curve.n - 1):
             raise BranchPointError(f"branch point in divisor at x = {pt.x}")
-        for i, m in enumerate(basis):
-            M[i, k] = m.eval(pt.x, pt.y) / fy
-    try:
-        Minv = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise SpecialDivisorError("Abel Jacobian singular: divisor is special") from exc
-    return M, Minv
+    E = U / np.maximum(np.max(np.abs(U), axis=1, keepdims=True), 1e-300)
+    E /= np.maximum(np.max(np.abs(E), axis=0, keepdims=True), 1e-300)
+    cond = np.linalg.cond(E)
+    if not cond <= SPECIAL_COND:
+        raise SpecialDivisorError(
+            f"Abel Jacobian singular (condition {cond:.1e}): divisor is special"
+        )
+    M = U / fy
+    return M, np.linalg.inv(M)
 
 
-def _shift_point(curve: CurveModel, pt: CurvePoint, dx: complex) -> CurvePoint:
-    """Move a point along its branch: x -> x + dx, y by Newton continuation."""
-    x = pt.x + dx
-    y = pt.y
-    for _ in range(40):
-        step = curve.eval_f(x, y) / curve.eval_fy(x, y)
-        y = y - step
-        if abs(step) < 1e-15 * (1.0 + abs(y)):
-            break
-    return CurvePoint(x, y)
+def basis_flow(curve: CurveModel, D: Divisor, w_dir: int, order: int):
+    """Basis wp-values as Taylor jets along the u_w coordinate line through D.
 
-
-def _perturbed(curve: CurveModel, D: Divisor, k: int, dx: complex) -> Divisor:
-    pts = list(D.points)
-    pts[k] = _shift_point(curve, pts[k], dx)
-    return Divisor(curve, pts, validate=False)
-
-
-def d_along_u(curve: CurveModel, D: Divisor, w_dir: int, F, h: float = 1e-5, tol: float = 1e-4):
-    """Directional derivative dF/du_w at D of a divisor functional F.
-
-    Central differences in each point coordinate (y following the branch)
-    are chained through the inverse Abel Jacobian; a two-level Richardson
-    step both improves the value and estimates the error.
+    Returns (p, q), dicts of Jets keyed by gap weight: the jet's k-th
+    derivative at 0 is d^k/du_w^k of p[w] or q[w].  The divisor flows by
+    dx_k/dt = (M^-1 e_w)_k, solved order by order, and the values follow
+    divisor_to_basis on the flowed points; exact to truncation, so high
+    derivatives come out at close to machine precision.  abel_jacobian's
+    checks guard the flow (BranchPointError, SpecialDivisorError).
     """
     if w_dir not in curve.gaps:
         raise InvalidCurveError(f"{w_dir} is not a gap weight of the curve")
-    j = curve.gaps.index(w_dir)
-    _, Minv = abel_jacobian(curve, D)
-
-    def dF_dx(k: int, step: float) -> complex:
-        hp = step * (1.0 + abs(D.points[k].x))
-        plus = F(_perturbed(curve, D, k, hp))
-        minus = F(_perturbed(curve, D, k, -hp))
-        return (plus - minus) / (2.0 * hp)
-
-    total = 0.0 + 0j
-    worst = 0.0
-    for k in range(D.degree):
-        d1 = dF_dx(k, h)
-        d2 = dF_dx(k, h / 2.0)
-        rich = (4.0 * d2 - d1) / 3.0
-        worst = max(worst, abs(d2 - d1) / (1.0 + abs(rich)))
-        total += rich * Minv[k, j]
-    if worst > tol:
-        raise DerivativeError(f"finite differences did not settle: {worst:.2e}")
-    return total
-
-
-# -- jet flow: high-order derivatives along one coordinate --------------------
-
-
-def flow_jets(curve: CurveModel, D: Divisor, w_dir: int, order: int):
-    """Taylor jets of the divisor flowed along the u_w coordinate line.
-
-    Solves dx_k/dt = (M^-1 e_dir)_k order by order; exact to truncation,
-    so high derivatives of divisor functionals come out at close to
-    machine precision (unlike nested finite differences).
-    """
+    abel_jacobian(curve, D)
     g = curve.genus
-    if D.degree != g:
-        raise InvalidCurveError(f"need a degree-{g} divisor")
     jdir = curve.gaps.index(w_dir)
-    basis = curve.basis_monomials()
-    xjs = [series.var(p.x, order) for p in D.points]
-    for k in range(g):
-        xjs[k].c[1] = 0.0  # slope comes from the flow itself
+    basis, m_lo, m_hi = solution_monomials(curve)
+    xjs = [series.const(p.x, order) for p in D.points]  # the flow fills the slopes
     rhs = [series.const(1.0 if i == jdir else 0.0, order) for i in range(g)]
     for m in range(order):
         yjs = [y_jet(curve, xjs[k], D.points[k].y) for k in range(g)]
@@ -278,29 +238,12 @@ def flow_jets(curve: CurveModel, D: Divisor, w_dir: int, order: int):
         for k in range(g):
             xjs[k].c[m + 1] = v[k].c[m] / (m + 1)
     yjs = [y_jet(curve, xjs[k], D.points[k].y) for k in range(g)]
-    return xjs, yjs
-
-
-def basis_jets(curve: CurveModel, xjs, yjs):
-    """Basis wp-values as jets along a flow; mirrors divisor_to_basis."""
-    g = curve.genus
-    basis, m_lo, m_hi = solution_monomials(curve)
     A = [[basis[i].eval(xjs[k], yjs[k]) for i in range(g)] for k in range(g)]
-    lo = [-m_lo.eval(xjs[k], yjs[k]) for k in range(g)]
-    hi = [-2.0 * m_hi.eval(xjs[k], yjs[k]) for k in range(g)]
-    c = series.solve_linear([row[:] for row in A], lo)
-    d = series.solve_linear([row[:] for row in A], hi)
+    c = series.solve_linear(A, [-m_lo.eval(xjs[k], yjs[k]) for k in range(g)])
+    d = series.solve_linear(A, [-2.0 * m_hi.eval(xjs[k], yjs[k]) for k in range(g)])
     p = {w: -c[i] for i, w in enumerate(curve.gaps)}
     q = {w: d[i] for i, w in enumerate(curve.gaps)}
     return p, q
-
-
-def basis_flow_derivative(curve: CurveModel, D: Divisor, w_dir: int, kind: str, w: int, k: int = 1):
-    """d^k/du_dir^k of p[w] or q[w] at D via the jet flow."""
-    xjs, yjs = flow_jets(curve, D, w_dir, k)
-    p, q = basis_jets(curve, xjs, yjs)
-    jet = p[w] if kind == "p" else q[w]
-    return jet.derivative_at_zero(k)
 
 
 # -- the (3,4) extension -------------------------------------------------------
@@ -312,14 +255,15 @@ def extended_34(curve: CurveModel, rec: BasisRecord) -> BasisRecord:
     Populates the even values (2,2), (2,5), (5,5), the 3-index values
     (1,1,1), (1,1,2), (1,1,5) implied by the q-definitions, and the
     4-index values (1,1,1,1), (1,1,1,2), (1,1,1,5).  Requires p[1] != 0
-    (the rational formulas carry 1/p[1] poles).
+    (the rational formulas carry 1/p[1] poles).  The values may be numbers
+    or the Jets of basis_flow; a Jet's pole test reads its value at t = 0.
     """
     if (curve.n, curve.s) != (3, 4):
         raise InvalidCurveError("extension formulas are specific to the (3,4)-curve")
     lam = curve.lam_get
     p2, p3, p6 = rec.p[1], rec.p[2], rec.p[5]
     q3, q4, q7 = rec.q[1], rec.q[2], rec.q[5]
-    if abs(p2) < 1e-8:
+    if abs(p2.val if isinstance(p2, series.Jet) else p2) < 1e-8:
         raise PoleOfRepresentationError("p[1] vanishes: rational extension has a pole here")
     l2, l5, l6, l8, l9, l12 = (lam(2), lam(5), lam(6), lam(8), lam(9), lam(12))
     aux = 0.25 * q3 * (q3 + 2.0 * p3) - p6

@@ -277,3 +277,17 @@ def test_numerical_failure_exits_3(capsys, tmp_path):
     code, out, err = run_cli(capsys, "periods", "--curve", str(path))
     assert code == 3 and out == ""
     assert json.loads(err)["kind"] == "DegenerateCurveError"
+
+
+def test_non_numeric_tolerance_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "selftest", "--suite", "structural", "--tol", "identity=abc")
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "input"
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_trials_below_one_is_input_error(capsys, curve34_file, curve25_file, trials):
+    for verb, curve in (("verify-identities", curve34_file), ("theta-bridge", curve25_file)):
+        code, out, err = run_cli(capsys, verb, "--curve", curve, "--trials", trials)
+        assert code == 2 and out == "", verb
+        assert json.loads(err)["kind"] == "input"

@@ -12,17 +12,19 @@ from kleinian.divisors import (
     multiset_distance,
 )
 from kleinian.errors import (
+    BranchPointError,
     InconsistentRecordError,
     InvalidCurveError,
     PoleOfRepresentationError,
+    SpecialDivisorError,
 )
 from kleinian.sampling import random_curve, random_divisor
+from kleinian.transcendental import branch_points
 from kleinian.uniformization import (
     BasisRecord,
     abel_jacobian,
-    basis_flow_derivative,
+    basis_flow,
     basis_to_divisor,
-    d_along_u,
     divisor_to_basis,
     extended_34,
     solution_polynomials,
@@ -200,32 +202,31 @@ def test_abel_jacobian_degenerates_toward_involution(rng):
     p = D.points[0]
     dets = []
     for eps in (0.1, 0.01, 0.001):
-        from kleinian.uniformization import _shift_point
-
-        q = _shift_point(curve, p, eps)
-        close = Divisor(curve, [(q.x, -q.y), p], validate=False)
+        # the point over p.x + eps on p's branch
+        ys = fiber_points(curve, [p.x + eps])[0]
+        y = ys[np.argmin(np.abs(ys - p.y))]
+        close = Divisor(curve, [(p.x + eps, -y), p], validate=False)
         M, _ = abel_jacobian(curve, close)
         dets.append(abs(np.linalg.det(M)))
     assert dets[2] < dets[1] < dets[0]
 
 
-def test_d_along_u_symmetry(rng):
+def test_basis_flow_symmetry(rng):
     # d wp_{1,wi} / du_wj is symmetric in (wi, wj): both are wp_{1,wi,wj}
     curve = random_curve(2, 5, rng)
     D = random_divisor(curve, 2, rng)
-    d13 = d_along_u(curve, D, 3, lambda dd: divisor_to_basis(curve, dd).p[1])
-    d31 = d_along_u(curve, D, 1, lambda dd: divisor_to_basis(curve, dd).p[3])
-    assert abs(d13 - d31) < 1e-5 * (1 + abs(d13))
+    d13 = basis_flow(curve, D, 3, 1)[0][1].derivative_at_zero(1)
+    d31 = basis_flow(curve, D, 1, 1)[0][3].derivative_at_zero(1)
+    assert abs(d13 - d31) < 1e-10 * (1 + abs(d13))
 
 
-def test_ladder_fd_and_jets(rng):
+def test_ladder_jets(rng):
     curve = random_curve(2, 7, rng)
     D = random_divisor(curve, 3, rng)
     rec = divisor_to_basis(curve, D)
+    p, _ = basis_flow(curve, D, 1, 1)
     for w in curve.gaps:
-        fd = d_along_u(curve, D, 1, lambda dd, w=w: divisor_to_basis(curve, dd).p[w])
-        jet = basis_flow_derivative(curve, D, 1, "p", w, 1)
-        assert abs(fd - rec.q[w]) < 1e-6 * (1 + abs(rec.q[w]))
+        jet = p[w].derivative_at_zero(1)
         assert abs(jet - rec.q[w]) < 1e-10 * (1 + abs(rec.q[w]))
 
 
@@ -233,8 +234,30 @@ def test_34_q3_via_derivative(rng):
     curve = random_curve(3, 4, rng)
     D = random_divisor(curve, 3, rng)
     rec = divisor_to_basis(curve, D)
-    wp111 = basis_flow_derivative(curve, D, 1, "p", 1, 1)
+    wp111 = basis_flow(curve, D, 1, 1)[0][1].derivative_at_zero(1)
     assert abs(rec.q[1] - (wp111 - rec.p[2])) < 1e-10
+
+
+@pytest.mark.parametrize("ns", [(2, 5), (2, 7)], ids=["2-5", "2-7"])
+def test_basis_flow_rejects_a_branch_point(rng, ns):
+    curve = random_curve(*ns, rng)
+    D = random_divisor(curve, curve.genus, rng)
+    e = branch_points(curve)[0]
+    bad = Divisor(curve, [(e, 0.0), *D.points[1:]], validate=False)
+    with pytest.raises(BranchPointError):
+        basis_flow(curve, bad, 1, 1)
+
+
+@pytest.mark.parametrize("ns", FAMILIES, ids=FAMILY_IDS)
+def test_basis_flow_rejects_a_special_divisor(rng, ns):
+    # hyperelliptic: an involution pair; (3,4): the full fiber over one x
+    curve = random_curve(*ns, rng)
+    D = random_divisor(curve, curve.genus, rng)
+    x = D.points[0].x
+    ys = fiber_points(curve, [x])[0][: curve.genus if curve.n == 3 else 2]
+    bad = Divisor(curve, [*((x, y) for y in ys), *D.points[len(ys):]], validate=False)
+    with pytest.raises(SpecialDivisorError):
+        basis_flow(curve, bad, 1, 1)
 
 
 def test_extended_34_pham(rng):
@@ -251,11 +274,9 @@ def test_extended_34_derivative_crosscheck(rng):
     curve = random_curve(3, 4, rng)
     D = random_divisor(curve, 3, rng)
     rec = extended_34(curve, divisor_to_basis(curve, D))
-    d1 = d_along_u(
-        curve, D, 1,
-        lambda dd: divisor_to_basis(curve, dd).q[1] + divisor_to_basis(curve, dd).p[2],
-    )
-    assert abs(rec.extended[(1, 1, 1, 1)] - d1) < 1e-5 * (1 + abs(d1))
+    p, q = basis_flow(curve, D, 1, 1)
+    d1 = (q[1] + p[2]).derivative_at_zero(1)
+    assert abs(rec.extended[(1, 1, 1, 1)] - d1) < 1e-10 * (1 + abs(d1))
 
 
 def test_extended_34_pole(rng):
