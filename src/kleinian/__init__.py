@@ -25,7 +25,6 @@ from .curves import (
     Monomial,
     curve_model,
     gap_sequence,
-    hyperelliptic_curve,
     infinity_series,
 )
 from .divisors import Divisor, PolyFunction, complement, interpolate, reduce_poly, zero_divisor
@@ -64,7 +63,6 @@ __all__ = [
     "Monomial",
     "curve_model",
     "gap_sequence",
-    "hyperelliptic_curve",
     "infinity_series",
     "Divisor",
     "PolyFunction",

@@ -24,8 +24,8 @@ from .identities import (
     build_H,
     cubic_residual,
     cubic_scale,
+    derivative_values_34,
     explicit_PL_27,
-    four_index_derivatives_34,
     h_rank_profile,
     kummer_residuals,
     residuals_27,
@@ -70,11 +70,11 @@ def structural_fixtures(rng, tols):
     return bool(ok), details
 
 
-def uniformization_roundtrip(rng, tols, trials: int = 100):
+def uniformization_roundtrip(rng, tols):
     """basis_to_divisor after divisor_to_basis returns the divisor."""
     worst = 0.0
     for n, s in ((2, 5), (2, 7), (3, 4)):
-        for _ in range(trials):
+        for _ in range(100):
             curve = random_curve(n, s, rng)
             D = random_divisor(curve, curve.genus, rng)
             rec = divisor_to_basis(curve, D)
@@ -85,13 +85,13 @@ def uniformization_roundtrip(rng, tols, trials: int = 100):
 
 def identity_residuals(curve, D) -> dict:
     """Model residuals of D's record on a (2,7) or (3,4) curve; a (3,4)
-    record is extended, four-index derivatives included."""
+    record is extended, its jet-flow derivative values included."""
     rec = divisor_to_basis(curve, D)
     if (curve.n, curve.s) == (2, 7):
         return residuals_27(rec, curve)
     if (curve.n, curve.s) == (3, 4):
         rec = extended_34(curve, rec)
-        rec.extended.update(four_index_derivatives_34(curve, D))
+        rec.extended.update(derivative_values_34(curve, D))
         return residuals_34(rec, curve)
     raise InputError("verify-identities supports the (2,7) and (3,4) curves")
 
@@ -110,21 +110,22 @@ def identities_pass(worst: dict, tols) -> bool:
     )
 
 
-def jacobian_model_residuals(rng, tols, trials: int = 100, deriv_trials: int = 30):
-    """All model identities vanish on records from random divisors."""
+def jacobian_model_residuals(rng, tols):
+    """All model identities vanish on records from random divisors: 100 per
+    family, the first 30 (3,4) ones with jet-flow derivative values."""
     worst27: dict = {}
     worst34: dict = {}
-    for _ in range(trials):
+    for _ in range(100):
         curve = random_curve(2, 7, rng)
         keep_worst(worst27, identity_residuals(curve, random_divisor(curve, 3, rng)))
-    for t in range(trials):
+    for t in range(100):
         curve = random_curve(3, 4, rng)
         D = random_divisor(curve, 3, rng)
-        if t < deriv_trials:
+        if t < 30:
             keep_worst(worst34, identity_residuals(curve, D))
-        else:  # the extended record without four-index derivatives
+        else:  # the extended record without derivative values
             keep_worst(worst34, residuals_34(extended_34(curve, divisor_to_basis(curve, D)), curve))
-    for t in range(max(5, deriv_trials // 3)):
+    for t in range(10):
         curve = random_curve(3, 4, rng)
         D = random_divisor(curve, 3, rng)
         keep_worst(worst34, {"E55-mixed": wp55_mixed_derivative_check_34(curve, D)})
@@ -134,10 +135,10 @@ def jacobian_model_residuals(rng, tols, trials: int = 100, deriv_trials: int = 3
     return ok, {"worst": worst}
 
 
-def derivative_ladder(rng, tols, trials: int = 50):
+def derivative_ladder(rng, tols):
     """Hyperelliptic q[w] equals d p[w] / du_1, read off one u_1 jet flow per divisor."""
     worst = 0.0
-    for t in range(trials):
+    for t in range(50):
         n, s = (2, 5) if t % 2 == 0 else (2, 7)
         curve = random_curve(n, s, rng)
         D = random_divisor(curve, curve.genus, rng)
@@ -149,17 +150,17 @@ def derivative_ladder(rng, tols, trials: int = 50):
     return worst < tols["ladder"], {"worst": worst, "tol": tols["ladder"]}
 
 
-def group_law(rng, tols, trials: int = 50):
+def group_law(rng, tols):
     """Negation, associativity, the inverse axiom, and the explicit path."""
     worst_neg = 0.0
-    for t in range(trials // 2):
+    for t in range(25):
         n, s = ((2, 3), (2, 5), (2, 7))[t % 3]
         curve = random_curve(n, s, rng)
         D = random_divisor(curve, curve.genus, rng)
         ref = Divisor(curve, [(p.x, -p.y) for p in D], validate=False)
         worst_neg = max(worst_neg, multiset_distance(negate(curve, D), ref))
     worst_assoc = worst_inv = 0.0
-    for t in range(2 * trials):  # >= 50 triples per family
+    for t in range(100):  # >= 50 triples per family
         n, s = (2, 5) if t % 2 == 0 else (3, 4)
         curve = random_curve(n, s, rng)
         D1, D2, D3 = (random_divisor(curve, curve.genus, rng) for _ in range(3))
@@ -172,7 +173,7 @@ def group_law(rng, tols, trials: int = 50):
         except KleinianError:
             continue  # degenerate random configuration; the law is untested there
     worst_explicit = 0.0
-    for _ in range(trials):
+    for _ in range(50):
         curve = random_curve(2, 7, rng)
         D1, D2 = random_divisor(curve, 3, rng), random_divisor(curve, 3, rng)
         rec_hat, _ = add27_explicit(
@@ -200,14 +201,12 @@ def group_law(rng, tols, trials: int = 50):
     }
 
 
-def legendre_relation(rng, tols, trials: int = 20):
-    """Period matrices satisfy Legendre; tau symmetric with Im > 0.
-
-    ``trials`` counts curves per genus (genus 1 and genus 2 each).
-    """
+def legendre_relation(rng, tols):
+    """Period matrices satisfy Legendre; tau symmetric with Im > 0, on 20
+    curves of genus 1 and 20 of genus 2."""
     worst_leg = worst_sym = 0.0
     min_eig = np.inf
-    for t in range(2 * trials):
+    for t in range(40):
         genus = 1 if t % 2 == 0 else 2
         curve = random_curve(2, 2 * genus + 1, rng)
         pd = period_matrices(curve)
@@ -226,10 +225,10 @@ def lemniscatic_constant(rng, tols):
     return err < tols["lemniscatic"], {"tau": complex(pd.tau[0, 0]), "error": err}
 
 
-def genus1_cubic_from_theta(rng, tols, trials: int = 5):
+def genus1_cubic_from_theta(rng, tols):
     """The Weierstrass cubic holds for wp computed purely from theta."""
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(5):
         curve = random_curve(2, 3, rng)
         pd = period_matrices(curve)
         ch = riemann_characteristic(pd)
@@ -255,19 +254,19 @@ def bridge_errors(curve, D, pd, ch):
     return u, errors
 
 
-def theta_bridge(rng, tols, trials: int = 20):
-    """wp from theta equals wp from divisor algebra (genus 2)."""
+def theta_bridge(rng, tols):
+    """wp from theta equals wp from divisor algebra (genus 2): 4 divisors on
+    each of 5 curves, a fresh one for each that falls near Sigma, at most
+    16 draws per curve."""
     worst = 0.0
     done = 0
-    curves = max(1, trials // 4)
-    per_curve = -(-trials // curves)
-    for _ in range(curves):
+    for _ in range(5):
         curve = random_curve(2, 5, rng)
         pd = period_matrices(curve)
         ch = riemann_characteristic(pd)
         completed = 0
         attempts = 0
-        while completed < per_curve and attempts < 4 * per_curve:
+        while completed < 4 and attempts < 16:
             attempts += 1
             try:
                 _, errors = bridge_errors(curve, random_divisor(curve, 2, rng), pd, ch)
@@ -276,14 +275,14 @@ def theta_bridge(rng, tols, trials: int = 20):
             worst = max(worst, *errors.values())
             completed += 1
         done += completed
-    return worst < tols["bridge"] and done >= trials, {"worst": worst, "trials": done}
+    return worst < tols["bridge"] and done >= 20, {"worst": worst, "trials": done}
 
 
-def matrix_machinery(rng, tols, trials: int = 6):
+def matrix_machinery(rng, tols):
     """Cubic form, rank(H) = 3, and the Kummer quadrics, both input routes."""
     worst_cubic = worst_rank = worst_kummer = worst_minor = 0.0
     fixture_defect = 0.0
-    for _ in range(trials):
+    for _ in range(6):
         curve = random_curve(2, 5, rng)
         pd = period_matrices(curve)
         ch = riemann_characteristic(pd)
@@ -297,7 +296,7 @@ def matrix_machinery(rng, tols, trials: int = 6):
         worst_cubic, worst_rank, worst_kummer, worst_minor = _bundle_checks(
             curve, vals, worst_cubic, worst_rank, worst_kummer, worst_minor
         )
-    for _ in range(trials):
+    for _ in range(6):
         curve = random_curve(2, 7, rng)
         D = random_divisor(curve, 3, rng)
         vals = two_index_values_27(curve, D)
@@ -339,10 +338,10 @@ def _bundle_checks(curve, vals, wc, wr, wk, wm):
     return wc, wr, wk, wm
 
 
-def homogeneity(rng, tols, trials: int = 12):
+def homogeneity(rng, tols):
     """Sato-weight covariance of basis values under parameter scaling."""
     worst = 0.0
-    for t in range(trials):
+    for t in range(12):
         n, s = ((2, 5), (2, 7), (3, 4))[t % 3]
         curve = random_curve(n, s, rng)
         D = random_divisor(curve, curve.genus, rng)

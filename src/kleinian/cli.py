@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -62,6 +63,8 @@ def _parse_tol(items) -> dict:
             out[name] = float(val)
         except ValueError:
             raise InputError(f"--tol {name} expects a number, got {val!r}") from None
+        if not 0.0 < out[name] < math.inf:
+            raise InputError(f"--tol {name} must be finite and positive, got {val!r}")
     return out
 
 
@@ -107,10 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args) -> tuple[int, dict]:
     """Execute one parsed verb; returns (exit_status, JSON report)."""
-    try:
-        tols = resolve(_parse_tol(args.tol))
-    except KeyError as exc:
-        raise InputError(str(exc)) from exc
+    tols = resolve(_parse_tol(args.tol))
     t0 = time.time()
     status, body = args.handler(args, tols)
     report = {"command": args.command, "seed": args.seed, **body}

@@ -345,6 +345,3 @@ def infinity_series(curve: CurveModel, order: int) -> InfinitySeries:
 def curve_model(n: int, s: int, lam: Optional[dict] = None) -> CurveModel:
     return CurveModel(n, s, dict(lam or {}))
 
-
-def hyperelliptic_curve(genus: int, lam: Optional[dict] = None) -> CurveModel:
-    return curve_model(2, 2 * genus + 1, lam)

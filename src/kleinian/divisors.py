@@ -6,7 +6,8 @@ the curve equation.  The workhorses are
 
 * :func:`interpolate` -- the unique monic polynomial function of weight w
   through a positive divisor of degree w - g (repeated points contribute
-  derivative conditions along the branch y(x));
+  derivative conditions along the branch y(x)); its solve,
+  :func:`interpolate_in_basis`, also solves the Jacobi inversion system;
 * :func:`complement` -- the zeros of such a function beyond the divisor:
   its y-resultant with the curve equation divided exactly by the divisor's
   x-polynomial, the step the group law repeats; and
@@ -216,11 +217,14 @@ def branch_jet(curve: CurveModel, x0: complex, y0: complex, order: int) -> serie
 
     Requires d f/d y != 0 at the point; branch points are rejected.
     """
-    fy = curve.eval_fy(x0, y0)
-    scale = max(1.0, abs(x0), abs(y0)) ** (curve.n - 1)
-    if abs(fy) < 1e-8 * scale:
-        raise BranchPointError(f"branch point at x = {x0}: df/dy ~ {abs(fy):.2e}")
+    if _at_branch_point(curve, x0, y0):
+        raise BranchPointError(f"branch point at x = {x0}")
     return y_jet(curve, series.var(x0, order), y0)
+
+
+def _at_branch_point(curve: CurveModel, x: complex, y: complex) -> bool:
+    """|f_y| below 1e-8 max(1, |x|, |y|)^(n-1): (x, y) is a branch point of x."""
+    return abs(curve.eval_fy(x, y)) < 1e-8 * max(1.0, abs(x), abs(y)) ** (curve.n - 1)
 
 
 def y_jet(curve: CurveModel, xj: series.Jet, y0: complex) -> series.Jet:
@@ -258,20 +262,16 @@ def _grouped_points(D: Divisor):
     return [(p, m) for p, m in out]
 
 
-def _solve_equilibrated(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row/column-scaled solve; divisors with far-out points span many
-    orders of magnitude across monomial columns, which plain partial
-    pivoting handles poorly."""
-    if b.ndim == 1:
-        return _solve_equilibrated(A, b[:, None])[:, 0]
+def _solve_equilibrated(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row/column-scaled solve of A X = B for the columns of B; divisors with
+    far-out points span many orders of magnitude across monomial columns,
+    which plain partial pivoting handles poorly."""
     r = np.max(np.abs(A), axis=1)
     r[r == 0] = 1.0
-    Ar = A / r[:, None]
-    br = b / r[:, None]
+    Ar, br = A / r[:, None], B / r[:, None]
     c = np.max(np.abs(Ar), axis=0)
     c[c == 0] = 1.0
-    x = np.linalg.solve(Ar / c[None, :], br)
-    return x / c[:, None]
+    return np.linalg.solve(Ar / c[None, :], br) / c[:, None]
 
 
 def interpolation_rows(curve: CurveModel, monomials, D: Divisor) -> np.ndarray:
@@ -289,35 +289,30 @@ def interpolation_rows(curve: CurveModel, monomials, D: Divisor) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def interpolate_in_basis(
-    curve: CurveModel,
-    basis: list[Monomial],
-    lead: Monomial,
-    lead_coeff: complex,
-    D: Divisor,
-) -> tuple[np.ndarray, PolyFunction]:
-    """Solve for R = lead_coeff*lead + sum c_k basis_k vanishing on D."""
+def interpolate_in_basis(curve: CurveModel, basis: list[Monomial], leads, D: Divisor) -> np.ndarray:
+    """Coefficients C: column i holds the c_k of R_i = coeff_i lead_i +
+    sum_k c_k basis_k vanishing on D, for ``leads`` = [(lead_i, coeff_i)].
+
+    One equilibrated solve covers every column.  A singular system, or an
+    entry of A C - B above 1e-6 max(1, |A| |C| + |B|) (the system was
+    effectively singular), raises SpecialDivisorError.
+    """
     if len(basis) != D.degree:
         raise InvalidCurveError(
             f"need a degree {len(basis)} divisor for this interpolation, got {D.degree}"
         )
     A = interpolation_rows(curve, basis, D)
-    b = -lead_coeff * interpolation_rows(curve, [lead], D)[:, 0]
+    B = -(interpolation_rows(curve, [m for m, _ in leads], D) * [c for _, c in leads])
     try:
-        c = _solve_equilibrated(A, b)
+        C = _solve_equilibrated(A, B)
     except np.linalg.LinAlgError as exc:
         raise SpecialDivisorError(f"singular interpolation system: {exc}") from exc
-    table = {(lead.i, lead.j): complex(lead_coeff)}
-    for m, ck in zip(basis, c):
-        table[(m.i, m.j)] = table.get((m.i, m.j), 0) + ck
-    R = PolyFunction(curve, table)
-    # residual gate: a large defect means the system was effectively singular
-    worst = 0.0
-    for p in D.points:
-        worst = max(worst, abs(R.eval(p.x, p.y)) / max(1.0, R.term_scale(p.x, p.y)))
-    if worst > 1e-6:
-        raise SpecialDivisorError(f"interpolation defect {worst:.2e}: divisor is special")
-    return c, R
+    defect = np.abs(A @ C - B)
+    if np.any(defect > 1e-6 * np.maximum(1.0, np.abs(A) @ np.abs(C) + np.abs(B))):
+        raise SpecialDivisorError(
+            f"interpolation defect {np.max(defect):.2e}: divisor is (nearly) special"
+        )
+    return C
 
 
 def interpolate(curve: CurveModel, w: int, D: Divisor) -> PolyFunction:
@@ -326,10 +321,14 @@ def interpolate(curve: CurveModel, w: int, D: Divisor) -> PolyFunction:
     if w < 2 * g:
         raise InvalidCurveError(f"weight {w} below 2g = {2 * g}")
     mons = curve.monomials_up_to(w)
-    if mons[-1].weight != w:
+    lead = mons[-1]
+    if lead.weight != w:
         raise InvalidCurveError(f"no monomial of weight {w}")
-    _, R = interpolate_in_basis(curve, mons[:-1], mons[-1], 1.0, D)
-    return R
+    C = interpolate_in_basis(curve, mons[:-1], [(lead, 1.0)], D)
+    table = {(lead.i, lead.j): 1.0 + 0j}
+    for m, ck in zip(mons[:-1], C[:, 0]):
+        table[(m.i, m.j)] = table.get((m.i, m.j), 0) + ck
+    return PolyFunction(curve, table)
 
 
 # -- zero divisors via resultants --------------------------------------------

@@ -17,7 +17,7 @@ Multi-index wp-values that feed these checks come either from the theta
 side (transcendental module) or from derivatives of the basis functions
 along Jacobian coordinates, read off the jets of
 uniformization.basis_flow; helpers for the (2,7) derivative route and the
-(3,4) four-index and mixed (5,5) derivative checks live here.
+(3,4) derivative values and mixed (5,5) check live here.
 """
 
 from __future__ import annotations
@@ -105,7 +105,10 @@ def residuals_34(rec: BasisRecord, curve: CurveModel) -> dict:
     Needs the extended values (2,2), (2,5) and the implied 3-index
     combinations on the record; when 4-index values are present as well
     the quadric list E1111/E1112/E1115 is also evaluated, comparing them
-    against their basis-polynomial right-hand sides.
+    against their basis-polynomial right-hand sides.  On extended_34's
+    output alone G6, G7 and E1111/E1112/E1115 vanish by construction
+    (it solves G6 and G7 for (2,2) and (2,5) and evaluates the E formulas),
+    so they check something only on values from derivative_values_34.
     """
     L = curve.lam_get
     for key in _EXT_34_REQUIRED:
@@ -199,16 +202,21 @@ def residuals_34(rec: BasisRecord, curve: CurveModel) -> dict:
     return out
 
 
-def four_index_derivatives_34(curve: CurveModel, D: Divisor) -> dict:
-    """Derivative-computed 4-index values for a (3,4) divisor.
+def derivative_values_34(curve: CurveModel, D: Divisor) -> dict:
+    """Derivative-computed 2-, 3- and 4-index values for a (3,4) divisor.
 
-    wp_{1,1,1,w} is d/du_w of wp_{1,1,1} = q[1] + p[2], obtained from the
-    jet flow; independent of the quadric formulas these values verify.
+    From the jet flows along u_1, u_2 and u_5: wp_{1,1,1,w} = d/du_w of
+    wp_{1,1,1} = q[1] + p[2]; for w = 2 and 5 also wp_{1,1,w} = d p[1]/du_w
+    and wp_{2,w} = wp_{1,1,w} - q[w].  None of them comes from the
+    rational and quadric formulas these values verify.
     """
     out = {}
-    for w, key in ((1, (1, 1, 1, 1)), (2, (1, 1, 1, 2)), (5, (1, 1, 1, 5))):
+    for w in (1, 2, 5):
         p, q = basis_flow(curve, D, w, 1)
-        out[key] = (q[1] + p[2]).derivative_at_zero(1)
+        out[(1, 1, 1, w)] = (q[1] + p[2]).derivative_at_zero(1)
+        if w != 1:
+            out[(1, 1, w)] = p[1].derivative_at_zero(1)
+            out[(2, w)] = out[(1, 1, w)] - q[w].val
     return out
 
 
@@ -334,25 +342,14 @@ def kummer_residuals(bundle: HMatrixBundle):
     (i, g+1, g+2); they involve only even wp-values, so K is blind to the
     sign of q (the Kummer quotient by u -> -u).
     """
-    H = bundle.H
     g = bundle.curve.genus
-    size = g + 2
-    K = np.zeros((g, g), dtype=complex)
-    rows = [size - 2, size - 1]
-    for i in range(g):
-        for j in range(g):
-            sub = H[np.ix_([i] + rows, [j] + rows)]
-            K[i, j] = np.linalg.det(sub)
+    idx = np.array([[i, g, g + 1] for i in range(g)])  # rows (i, g+1, g+2), 0-based
+    K = np.linalg.det(bundle.H[idx[:, None, :, None], idx[None, :, None, :]])
     q = -2.0 * bundle.Upsilon2[::-1]  # ascending gap order
     # k is indexed like the bordered rows: entry (i, j) pairs gap w_{i+1}
     qq = np.outer(q[::-1], q[::-1])
     kummer_defect = 0.5 * qq - K
-    minors = np.zeros((g, g, g, g), dtype=complex)
-    for i in range(g):
-        for j in range(g):
-            for k in range(g):
-                for l in range(g):
-                    minors[i, j, k, l] = K[i, k] * K[j, l] - K[i, l] * K[j, k]
+    minors = np.einsum("ik,jl->ijkl", K, K) - np.einsum("il,jk->ijkl", K, K)
     return K, kummer_defect, minors
 
 

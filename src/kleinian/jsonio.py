@@ -85,7 +85,7 @@ def divisor_to_json(D: Divisor) -> dict:
     return {"points": [[p.x.real, p.x.imag, p.y.real, p.y.imag] for p in D.points]}
 
 
-def divisor_from_json(curve: CurveModel, data: dict, validate: bool = True, tol: float = 1e-8) -> Divisor:
+def divisor_from_json(curve: CurveModel, data: dict, tol: float = 1e-8) -> Divisor:
     rows = _object(data, "divisor JSON").get("points", [])
     if not isinstance(rows, list):
         raise InputError(f"divisor points must be a JSON list, got {rows!r}")
@@ -96,7 +96,7 @@ def divisor_from_json(curve: CurveModel, data: dict, validate: bool = True, tol:
         ):
             raise InputError(f"divisor point must be [xre, xim, yre, yim], got {row!r}")
         pts.append((complex(row[0], row[1]), complex(row[2], row[3])))
-    return Divisor(curve, pts, validate=validate, tol=tol)
+    return Divisor(curve, pts, tol=tol)
 
 
 def poly_to_json(R: PolyFunction) -> dict:

@@ -4,7 +4,10 @@ A :class:`Jet` holds coefficients ``c[0] + c[1] t + ... + c[m] t^m`` as a
 numpy array; all arithmetic truncates at the common order.  Jets drive the
 order-by-order computations in the package: parametrization of a curve at
 infinity, Taylor expansion of a branch y(x), and exact directional
-derivatives of divisor functionals along Jacobian coordinates.
+derivatives of divisor functionals along Jacobian coordinates.  Linear
+systems of jets are not solved here: uniformization stacks their
+coefficients and solves them order by order with the numeric solver of
+the inversion system.
 
 Division requires an invertible constant term.  Everything is plain
 floating-point complex; no symbolic coefficients.
@@ -33,9 +36,6 @@ class Jet:
 
     def __repr__(self):
         return f"Jet({self.c!r})"
-
-    def copy(self):
-        return Jet(self.c.copy())
 
     def _coerce(self, other):
         if isinstance(other, Jet):
@@ -101,23 +101,6 @@ class Jet:
             known *= 2
         return v
 
-    def deriv(self):
-        """d/dt, truncated (top coefficient is lost)."""
-        m = len(self.c)
-        out = np.zeros(m, dtype=complex)
-        out[: m - 1] = self.c[1:] * np.arange(1, m)
-        return Jet(out)
-
-    def integ(self):
-        """Antiderivative with zero constant term."""
-        m = len(self.c)
-        out = np.zeros(m, dtype=complex)
-        out[1:] = self.c[: m - 1] / np.arange(1, m)
-        return Jet(out)
-
-    def eval(self, t):
-        return complex(np.polyval(self.c[::-1], t))
-
     def derivative_at_zero(self, k: int):
         """k-th derivative at t=0, i.e. k! times the k-th coefficient."""
         from math import factorial
@@ -139,34 +122,3 @@ def var(value, order: int) -> Jet:
         c[1] = 1.0
     return Jet(c)
 
-
-def solve_linear(A, b):
-    """Gaussian elimination for a dense system with Jet entries.
-
-    ``A`` is a list of lists of Jets, ``b`` a list of Jets.  Pivots by the
-    magnitude of the constant term; a vanishing pivot column means the
-    system is singular at t=0.
-    """
-    n = len(b)
-    A = [row[:] for row in A]
-    b = b[:]
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(A[r][col].val))
-        if abs(A[piv][col].val) == 0:
-            raise SeriesError("singular jet system")
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            b[col], b[piv] = b[piv], b[col]
-        inv = A[col][col].reciprocal()
-        for r in range(col + 1, n):
-            factor = A[r][col] * inv
-            for cc in range(col, n):
-                A[r][cc] = A[r][cc] - factor * A[col][cc]
-            b[r] = b[r] - factor * b[col]
-    x = [None] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for cc in range(r + 1, n):
-            acc = acc - A[r][cc] * x[cc]
-        x[r] = acc / A[r][r]
-    return x

@@ -11,7 +11,7 @@ lattice points of the ellipsoid (m-c)^t Y (m-c) <= R^2: the ellipsoid's
 bounding box, half-width R sqrt((Y^-1)_ii) on axis i, masked by the
 quadratic form.  R comes from a proven bound on the omitted terms
 (_radius), so the truncation error of every requested derivative stays
-below the target tolerance relative to the largest term.  Because each
+below the target tolerance 1e-14 relative to the largest term.  Because each
 term is an exponential, partial derivatives of any order are termwise
 exact: a multi-index alpha contributes the factor prod_a (2 i pi m_a),
 and a directional derivative of order k the factor (2 i pi m . w)^k.
@@ -141,15 +141,13 @@ def _terms(v, form, char, tol, k):
     return m, shift, np.exp(expo - shift)
 
 
-def theta(v, tau, char: Characteristic | None = None, tol: float = 1e-14) -> complex:
+def theta(v, tau, char: Characteristic | None = None) -> complex:
     """theta[char](v; tau) by direct lattice summation."""
-    _, shift, base = _terms(v, _check_tau(tau), char, tol, 0)
+    _, shift, base = _terms(v, _check_tau(tau), char, 1e-14, 0)
     return complex(np.exp(shift) * np.sum(base))
 
 
-def theta_derivatives(
-    v, tau, orders, char: Characteristic | None = None, tol: float = 1e-14
-) -> dict:
+def theta_derivatives(v, tau, orders, char: Characteristic | None = None) -> dict:
     """Partial derivatives for every multi-index in ``orders``.
 
     A multi-index is a tuple of coordinate positions, e.g. () for the
@@ -157,7 +155,7 @@ def theta_derivatives(
     All requested values come from a single lattice pass.
     """
     k = max((len(alpha) for alpha in orders), default=0)
-    m, shift, base = _terms(v, _check_tau(tau), char, tol, k)
+    m, shift, base = _terms(v, _check_tau(tau), char, 1e-14, k)
     scale = np.exp(shift)
     out = {}
     for alpha in orders:
@@ -169,10 +167,10 @@ def theta_derivatives(
 
 
 def theta_directional(
-    v, tau, direction, max_order: int, char: Characteristic | None = None, tol: float = 1e-14
+    v, tau, direction, max_order: int, char: Characteristic | None = None
 ) -> np.ndarray:
     """[theta, d theta/dt, ..., d^k theta/dt^k] along v + t*direction at t=0."""
-    m, shift, base = _terms(v, _check_tau(tau), char, tol, max_order)
+    m, shift, base = _terms(v, _check_tau(tau), char, 1e-14, max_order)
     w = np.asarray(direction, dtype=complex)
     dots = 2j * np.pi * (m.T @ w)
     out = np.empty(max_order + 1, dtype=complex)
@@ -213,14 +211,14 @@ def _log_derivative(base, F) -> complex:
     return kappa[-1]
 
 
-def log_theta_derivatives(v, tau, orders, char=None, tol: float = 1e-14) -> dict:
+def log_theta_derivatives(v, tau, orders, char=None) -> dict:
     """Partials of log theta[char] for every multi-index in ``orders``.
 
     One lattice pass at the highest order; each partial is the joint
     cumulant (_log_derivative) of the columns 2 i pi m_a, a in the index.
     """
     k = max((len(alpha) for alpha in orders), default=0)
-    m, shift, base = _terms(v, _check_tau(tau), char, tol, k)
+    m, shift, base = _terms(v, _check_tau(tau), char, 1e-14, k)
     t0 = np.sum(base)
     if abs(t0) == 0:
         raise PrecisionError("theta vanishes: logarithmic derivatives undefined")

@@ -4,6 +4,8 @@ Every check consumes a named tolerance so command-line overrides
 (--tol name=value) reach the exact comparison they configure.
 """
 
+from .errors import InputError
+
 DEFAULTS = {
     "roundtrip": 1e-8,
     "identity": 1e-7,
@@ -29,6 +31,6 @@ def resolve(overrides: dict | None = None) -> dict:
     tols = dict(DEFAULTS)
     for k, v in (overrides or {}).items():
         if k not in tols:
-            raise KeyError(f"unknown tolerance name {k!r}; known: {sorted(tols)}")
+            raise InputError(f"unknown tolerance name {k!r}; known: {sorted(tols)}")
         tols[k] = float(v)
     return tols

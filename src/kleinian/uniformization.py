@@ -13,14 +13,17 @@ q-value enters R_hi with sign +1, in every family, the convention pinned
 down numerically by the derivative cross-check d/du_2 of p[1] against
 the rational (2,2)-value and exercised in the tests.
 
-Reading the coefficients off interpolations through a divisor gives the
-forward map.  Both polynomials are linear in y on every supported curve,
-so the inverse is one path for every family: the x-roots of their 2x2
-y-resultant, y from whichever of the two depends on y more strongly, an
-on-curve check and one Newton polish on the better-conditioned of the two.
+The forward map reads p and q off one equilibrated solve of the g x g
+system of basis monomials at the divisor's points (interpolate_in_basis,
+with its special-divisor gate).  Both polynomials are linear in y on
+every supported curve, so the inverse is one path for every family: the
+x-roots of their 2x2 y-resultant, y from whichever of the two depends on
+y more strongly, an on-curve check and one Newton polish on the
+better-conditioned of the two.
 Derivatives along Jacobian coordinates take one route, basis_flow: the
 basis values as Taylor jets along a u_w coordinate line, exact to
-truncation.  Downstream identity checks read multi-index wp-values off
+truncation, from the same solver applied order by order to the jets'
+coefficients.  Downstream identity checks read multi-index wp-values off
 these jets, and extended_34 runs on a record of jets as on one of numbers.
 """
 
@@ -35,10 +38,11 @@ from .curves import CurveModel, y_split
 from .divisors import (
     Divisor,
     PolyFunction,
+    _at_branch_point,
     _polish_common_zero,
     _solve_equilibrated,
     clustered_roots,
-    interpolation_rows,
+    interpolate_in_basis,
     y_jet,
 )
 from .errors import (
@@ -108,19 +112,9 @@ def divisor_to_basis(curve: CurveModel, D: Divisor) -> BasisRecord:
         raise InvalidCurveError(f"need a degree-{g} divisor, got degree {D.degree}")
     D.assert_reduced()
     basis, m_lo, m_hi = solution_monomials(curve)
-    A = interpolation_rows(curve, basis, D)
-    rhs = interpolation_rows(curve, [m_lo, m_hi], D)
-    try:
-        sol = _solve_equilibrated(A, -np.column_stack([rhs[:, 0], 2.0 * rhs[:, 1]]))
-    except np.linalg.LinAlgError as exc:
-        raise SpecialDivisorError(
-            "singular inversion system: divisor is special (on a stratum of the theta divisor)"
-        ) from exc
-    resid = np.abs(A @ sol + np.column_stack([rhs[:, 0], 2.0 * rhs[:, 1]]))
-    if resid.size and np.max(resid) > 1e-6 * (1.0 + float(np.max(np.abs(rhs)))):
-        raise SpecialDivisorError("ill-conditioned inversion system: divisor is nearly special")
-    p = {w: -sol[i, 0] for i, w in enumerate(curve.gaps)}
-    q = {w: sol[i, 1] for i, w in enumerate(curve.gaps)}
+    C = interpolate_in_basis(curve, basis, [(m_lo, 1.0), (m_hi, 2.0)], D)
+    p = {w: -C[i, 0] for i, w in enumerate(curve.gaps)}
+    q = {w: C[i, 1] for i, w in enumerate(curve.gaps)}
     return BasisRecord(p, q)
 
 
@@ -181,8 +175,8 @@ def _conditioning(curve: CurveModel, R: PolyFunction, x: complex, y: complex) ->
 # -- derivatives along Jacobian coordinates ----------------------------------
 
 
-def abel_jacobian(curve: CurveModel, D: Divisor):
-    """Matrix du_i/dx_k = u_i(P_k) / f_y(P_k) and its inverse.
+def abel_jacobian(curve: CurveModel, D: Divisor) -> np.ndarray:
+    """Matrix M of du_i/dx_k = u_i(P_k) / f_y(P_k).
 
     A point where f_y vanishes raises BranchPointError.  M is singular
     exactly when the monomial matrix u_i(P_k) is; past a row- and
@@ -193,12 +187,11 @@ def abel_jacobian(curve: CurveModel, D: Divisor):
     g = curve.genus
     if D.degree != g:
         raise InvalidCurveError(f"need a degree-{g} divisor")
+    for pt in D.points:
+        if _at_branch_point(curve, pt.x, pt.y):
+            raise BranchPointError(f"branch point in divisor at x = {pt.x}")
     basis = curve.basis_monomials()
     U = np.array([[m.eval(pt.x, pt.y) for pt in D.points] for m in basis], dtype=complex)
-    fy = np.array([curve.eval_fy(pt.x, pt.y) for pt in D.points], dtype=complex)
-    for pt, d in zip(D.points, fy):
-        if abs(d) < 1e-8 * max(1.0, abs(pt.x), abs(pt.y)) ** (curve.n - 1):
-            raise BranchPointError(f"branch point in divisor at x = {pt.x}")
     E = U / np.maximum(np.max(np.abs(U), axis=1, keepdims=True), 1e-300)
     E /= np.maximum(np.max(np.abs(E), axis=0, keepdims=True), 1e-300)
     cond = np.linalg.cond(E)
@@ -206,8 +199,22 @@ def abel_jacobian(curve: CurveModel, D: Divisor):
         raise SpecialDivisorError(
             f"Abel Jacobian singular (condition {cond:.1e}): divisor is special"
         )
-    M = U / fy
-    return M, np.linalg.inv(M)
+    return U / np.array([curve.eval_fy(pt.x, pt.y) for pt in D.points], dtype=complex)
+
+
+def _coefficients(rows) -> np.ndarray:
+    """A matrix of Jets as its Taylor coefficients, shape (order + 1, rows, cols)."""
+    return np.moveaxis(np.array([[e.c for e in row] for row in rows]), -1, 0)
+
+
+def _solve_series(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Taylor coefficients V_k of the solution of A(t) V(t) = B(t), from
+    coefficient arrays of shape (order + 1, rows, cols): order by order,
+    V_k = A_0^-1 (B_k - sum_{j=1..k} A_j V_(k-j)), each an equilibrated solve."""
+    V = np.zeros((len(B), A.shape[2], B.shape[2]), dtype=complex)
+    for k in range(len(B)):
+        V[k] = _solve_equilibrated(A[0], B[k] - sum(A[j] @ V[k - j] for j in range(1, k + 1)))
+    return V
 
 
 def basis_flow(curve: CurveModel, D: Divisor, w_dir: int, order: int):
@@ -215,34 +222,36 @@ def basis_flow(curve: CurveModel, D: Divisor, w_dir: int, order: int):
 
     Returns (p, q), dicts of Jets keyed by gap weight: the jet's k-th
     derivative at 0 is d^k/du_w^k of p[w] or q[w].  The divisor flows by
-    dx_k/dt = (M^-1 e_w)_k, solved order by order, and the values follow
-    divisor_to_basis on the flowed points; exact to truncation, so high
-    derivatives come out at close to machine precision.  abel_jacobian's
-    checks guard the flow (BranchPointError, SpecialDivisorError).
+    dx_k/dt = (M^-1 e_w)_k, and the values solve divisor_to_basis's system
+    on the flowed points, each jet system order by order through its value
+    at t = 0 (_solve_series): exact to truncation.  abel_jacobian's checks
+    guard the flow (BranchPointError, SpecialDivisorError).
     """
     if w_dir not in curve.gaps:
         raise InvalidCurveError(f"{w_dir} is not a gap weight of the curve")
     abel_jacobian(curve, D)
     g = curve.genus
-    jdir = curve.gaps.index(w_dir)
     basis, m_lo, m_hi = solution_monomials(curve)
     xjs = [series.const(p.x, order) for p in D.points]  # the flow fills the slopes
-    rhs = [series.const(1.0 if i == jdir else 0.0, order) for i in range(g)]
+    e_w = np.zeros((order + 1, g, 1), dtype=complex)
+    e_w[0, curve.gaps.index(w_dir), 0] = 1.0
     for m in range(order):
         yjs = [y_jet(curve, xjs[k], D.points[k].y) for k in range(g)]
-        A = [
-            [basis[i].eval(xjs[k], yjs[k]) / curve.eval_fy(xjs[k], yjs[k]) for k in range(g)]
-            for i in range(g)
-        ]
-        v = series.solve_linear(A, rhs)
+        M = _coefficients(
+            [[basis[i].eval(xjs[k], yjs[k]) / curve.eval_fy(xjs[k], yjs[k]) for k in range(g)]
+             for i in range(g)]
+        )
+        v = _solve_series(M, e_w)
         for k in range(g):
-            xjs[k].c[m + 1] = v[k].c[m] / (m + 1)
+            xjs[k].c[m + 1] = v[m, k, 0] / (m + 1)
     yjs = [y_jet(curve, xjs[k], D.points[k].y) for k in range(g)]
-    A = [[basis[i].eval(xjs[k], yjs[k]) for i in range(g)] for k in range(g)]
-    c = series.solve_linear(A, [-m_lo.eval(xjs[k], yjs[k]) for k in range(g)])
-    d = series.solve_linear(A, [-2.0 * m_hi.eval(xjs[k], yjs[k]) for k in range(g)])
-    p = {w: -c[i] for i, w in enumerate(curve.gaps)}
-    q = {w: d[i] for i, w in enumerate(curve.gaps)}
+    A = _coefficients([[basis[i].eval(xjs[k], yjs[k]) for i in range(g)] for k in range(g)])
+    B = _coefficients(
+        [[-m_lo.eval(xjs[k], yjs[k]), -2.0 * m_hi.eval(xjs[k], yjs[k])] for k in range(g)]
+    )
+    C = _solve_series(A, B)
+    p = {w: series.Jet(-C[:, i, 0]) for i, w in enumerate(curve.gaps)}
+    q = {w: series.Jet(C[:, i, 1]) for i, w in enumerate(curve.gaps)}
     return p, q
 
 

@@ -285,6 +285,14 @@ def test_non_numeric_tolerance_is_input_error(capsys):
     assert json.loads(err)["kind"] == "input"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_tolerance_that_is_not_finite_and_positive_is_input_error(capsys, value):
+    code, out, err = run_cli(capsys, "selftest", "--suite", "structural",
+                             "--tol", f"roundtrip={value}")
+    assert code == 2 and out == ""
+    assert json.loads(err)["kind"] == "input"
+
+
 @pytest.mark.parametrize("trials", ["0", "-2"])
 def test_trials_below_one_is_input_error(capsys, curve34_file, curve25_file, trials):
     for verb, curve in (("verify-identities", curve34_file), ("theta-bridge", curve25_file)):

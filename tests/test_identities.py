@@ -3,12 +3,13 @@ import pytest
 
 from kleinian.curves import curve_model
 from kleinian.errors import IncompleteRecordError
+from kleinian import acceptance
 from kleinian.identities import (
     build_H,
     cubic_residual,
     cubic_scale,
+    derivative_values_34,
     explicit_PL_27,
-    four_index_derivatives_34,
     h_rank_profile,
     kummer_residuals,
     residuals_27,
@@ -51,13 +52,42 @@ def test_residuals_34_random(rng):
         curve = random_curve(3, 4, rng)
         D = random_divisor(curve, 3, rng)
         rec = extended_34(curve, divisor_to_basis(curve, D))
-        rec.extended.update(four_index_derivatives_34(curve, D))
+        rec.extended.update(derivative_values_34(curve, D))
         for k, v in residuals_34(rec, curve).items():
             worst[k] = max(worst.get(k, 0.0), v)
     assert set(worst) == {"J12", "J13", "J16", "G6", "G7", "G10", "G11", "G14",
                           "E1111", "E1112", "E1115"}
     for k, v in worst.items():
         assert v < (1e-5 if k.startswith("E") else 1e-7), (k, v)
+
+
+def test_derivative_values_34_match_the_rational_extension(rng):
+    for _ in range(10):
+        curve = random_curve(3, 4, rng)
+        D = random_divisor(curve, 3, rng)
+        rational = extended_34(curve, divisor_to_basis(curve, D)).extended
+        jets = derivative_values_34(curve, D)
+        for key in ((1, 1, 2), (1, 1, 5), (2, 2), (2, 5)):
+            assert abs(jets[key] - rational[key]) < 1e-10 * (1 + abs(rational[key])), key
+
+
+def test_identity_residuals_34_catch_an_error_the_rational_extension_absorbs(rng, monkeypatch):
+    # extended_34 solves G6 and G7 for (2,2) and (2,5), so on its own output
+    # they vanish whatever q[1] is; with the jet-flow values they see it
+    real = acceptance.divisor_to_basis
+
+    def off_by_1e4(curve, D):
+        rec = real(curve, D)
+        rec.q[1] += 1e-4 * (1 + abs(rec.q[1]))
+        return rec
+
+    curve = random_curve(3, 4, rng)
+    D = random_divisor(curve, 3, rng)
+    assert max(residuals_34(extended_34(curve, off_by_1e4(curve, D)), curve)[k]
+               for k in ("G6", "G7")) < 1e-12
+    monkeypatch.setattr(acceptance, "divisor_to_basis", off_by_1e4)
+    out = acceptance.identity_residuals(curve, D)
+    assert out["G6"] > 1e-7 and out["G7"] > 1e-7, out
 
 
 def test_residuals_34_evenness(rng):

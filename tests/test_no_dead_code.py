@@ -1,4 +1,5 @@
-"""Every library name is used somewhere: no exported helper that nothing calls.
+"""Every library name is used somewhere: no exported helper that nothing calls,
+and no optional parameter that no call passes.
 
 A top-level def, class or assignment, or a method, of ``src/kleinian/*.py``
 counts as used when some ``.py`` file under src/, tests/, demos/ or
@@ -63,3 +64,66 @@ def test_every_library_name_is_used():
             if not _is_dunder(name) and name not in used:
                 unused.append(f"{path.name}: {qualname}")
     assert not unused, "defined but never used:\n" + "\n".join(unused)
+
+
+def _optional_parameters(tree: ast.Module):
+    """(qualname, call name, positional index or None, parameter name) for
+    every parameter with a default of a top-level function, a method or a
+    constructor.  A method's index counts past ``self``, as its callers do;
+    a keyword-only parameter has no index."""
+    scopes = [(None, node) for node in tree.body]
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scopes += [(node.name, item) for item in node.body]
+    for owner, fn in scopes:
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if owner is None:
+            call, qualname, skip = fn.name, fn.name, 0
+        elif fn.name == "__init__":
+            call, qualname, skip = owner, f"{owner}.__init__", 1
+        else:
+            call, qualname, skip = fn.name, f"{owner}.{fn.name}", 1
+        args = fn.args.posonlyargs + fn.args.args
+        for k, arg in enumerate(args[len(args) - len(fn.args.defaults):]):
+            yield qualname, call, len(args) - len(fn.args.defaults) + k - skip, arg.arg
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield qualname, call, None, arg.arg
+
+
+def _passed(tree: ast.Module):
+    """(call name, positional index or keyword) for every argument of every
+    call; a ``*`` or ``**`` argument passes every index or keyword ("*")."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        for k, arg in enumerate(node.args):
+            yield name, "*" if isinstance(arg, ast.Starred) else k
+        for kw in node.keywords:
+            yield name, kw.arg or "*"
+
+
+def test_every_optional_parameter_is_passed():
+    """An optional parameter that no call passes, by keyword or by position,
+    is a constant in disguise; a ``*args``/``**kwargs`` call counts as
+    passing every parameter of the name it calls."""
+    passed: set = set()
+    for top in SCANNED + ("scripts",):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            passed.update(_passed(ast.parse(path.read_text(), filename=str(path))))
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualname, call, index, param in _optional_parameters(
+            ast.parse(path.read_text(), filename=str(path))
+        ):
+            keys = {(call, param), (call, "*")}
+            if index is not None:
+                keys.add((call, index))
+            if not keys & passed:
+                unused.append(f"{path.name}: {qualname}({param})")
+    assert not unused, "optional parameters never passed:\n" + "\n".join(unused)

@@ -3,6 +3,7 @@ import pytest
 
 from kleinian import series
 from kleinian.errors import SeriesError
+from kleinian.uniformization import _coefficients, _solve_series
 
 
 def test_mul_matches_polynomial_product():
@@ -30,26 +31,22 @@ def test_reciprocal_requires_unit():
         series.Jet([0.0, 1.0]).reciprocal()
 
 
-def test_deriv_integ_roundtrip():
-    a = series.Jet([0.0, 1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(a.deriv().integ().c[:-1], a.c[:-1])
-
-
 def test_power():
     a = series.var(2.0, 5)
     assert np.allclose((a**3).c, np.array([8.0, 12.0, 6.0, 1.0, 0.0, 0.0]))
 
 
-def test_solve_linear_matches_numpy():
+def test_solve_series_solves_the_jet_system():
     rng = np.random.default_rng(1)
     n, order = 4, 6
     A = [[series.Jet(rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1))
           for _ in range(n)] for _ in range(n)]
-    b = [series.Jet(rng.standard_normal(order + 1)) for _ in range(n)]
-    x = series.solve_linear([row[:] for row in A], b[:])
+    b = [[series.Jet(rng.standard_normal(order + 1))] for _ in range(n)]
+    V = _solve_series(_coefficients(A), _coefficients(b))
+    x = [series.Jet(V[:, j, 0]) for j in range(n)]
     # residual of the jet system, checked coefficientwise
     for i in range(n):
         acc = series.const(0.0, order)
         for j in range(n):
             acc = acc + A[i][j] * x[j]
-        assert np.max(np.abs(acc.c - b[i].c)) < 1e-10
+        assert np.max(np.abs(acc.c - b[i][0].c)) < 1e-10

@@ -191,9 +191,8 @@ def test_wrong_degree_rejected(rng):
 def test_abel_jacobian_genus1():
     curve = curve_model(2, 3, {4: -1.0})
     D = Divisor(curve, [(2.0, np.sqrt(6.0))])
-    M, Minv = abel_jacobian(curve, D)
+    M = abel_jacobian(curve, D)
     assert abs(M[0, 0] + 1.0 / (2.0 * np.sqrt(6.0))) < 1e-14
-    assert abs(M[0, 0] * Minv[0, 0] - 1.0) < 1e-14
 
 
 def test_abel_jacobian_degenerates_toward_involution(rng):
@@ -206,7 +205,7 @@ def test_abel_jacobian_degenerates_toward_involution(rng):
         ys = fiber_points(curve, [p.x + eps])[0]
         y = ys[np.argmin(np.abs(ys - p.y))]
         close = Divisor(curve, [(p.x + eps, -y), p], validate=False)
-        M, _ = abel_jacobian(curve, close)
+        M = abel_jacobian(curve, close)
         dets.append(abs(np.linalg.det(M)))
     assert dets[2] < dets[1] < dets[0]
 
@@ -327,11 +326,11 @@ def test_abel_jacobian_row_scaling(rng):
     # gap w scales by c^(-w-n): du_w has weight -w and x has weight n
     curve = random_curve(2, 5, rng)
     D = random_divisor(curve, 2, rng)
-    M1, _ = abel_jacobian(curve, D)
+    M1 = abel_jacobian(curve, D)
     c = complex(*rng.uniform(0.7, 1.3, 2))
     curve2 = curve_model(2, 5, {k: c**k * v for k, v in curve.lam.items()})
     D2 = Divisor(curve2, [(c**2 * p.x, c**5 * p.y) for p in D], validate=False)
-    M2, _ = abel_jacobian(curve2, D2)
+    M2 = abel_jacobian(curve2, D2)
     for i, w in enumerate(curve.gaps):
         factor = c ** (-w - curve.n)
         assert np.max(np.abs(M2[i] - factor * M1[i])) < 1e-10 * np.max(np.abs(M2[i]))
