@@ -7,13 +7,14 @@ x = m + h t the edge integral is a Gauss-Chebyshev sum over Chebyshev
 nodes, its count set from the Bernstein radius of the other branch
 points, and sqrt(Q) (Q = P / ((x - c_j)(x - c_j+1))) is continued along
 it by sign tracking (_continue_sqrt, which every sampled path in this
-module uses).  The sheet of each edge follows from the last one by going
-round their shared branch point on the left of the chain, so consecutive
-loops meet once and the intersection matrix is the tridiagonal chain
-matrix.  Fixed integer rows of it give canonical cycles (_canonical_rows),
-Im(tau) positive definite is checked, and the Legendre relation is the
-exit gate certifying the whole construction (chain, sheets, quadrature
-and the associated second-kind numerators together).
+module uses; the 2g edges are its segments in one batched pass).  The
+sheet of each edge follows from the last one by going round their shared
+branch point on the left of the chain, so consecutive loops meet once and
+the intersection matrix is the tridiagonal chain matrix.  Fixed integer
+rows of it give canonical cycles (_canonical_rows), Im(tau) positive
+definite is checked, and the Legendre relation is the exit gate
+certifying the whole construction (chain, sheets, quadrature and the
+associated second-kind numerators together).
 
 The Abel map (base point infinity) starts from the branch points, whose
 images are half-periods: sums of half edge integrals, snapped to the
@@ -85,20 +86,23 @@ def branch_points(curve: CurveModel) -> np.ndarray:
     edge that leaves one point of a pair passes the other.  So a pair
     closer than the global scale could not be chained even where it is
     distinct at its own scale; this test only names it a collision
-    rather than a cluster.
+    rather than a cluster.  The points are found once per curve object and
+    kept, read-only, in its ``__dict__``, which ``repr`` and ``==`` do not
+    read; a raise is not kept.
     """
-    c = x_polynomial(curve)
-    r = newton_polish(c, np.roots(c))
-    order = np.lexsort((r.imag, r.real))
-    r = r[order]
-    scale = 1.0 + float(np.max(np.abs(r)))
-    for i in range(len(r)):
-        for j in range(i + 1, len(r)):
-            if abs(r[i] - r[j]) < 1e-8 * scale:
-                raise DegenerateCurveError(
-                    f"branch points collide at {r[i]:.6g}: curve is degenerate"
-                )
-    return r
+    if "_branch_points" not in vars(curve):
+        c = x_polynomial(curve)
+        r = newton_polish(c, np.roots(c))
+        r = r[np.lexsort((r.imag, r.real))]
+        scale = 1.0 + float(np.max(np.abs(r)))
+        pairs = np.argwhere(np.triu(np.abs(r[:, None] - r) < 1e-8 * scale, 1))
+        if len(pairs):
+            raise DegenerateCurveError(
+                f"branch points collide at {r[pairs[0, 0]]:.6g}: curve is degenerate"
+            )
+        r.flags.writeable = False
+        vars(curve)["_branch_points"] = r
+    return vars(curve)["_branch_points"]
 
 
 @dataclass
@@ -146,15 +150,26 @@ class PeriodData:
 # -- contours ------------------------------------------------------------------
 
 
-def _nn_path(e: np.ndarray, start: int) -> list:
-    left = list(range(len(e)))
-    path = [left.pop(left.index(start))]
-    while left:
-        last = e[path[-1]]
-        nxt = min(left, key=lambda i: abs(e[i] - last))
-        left.remove(nxt)
-        path.append(nxt)
-    return path
+def _nn_walks(e: np.ndarray) -> np.ndarray:
+    """Nearest-neighbour walks through e, one per start (the lowest index among equals)."""
+    n = len(e)
+    d = e[:, None] - e
+    dist = np.hypot(d.real, d.imag)  # abs as for one complex scalar (libm hypot)
+    walks, seen = [np.arange(n)], np.eye(n, dtype=bool)
+    for _ in range(n - 1):
+        walks.append(np.argmin(np.where(seen, np.inf, dist[walks[-1]]), axis=1))
+        seen[np.arange(n), walks[-1]] = True
+    return np.stack(walks, axis=1)
+
+
+@lru_cache(maxsize=None)
+def _edge_index(n: int) -> tuple:
+    """Per edge j -> j+1 of a path through n points, the others; the non-adjacent edge pairs."""
+    off = np.array([np.delete(np.arange(n), [j, j + 1]) for j in range(n - 1)])
+    pairs = np.triu_indices(n - 1, 2)
+    for a in (off, *pairs):
+        a.flags.writeable = False
+    return off, pairs
 
 
 def _segment_distance(a, b: complex, pts: np.ndarray):
@@ -182,18 +197,15 @@ def _chain_order(e: np.ndarray):
     pair) are what the sweeps are for.
     """
     n = len(e)
-    paths = [_nn_path(e, s) for s in range(n)]
-    for phi in (0.0, 0.4, 0.8, 1.2, 1.6):
-        paths.append(list(np.argsort((e * np.exp(-1j * phi)).real)))
-    paths = np.array(paths)
+    sweeps = np.exp(-1j * np.array([0.0, 0.4, 0.8, 1.2, 1.6]))[:, None]
+    paths = np.vstack([_nn_walks(e), np.argsort((e * sweeps).real, axis=1)])
     a, b = e[paths[:, :-1]], e[paths[:, 1:]]  # (candidates, edges)
-    off = np.array([np.delete(np.arange(n), [j, j + 1]) for j in range(n - 1)])
+    off, (i, k) = _edge_index(n)
     clearance = np.min(_segment_distance(a[..., None], b[..., None], e[paths[:, off]]), axis=1)
 
     def side(p, q, r):  # sign of the turn p -> q -> r
         return np.sign(((q - p) * np.conj(r - p)).imag)
 
-    i, k = np.triu_indices(n - 1, 2)  # pairs of non-adjacent edges
     crossed = (side(a[:, i], b[:, i], a[:, k]) * side(a[:, i], b[:, i], b[:, k]) < 0) & (
         side(a[:, k], b[:, k], a[:, i]) * side(a[:, k], b[:, k], b[:, i]) < 0
     )
@@ -205,27 +217,35 @@ def _chain_order(e: np.ndarray):
     return paths[best], float(clearance[best])
 
 
-def _continue_sqrt(w2: np.ndarray, y0: complex) -> np.ndarray:
-    """y = sqrt(w2) continued along a path on which y^2 takes the values w2,
-    starting on the sheet nearest y0; PrecisionError if a step is ambiguous.
-
-    The sign flips wherever the principal root jumps to the other sheet
-    between consecutive nodes.
-    """
-    w = np.sqrt(w2)
-    flips = np.where(np.abs(w[1:] - w[:-1]) > np.abs(w[1:] + w[:-1]), -1.0, 1.0)
-    start = 1.0 if abs(w[0] - y0) <= abs(w[0] + y0) else -1.0
-    y = np.concatenate([[start], start * np.cumprod(flips)]) * w
-    if np.any(np.abs(y[1:] - y[:-1]) > 0.7 * np.abs(y[1:] + y[:-1])):
+def _continue_sqrt(w2: np.ndarray, y0, bounds) -> np.ndarray:
+    """y = sqrt(w2) continued along paths on which y^2 takes the values w2,
+    one per segment w2[bounds[k]:bounds[k+1]], each from the sheet nearest
+    y0[k], its sign flipped wherever the principal root jumps to the other
+    sheet between consecutive nodes; PrecisionError if such a step is ambiguous."""
+    w, starts = np.sqrt(w2), np.asarray(bounds[:-1])
+    # in a segment |y_k -+ y_k-1| are A, B in some order; s0 cancels earlier flips
+    A, B = np.abs(w[1:] - w[:-1]), np.abs(w[1:] + w[:-1])
+    sign = np.concatenate([[1.0], np.cumprod(np.where(A > B, -1.0, 1.0))])
+    w0, s0 = w[starts], sign[starts]
+    start = np.where(np.abs(w0 - y0) <= np.abs(w0 + y0), s0, -s0)
+    step = np.minimum(A, B) > 0.7 * np.maximum(A, B)
+    step[starts[1:] - 1] = False  # no step across a segment boundary
+    if step.any():
         raise PrecisionError("sheet continuation along a sampled path is ambiguous")
-    return y
+    return np.repeat(start, np.subtract(bounds[1:], starts)) * sign * w
 
 
-def _canonical_rows(g: int):
-    """Integer rows (a_1..a_g, b_1..b_g) over the chain loops with pairing
-    <a_i, b_j> = delta_ij in the tridiagonal chain matrix: a_i is the sum of
-    the even loops 0, 2, .., 2i and b_i the odd loop 2i+1."""
-    return np.kron(np.tril(np.ones((g, g), int)), [1, 0]), np.kron(np.eye(g, dtype=int), [0, 1])
+@lru_cache(maxsize=None)
+def _canonical_rows(g: int) -> tuple:
+    """Integer columns (a_1..a_g, b_1..b_g) over the chain loops with pairing
+    <a_i, b_j> = delta_ij in the tridiagonal chain matrix (a_i the sum of the
+    even loops 0, 2, .., 2i, b_i the odd loop 2i+1), and the Legendre form J."""
+    rows = np.zeros((2 * g, 2 * g), dtype=int)
+    rows[0::2, :g] = np.triu(np.ones((g, g), int))
+    rows[1::2, g:] = np.eye(g, dtype=int)
+    J = np.block([[np.zeros((g, g)), -np.eye(g)], [np.eye(g), np.zeros((g, g))]])
+    rows.flags.writeable = J.flags.writeable = False
+    return rows, J
 
 
 def _bernstein_radius(z: np.ndarray):
@@ -249,42 +269,48 @@ def _node_count(rho: float, path: str) -> int:
     return int(N)
 
 
-def _edge_sqrt(a: complex, b: complex, others: np.ndarray, N: int):
-    """Chebyshev nodes x of the edge a -> b, and sqrt(Q) for Q = prod(x - others)
-    continued over [a, x, b] from the principal root at a.
+def _edge_sqrt(c: np.ndarray, others: np.ndarray, nodes: list):
+    """Nodes x of each edge c_j -> c_j+1 of a chain as segments of one array,
+    (c_j, nodes[j] Chebyshev nodes, c_j+1) from starts[j] to ends[j], and
+    sqrt(prod(x - others[j])) continued over each from its root at c_j.
 
-    Each factor x - c is taken from the nearer end, (a - c) + h (1 + t) or
-    (b - c) - h (1 - t), with 1 -+ t from half-angle sines, so that a branch
-    point just off an end keeps its relative distance to the nodes there.
+    Each factor x - c is taken from the nearer end, (c_j - c) + h (1 + t) or
+    (c_j+1 - c) - h (1 - t), with 1 -+ t from half-angle sines, so that a
+    branch point just off an end keeps its relative distance to the nodes there.
     """
-    h = 0.5 * (b - a)
-    th = (np.arange(N) + 0.5) * np.pi / N
-    lo = np.concatenate([[0.0], 2.0 * np.sin(0.5 * th) ** 2, [2.0]])  # 1 + t over [-1, t, +1]
-    hi = np.concatenate([[2.0], 2.0 * np.cos(0.5 * th) ** 2, [0.0]])  # 1 - t
+    seg = np.repeat(np.arange(len(nodes)), np.add(nodes, 2))  # the edge of each node
+    bounds = np.searchsorted(seg, np.arange(len(nodes) + 1))  # edge j: bounds[j] to bounds[j+1]
+    starts, ends = bounds[:-1], bounds[1:] - 1
+    th = (np.arange(len(seg)) - starts[seg] - 0.5) * np.pi / np.take(nodes, seg)
+    lo = 2.0 * np.sin(0.5 * th) ** 2  # 1 + t over [-1, t, +1]
+    hi = 2.0 * np.cos(0.5 * th) ** 2  # 1 - t
+    lo[starts], lo[ends], hi[starts], hi[ends] = 0.0, 2.0, 2.0, 0.0
     near_a = lo <= hi
-    diff = np.where(near_a[:, None], (a - others) + h * lo[:, None], (b - others) - h * hi[:, None])
-    Q = np.prod(diff, axis=1)
-    q = _continue_sqrt(Q, np.sqrt(Q[0]))
-    x = np.where(near_a, a + h * lo, b - h * hi)
-    return x, q
+    a, b, h = c[:-1][seg], c[1:][seg], (0.5 * (c[1:] - c[:-1]))[seg]
+    Q = np.prod(np.where(near_a[:, None], (c[:-1, None] - others)[seg] + (h * lo)[:, None],
+                         (c[1:, None] - others)[seg] - (h * hi)[:, None]), axis=1)
+    q = _continue_sqrt(Q, np.sqrt(Q[starts]), bounds)
+    return np.where(near_a, a + h * lo, b - h * hi), q, starts, ends
 
 
-def _junction_sign(h0: complex, q0: complex, h1: complex, q1: complex) -> float:
-    """Sheet of the next edge relative to the last, joined round their common
-    branch point.
+def _junction_sign(h0: np.ndarray, q0: np.ndarray, h1: np.ndarray, q1: np.ndarray) -> np.ndarray:
+    """Sheet of each next edge relative to the last, joined round their common branch point.
 
-    h0, q0: half-length and end value of sqrt(Q) of the edge ending there;
-    h1, q1: those of the edge starting there.  Near the branch point
+    h0, q0: half-lengths and end values of sqrt(Q) of the edges ending there;
+    h1, q1: those of the edges starting there.  Near the branch point
     y ~ d sqrt|h| sqrt(Q) times the root of the distance on either edge
     (d = h/|h|); the clockwise arc, which keeps the left of the chain,
     turns sqrt(x - c) by half its angle.
     """
-    d0, d1 = h0 / abs(h0), h1 / abs(h1)
+    d0, d1 = h0 / np.abs(h0), h1 / np.abs(h1)
     dphi = -((np.angle(-d0) - np.angle(d1)) % (2.0 * np.pi))
-    ratio = d0 * np.sqrt(abs(h0)) * q0 * np.exp(0.5j * dphi) / (d1 * np.sqrt(abs(h1)) * q1)
-    if min(abs(ratio - 1.0), abs(ratio + 1.0)) > 1e-6:
-        raise PrecisionError(f"sheets of consecutive chain edges do not join (ratio {ratio:.3g})")
-    return float(np.sign(ratio.real))
+    ratio = d0 * np.sqrt(np.abs(h0)) * q0 * np.exp(0.5j * dphi) / (d1 * np.sqrt(np.abs(h1)) * q1)
+    bad = np.minimum(np.abs(ratio - 1.0), np.abs(ratio + 1.0)) > 1e-6
+    if np.any(bad):
+        raise PrecisionError(
+            f"sheets of consecutive chain edges do not join (ratio {ratio[np.argmax(bad)]:.3g})"
+        )
+    return np.sign(ratio.real)
 
 
 def _chain_homology(curve: CurveModel, e: np.ndarray):
@@ -301,29 +327,27 @@ def _chain_homology(curve: CurveModel, e: np.ndarray):
     N = log(1 / _EDGE_EPS) / log(rho) (+ _EDGE_MARGIN) bring it below
     _EDGE_EPS in those units.  Consecutive loops meet once, with
     intersection number +1, and the others not at all.
+
+    Every edge has 2g - 1 other branch points, so the edges are one batched
+    pass (_edge_sqrt); each edge's sum is its own np.sum and i sigma pi / N
+    is rounded as a scalar, so each column has the bits of a loop over edges.
     """
     g = curve.genus
     order, clearance = _chain_order(e)
     c = e[order]
+    others = c[_edge_index(len(c))[0]]  # (2g, 2g - 1)
+    m, h = 0.5 * (c[:-1] + c[1:]), 0.5 * (c[1:] - c[:-1])
+    rho = _bernstein_radius((others - m[:, None]) / h[:, None])
+    nodes = [_node_count(r, "chain edge") for r in rho]
+    x, q, starts, ends = _edge_sqrt(c, others, nodes)
+    sigma = np.cumprod(np.append(1.0, _junction_sign(h[:-1], q[ends[:-1]], h[1:], q[starts[1:]])))
+    x, q = np.delete(x, np.r_[starts, ends]), np.delete(q, np.r_[starts, ends])
     rho_coeffs = [y_split(table)[0] for table in curve.second_kind_numerators()]
-    raw = np.empty((2 * g, 2 * g), dtype=complex)
-    nodes, radii = [], []
-    sigma, last = 1.0, None
-    for j in range(2 * g):
-        others = np.delete(c, [j, j + 1])
-        m, h = 0.5 * (c[j] + c[j + 1]), 0.5 * (c[j + 1] - c[j])
-        rho = float(_bernstein_radius((others - m) / h))
-        N = _node_count(rho, "chain edge")
-        x, q = _edge_sqrt(c[j], c[j + 1], others, N)
-        if last is not None:
-            sigma *= _junction_sign(*last, h, q[0])
-        last = h, q[-1]
-        x, q = x[1:-1], q[1:-1]
-        F = [x ** (g - 1 - i) for i in range(g)] + [np.polyval(r, x) for r in rho_coeffs]
-        raw[:, j] = (1j * sigma * np.pi / N) * np.sum(np.array(F) / q, axis=1)
-        nodes.append(N)
-        radii.append(rho)
-    return raw, c, {"nodes": nodes, "bernstein": radii, "clearance": clearance}
+    F = np.array([x ** (g - 1 - i) for i in range(g)] + [np.polyval(r, x) for r in rho_coeffs]) / q
+    sums = np.stack([np.sum(b, axis=1) for b in np.split(F, np.cumsum(nodes)[:-1], 1)], axis=1)
+    # i sigma pi / N with a +0 real part, as the complex scalar i * sigma * pi / N
+    raw = (1j * (sigma * np.pi / np.array(nodes)) + 0.0) * sums
+    return raw, c, {"nodes": nodes, "bernstein": rho.tolist(), "clearance": clearance}
 
 
 def _lattice_coords(L: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -351,9 +375,9 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
         raise InvalidCurveError("genus 3 periods are best-effort; pass best_effort_genus3=True")
     e = branch_points(curve)
     raw, chain, quadrature = _chain_homology(curve, e)
-    a_rows, b_rows = _canonical_rows(g)
-    omega, omega_p = raw[:g] @ a_rows.T, raw[:g] @ b_rows.T
-    eta, eta_p = raw[g:] @ a_rows.T, raw[g:] @ b_rows.T
+    rows, J = _canonical_rows(g)
+    Omega = raw @ rows
+    omega, omega_p, eta, eta_p = (Omega[i:i + g, k:k + g].copy() for i in (0, g) for k in (0, g))
     try:
         tau = np.linalg.solve(omega, omega_p)
     except np.linalg.LinAlgError:
@@ -364,23 +388,20 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
     tau = 0.5 * (tau + tau.T)
     if np.min(np.linalg.eigvalsh(tau.imag)) <= 0:
         raise PrecisionError("Im tau is not positive definite; quadrature suspect")
-    Omega = np.block([[omega, omega_p], [eta, eta_p]])
-    J = np.block([[np.zeros((g, g)), -np.eye(g)], [np.eye(g), np.zeros((g, g))]])
     resid = float(np.max(np.abs(Omega.T @ J @ Omega - 2j * np.pi * J)))
     if resid > LEGENDRE_TOL * max(1.0, float(np.max(np.abs(Omega))) ** 2):
         raise PrecisionError(f"Legendre relation fails by {resid:.2e}; quadrature suspect")
     # U[c_k+1] = U[c_k] + half the loop round edge k, and sum_k U[c_k] = 0
     # (div y = sum_k c_k - (2g+1) inf) with 2 U[c_0] in the lattice
     S = np.concatenate([np.zeros((g, 1)), np.cumsum(0.5 * raw[:g], axis=1)], axis=1)
-    L = np.hstack([omega, omega_p])
-    twice = 2.0 * _lattice_coords(L, S + np.sum(S, axis=1, keepdims=True))
+    twice = 2.0 * _lattice_coords(Omega[:g], S + np.sum(S, axis=1, keepdims=True))
     quadrature["snap"] = snap = float(np.max(np.abs(twice - np.round(twice))))
     if snap > _SNAP_TOL:
         raise PrecisionError(f"branch images miss the half-periods by {snap:.2e}")
     pd = PeriodData(
         curve=curve, omega=omega, omega_prime=omega_p, eta=eta, eta_prime=eta_p, tau=tau,
         kappa=None, legendre_residual=resid, branch=e, chain=chain,
-        images=L @ (0.5 * (np.round(twice) % 2.0)), quadrature=quadrature,
+        images=Omega[:g] @ (0.5 * (np.round(twice) % 2.0)), quadrature=quadrature,
     )
     pd.kappa = eta @ pd.omega_inv
     return pd
@@ -463,8 +484,8 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData) -> np.ndarray:
         s, w = _leg_rule(_node_count(rho[k], "Abel leg"))
         d = pt.x - c[k]
         s2 = np.append(1.0, s[::-1] ** 2)  # s = 1, where y fixes the sheet, then the nodes down
-        Q = np.prod((c[k] - np.delete(c, k)) + d * s2[:, None], axis=1)
-        q = _continue_sqrt(Q, pt.y / np.sqrt(d))
+        Q = np.prod((c[k] - c[np.arange(n) != k]) + d * s2[:, None], axis=1)
+        q = _continue_sqrt(Q, pt.y / np.sqrt(d), [0, len(Q)])
         x = c[k] + d * s2[:0:-1]
         du = np.array([x ** (g - 1 - i) for i in range(g)]) / q[:0:-1]
         total += pd.images[:, k] - np.sqrt(d) * (du @ w)

@@ -1,10 +1,13 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kleinian.transcendental as transcendental
-from kleinian.curves import curve_model
+from kleinian.curves import curve_model, y_split
 from kleinian.divisors import Divisor
 from kleinian.errors import (
     CharacteristicSearchError,
@@ -319,8 +322,11 @@ def test_riemann_characteristic_certificate_rejects_swapped_branch_images(name):
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_canonical_rows_pair_symplectically_in_the_chain_matrix(g):
     A = np.eye(2 * g, k=1, dtype=int) - np.eye(2 * g, k=-1, dtype=int)
-    a, b = _canonical_rows(g)
+    rows, J = _canonical_rows(g)
+    a, b = rows[:, :g].T, rows[:, g:].T
     assert a.shape == b.shape == (g, 2 * g)
+    assert np.array_equal(J, _legendre_J(g))
+    assert rows is _canonical_rows(g)[0] and not rows.flags.writeable and not J.flags.writeable
     assert np.array_equal(a @ A @ b.T, np.eye(g, dtype=int))
     assert not np.any(a @ A @ a.T) and not np.any(b @ A @ b.T)
 
@@ -358,7 +364,7 @@ def test_continue_sqrt_matches_serial_reference_on_abel_legs(g, seed):
         d = x - c[k]
         Q = np.prod((c[k] - np.delete(c, k)) + d * np.append(1.0, s[::-1] ** 2)[:, None], axis=1)
         y0 = (-1) ** n * np.sqrt(np.prod(x - c)) / np.sqrt(d)
-        q = _continue_sqrt(Q, y0)
+        q = _continue_sqrt(Q, y0, [0, len(Q)])
         assert np.array_equal(q, _serial_continuation(Q, y0))
         assert abs(q[0] - y0) < abs(q[0] + y0)
         flipped |= bool(np.any(q[1:] != np.sqrt(Q[1:])))
@@ -584,7 +590,8 @@ def test_swapped_cycles_fail_the_positivity_gate(monkeypatch):
     # the one orientation period_matrices tries is the one that can pass
     curve = FIXED_CURVES["g2"]()
     rows = transcendental._canonical_rows
-    monkeypatch.setattr(transcendental, "_canonical_rows", lambda g: rows(g)[::-1])
+    monkeypatch.setattr(transcendental, "_canonical_rows",
+                        lambda g: (np.roll(rows(g)[0], g, axis=1), rows(g)[1]))
     with pytest.raises(PrecisionError, match="not positive definite"):
         period_matrices(curve)
 
@@ -609,9 +616,53 @@ def test_continue_sqrt_on_coarse_leg_nodes_is_ambiguous():
         Q = (x - c[1]) * (x - c[2])
         if ambiguous:
             with pytest.raises(PrecisionError, match="ambiguous"):
-                _continue_sqrt(Q, y)
+                _continue_sqrt(Q, y, [0, len(Q)])
         else:
-            assert np.allclose(_continue_sqrt(Q, y) ** 2, Q, rtol=1e-14, atol=0)
+            assert np.allclose(_continue_sqrt(Q, y, [0, len(Q)]) ** 2, Q, rtol=1e-14, atol=0)
+
+
+def test_continue_sqrt_restarts_at_each_segment():
+    # two segments of one array: each starts from its own y0, whatever the
+    # one before ended on, and the jump between them is a step of neither
+    t = np.linspace(0.0, 1.0, 40)
+    w2 = np.concatenate([np.exp(1j * np.pi * t), -np.exp(1j * np.pi * t)])  # sqrt(w2) turns a quarter
+    for y0 in ([1.0, -1j], [-1.0, 1j], [1.0, 1j]):
+        y = _continue_sqrt(w2, np.array(y0), [0, 40, 80])
+        assert np.array_equal(y[:40], _serial_continuation(w2[:40], y0[0]))
+        assert np.array_equal(y[40:], _serial_continuation(w2[40:], y0[1]))
+    # the principal root jumps from i to -i at the boundary: one path flips
+    # there, while a segment starting there keeps its own start, so
+    # y[39], y[40] = i, -i is no ambiguous step
+    one = _continue_sqrt(w2, 1.0, [0, 80])
+    assert np.allclose(one[[39, 40, -1]], [1j, 1j, -1.0])
+    two = _continue_sqrt(w2, np.array([1.0, -1j]), [0, 40, 80])
+    assert np.array_equal(two[:40], one[:40]) and np.array_equal(two[40:], -one[40:])
+    # a near quarter turn of sqrt between two nodes is ambiguous inside a
+    # segment, and no step where a segment boundary falls between them
+    coarse = np.concatenate([w2[:40], np.exp(1j * np.pi * np.array([0.0, 0.9]))])
+    with pytest.raises(PrecisionError, match="ambiguous"):
+        _continue_sqrt(coarse, np.array([1.0, 1.0]), [0, 40, 42])
+    _continue_sqrt(coarse, np.ones(3), [0, 40, 41, 42])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_continue_sqrt_over_segments_is_the_one_path_routine_per_segment(data):
+    # coarse random paths: both flip the sign at the same steps, to the
+    # bit, and both refuse the same ambiguous steps
+    cplx = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+    segs = data.draw(st.lists(st.lists(cplx, min_size=1, max_size=6), min_size=1, max_size=4))
+    y0 = np.array([data.draw(cplx) for _ in segs])
+    bounds = np.cumsum([0] + [len(seg) for seg in segs])
+    w2 = np.concatenate([np.array(seg) for seg in segs])
+    try:
+        ref = np.concatenate([_reference_continue_sqrt(np.array(seg), y) for seg, y in zip(segs, y0)])
+    except PrecisionError:
+        with pytest.raises(PrecisionError, match="ambiguous"):
+            _continue_sqrt(w2, y0, bounds)
+        return
+    y = _continue_sqrt(w2, y0, bounds)
+    assert np.array_equal(y, ref) and np.array_equal(np.signbit(y.view(float)), np.signbit(ref.view(float)))
 
 
 def test_leg_rule_is_fejer_with_full_precision_nodes_next_to_zero():
@@ -768,6 +819,19 @@ SELF_CROSSING_WALK = {
 }
 
 
+def _nn_path(e, start):
+    """Reference: the nearest-neighbour walk from start, one Python step at a
+    time, the first of equally near points in index order."""
+    left = list(range(len(e)))
+    path = [left.pop(left.index(start))]
+    while left:
+        last = e[path[-1]]
+        nxt = min(left, key=lambda i: abs(e[i] - last))
+        left.remove(nxt)
+        path.append(nxt)
+    return path
+
+
 def test_chain_order_skips_self_crossing_walks():
     curve = curve_model(2, 5, SELF_CROSSING_WALK)
     e = branch_points(curve)
@@ -776,7 +840,8 @@ def test_chain_order_skips_self_crossing_walks():
         return min(_segment_distance(e[path[j]], e[path[j + 1]], np.delete(e, path[j:j + 2]))
                    for j in range(len(e) - 1))
 
-    walks = [transcendental._nn_path(e, s) for s in range(len(e))]
+    walks = transcendental._nn_walks(e).tolist()
+    assert walks == [_nn_path(e, s) for s in range(len(e))]
     sweeps = [list(np.argsort((e * np.exp(-1j * phi)).real)) for phi in (0.0, 0.4, 0.8, 1.2, 1.6)]
     widest = max(walks + sweeps, key=clearance)
     assert widest in walks and not _is_simple(e[widest])
@@ -798,23 +863,34 @@ def test_edge_needing_too_many_nodes_raises():
 def test_edge_sqrt_coarse_nodes_are_ambiguous():
     # two nodes across an edge passing 0.05 from a branch point: sqrt(x - 0.05i)
     # turns by a quarter between them
+    c, others = np.array([-1.0 + 0j, 1.0]), np.array([[0.05j]])
     with pytest.raises(PrecisionError, match="ambiguous"):
-        _edge_sqrt(-1.0, 1.0, np.array([0.05j]), 2)
-    x, q = _edge_sqrt(-1.0, 1.0, np.array([0.05j]), 64)
+        _edge_sqrt(c, others, [2])
+    x, q, starts, ends = _edge_sqrt(c, others, [64])
     assert np.allclose(q ** 2, x - 0.05j, rtol=1e-14, atol=0)
     assert x[0] == -1.0 and x[-1] == 1.0 and np.all(np.diff(x.real) > 0)
+    assert list(starts) == [0] and list(ends) == [65]
+    # beside an edge of fine nodes, an edge of coarse ones is still refused
+    c, others = np.array([-1.0 + 0j, 1.0, 3.0]), np.array([[3.0], [2.0 + 0.05j]])
+    with pytest.raises(PrecisionError, match="ambiguous"):
+        _edge_sqrt(c, others, [64, 2])
+    x, q, starts, ends = _edge_sqrt(c, others, [64, 64])
+    assert list(starts) == [0, 66] and list(ends) == [65, 131] and x[65] == x[66] == 1.0
+    assert np.allclose(q ** 2, np.append(x[:66] - 3.0, x[66:] - 2.0 - 0.05j), rtol=1e-14, atol=0)
 
 
 def test_junction_sign_goes_round_clockwise_and_needs_a_unit_ratio():
     # chain -1 -> 0 -> 1: sqrt(x - 1) ends at 0 as i, sqrt(x + 1) starts there
     # as 1; the clockwise half turn from -1 to +1 turns sqrt(x) by -pi/2
-    _, q0 = _edge_sqrt(-1.0, 0.0, np.array([1.0 + 0j]), 16)
-    _, q1 = _edge_sqrt(0.0, 1.0, np.array([-1.0 + 0j]), 16)
-    assert abs(q0[-1] - 1j) < 1e-15 and q1[0] == 1.0
-    assert _junction_sign(0.5, q0[-1], 0.5, q1[0]) == 1.0
-    assert _junction_sign(0.5, q0[-1], 0.5, -q1[0]) == -1.0
-    with pytest.raises(PrecisionError, match="do not join"):
-        _junction_sign(0.5, q0[-1], 0.5, 1j * q1[0])
+    c = np.array([-1.0 + 0j, 0.0, 1.0])
+    _, q, starts, ends = _edge_sqrt(c, c[[[2], [0]]], [16, 16])
+    q0, q1 = q[ends[0]], q[starts[1]]
+    assert abs(q0 - 1j) < 1e-15 and q1 == 1.0
+    h = np.array([0.5 + 0j, 0.5])
+    assert list(_junction_sign(h, np.array([q0, q0]), h, np.array([q1, -q1]))) == [1.0, -1.0]
+    h = np.array([0.5 + 0j, 0.5, 0.5])
+    with pytest.raises(PrecisionError, match=r"do not join \(ratio \S*-1j\)"):  # the first bad one
+        _junction_sign(h, np.array([q0, q0, q0]), h, np.array([q1, 1j * q1, 2.0 * q1]))
 
 
 def _oracle_columns(curve):
@@ -913,3 +989,131 @@ def test_bernstein_radius_is_the_same_on_both_sides_of_a_signed_zero():
     # product of principal roots picks the root of modulus 3 - 2 sqrt 2
     z = np.array([[complex(-3.0, 0.0)], [complex(-3.0, -0.0)], [complex(3.0, -0.0)], [4j]])
     assert np.allclose(_bernstein_radius(z), [3.0 + 8.0**0.5] * 3 + [4.0 + 17.0**0.5], rtol=1e-15)
+
+
+# -- the batched edge pass against the edge-by-edge loop -------------------------
+
+
+def _reference_continue_sqrt(w2, y0):
+    """Reference: the one-path sign tracking that the segmented
+    _continue_sqrt replaced."""
+    w = np.sqrt(w2)
+    flips = np.where(np.abs(w[1:] - w[:-1]) > np.abs(w[1:] + w[:-1]), -1.0, 1.0)
+    start = 1.0 if abs(w[0] - y0) <= abs(w[0] + y0) else -1.0
+    y = np.concatenate([[start], start * np.cumprod(flips)]) * w
+    if np.any(np.abs(y[1:] - y[:-1]) > 0.7 * np.abs(y[1:] + y[:-1])):
+        raise PrecisionError("sheet continuation along a sampled path is ambiguous")
+    return y
+
+
+def _reference_chain_homology(curve, e):
+    """Reference: the loop integrals edge by edge, as _chain_homology
+    computed them before its edges became one batched pass."""
+    g = curve.genus
+    order, clearance = _chain_order(e)
+    c = e[order]
+    rho_coeffs = [y_split(table)[0] for table in curve.second_kind_numerators()]
+    raw = np.empty((2 * g, 2 * g), dtype=complex)
+    nodes, radii = [], []
+    sigma, last = 1.0, None
+    for j in range(2 * g):
+        a, b, others = c[j], c[j + 1], np.delete(c, [j, j + 1])
+        m, h = 0.5 * (a + b), 0.5 * (b - a)
+        rho = float(_bernstein_radius((others - m) / h))
+        N = _node_count(rho, "chain edge")
+        th = (np.arange(N) + 0.5) * np.pi / N
+        lo = np.concatenate([[0.0], 2.0 * np.sin(0.5 * th) ** 2, [2.0]])
+        hi = np.concatenate([[2.0], 2.0 * np.cos(0.5 * th) ** 2, [0.0]])
+        near_a = lo <= hi
+        Q = np.prod(np.where(near_a[:, None], (a - others) + h * lo[:, None],
+                             (b - others) - h * hi[:, None]), axis=1)
+        q = _reference_continue_sqrt(Q, np.sqrt(Q[0]))
+        x = np.where(near_a, a + h * lo, b - h * hi)
+        if last is not None:  # the sheet round the junction, as _junction_sign
+            h0, q0 = last
+            d0, d1 = h0 / abs(h0), h / abs(h)
+            dphi = -((np.angle(-d0) - np.angle(d1)) % (2.0 * np.pi))
+            ratio = d0 * np.sqrt(abs(h0)) * q0 * np.exp(0.5j * dphi) / (d1 * np.sqrt(abs(h)) * q[0])
+            if min(abs(ratio - 1.0), abs(ratio + 1.0)) > 1e-6:
+                raise PrecisionError(f"sheets of consecutive chain edges do not join (ratio {ratio:.3g})")
+            sigma *= float(np.sign(ratio.real))
+        last = h, q[-1]
+        x, q = x[1:-1], q[1:-1]
+        F = [x ** (g - 1 - i) for i in range(g)] + [np.polyval(r, x) for r in rho_coeffs]
+        raw[:, j] = (1j * sigma * np.pi / N) * np.sum(np.array(F) / q, axis=1)
+        nodes.append(N)
+        radii.append(rho)
+    return raw, c, {"nodes": nodes, "bernstein": radii, "clearance": clearance}
+
+
+def _assert_same_bits(curve):
+    e = branch_points(curve)
+    try:
+        ref = _reference_chain_homology(curve, e)
+    except PrecisionError as exc:
+        with pytest.raises(PrecisionError, match=re.escape(str(exc))):
+            _chain_homology(curve, e)
+        return None
+    raw, chain, quad = _chain_homology(curve, e)
+    assert np.array_equal(raw, ref[0]) and raw.flags.c_contiguous
+    assert np.array_equal(np.signbit(raw.view(float)), np.signbit(ref[0].view(float)))
+    assert np.array_equal(chain, ref[1]) and quad == ref[2]
+    assert [type(v) for v in quad["nodes"] + quad["bernstein"]] == [int] * len(raw) + [float] * len(raw)
+    return raw
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_CURVES) + ["gap-1e-4", "real", "real-g1"])
+def test_batched_edges_have_the_bits_of_the_edge_by_edge_loop(name):
+    # on the real curves whole parts of loop integrals are exact zeros, whose
+    # signs follow the rounding of i sigma pi / N
+    curves = {**FIXED_CURVES, **REAL_CURVE, "gap-1e-4": lambda: _clustered(1e-4),
+              "real-g1": lambda: curve_model(2, 3, {4: -1.0})}
+    assert _assert_same_bits(curves[name]()) is not None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_batched_edges_have_the_bits_of_the_edge_by_edge_loop_on_random_curves(data):
+    # branch points on a coarse grid give exact ties (walks, sweeps) and
+    # exact zeros (real edges); free ones give everything else
+    g = data.draw(st.integers(1, 3), label="g")
+    coord = st.one_of(st.integers(-3, 3).map(lambda k: 0.5 * k),
+                      st.floats(-2.0, 2.0, allow_subnormal=False))
+    e = [complex(data.draw(coord), data.draw(coord)) for _ in range(2 * g + 1)]
+    try:
+        curve = _curve_from_branch_points(e)
+        branch_points(curve)
+    except (DegenerateCurveError, InvalidCurveError):
+        return
+    try:
+        _assert_same_bits(curve)
+    except PrecisionError:  # both refuse the chain itself
+        with pytest.raises(PrecisionError):
+            _chain_order(branch_points(curve))
+
+
+# -- branch points are found once per curve -------------------------------------
+
+
+def test_branch_points_are_found_once_per_curve(monkeypatch):
+    calls = []
+    roots = np.roots
+    monkeypatch.setattr(np, "roots", lambda c: calls.append(1) or roots(c))
+    curve = FIXED_CURVES["g2"]()
+    e = branch_points(curve)
+    pd = period_matrices(curve)
+    assert len(calls) == 1 and pd.branch is e and branch_points(curve) is e
+    assert not e.flags.writeable
+    with pytest.raises(ValueError):
+        e[0] = 0.0
+    # a new curve with the same lambda finds its own, the same bits
+    twin = curve_model(2, 5, dict(curve.lam))
+    assert twin == curve and repr(twin) == repr(curve)
+    assert np.array_equal(branch_points(twin), e) and branch_points(twin) is not e
+    assert len(calls) == 2
+    # a raise is not kept: every call finds the collision anew
+    cusp = curve_model(2, 3)
+    for n in (3, 4):
+        with pytest.raises(DegenerateCurveError, match="collide"):
+            branch_points(cusp)
+        assert len(calls) == n
