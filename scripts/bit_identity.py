@@ -1,6 +1,6 @@
-"""SHA-256 digests of algebra and period outputs, to compare two commits bit for bit.
+"""SHA-256 digests of algebra, period and bridge outputs, to compare two commits bit for bit.
 
-    python3 scripts/bit_identity.py [ALGEBRA_OPS] [PERIOD_CURVES]
+    python3 scripts/bit_identity.py [ALGEBRA_OPS] [PERIOD_CURVES] [BRIDGE_OPS]
 
 Run it from the root of each checkout: it imports the library from that
 checkout's ``src/`` and the benchmark pools from its ``perfbench/``.  For
@@ -14,7 +14,11 @@ seeds 1 and 3 it digests, as exact float hex strings,
   ``residuals_34`` after ``extended_34`` on (3,4));
 * ``periods``: ``omega``, ``eta`` and the branch images of
   ``period_matrices``, and ``second_kind_residue_matrix``, on the first
-  PERIOD_CURVES (default 60) ``periods`` pool curves.
+  PERIOD_CURVES (default 60) ``periods`` pool curves;
+* ``bridge``: the Abel image and the wp-values of BRIDGE_WP (the five
+  index tuples a ``bridge`` op reads, and two of order 4) on the first
+  BRIDGE_OPS (default 300) ``bridge`` pool divisors, on the curves and
+  characteristics of the workload's own set-up.
 
 An op that raises a ``KleinianError`` contributes the name of its class;
 any other exception (a ``NameError`` from a deleted helper, say) aborts
@@ -32,6 +36,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
 import inputs  # noqa: E402
+import workloads  # noqa: E402
 from kleinian import addition as A  # noqa: E402
 from kleinian import curves as C  # noqa: E402
 from kleinian import divisors as DV  # noqa: E402
@@ -77,8 +82,17 @@ def _periods(curve) -> list:
             _hex(T.second_kind_residue_matrix(curve, 30))]
 
 
-def main(algebra_ops: int = 250, period_curves: int = 60) -> dict:
-    digests = {name: hashlib.sha256() for name in ("algebra", "identities", "periods")}
+BRIDGE_WP = ((1, 1), (1, 3), (3, 3), (1, 1, 1), (1, 1, 3), (1, 1, 1, 1), (1, 1, 3, 3))
+
+
+def _bridge(state, spec) -> list:
+    _, curve, pd, ch = state["curves"][spec["curve"]]
+    u = T.abel(curve, DV.Divisor(curve, spec["points"]), pd)
+    return [_hex(u)] + [_guarded(lambda: _hex([T.wp_theta(pd, ch, u, w)])) for w in BRIDGE_WP]
+
+
+def main(algebra_ops: int = 250, period_curves: int = 60, bridge_ops: int = 300) -> dict:
+    digests = {name: hashlib.sha256() for name in ("algebra", "identities", "periods", "bridge")}
     for seed in (1, 3):
         for spec in inputs.algebra_pool(inputs.workload_rng("algebra", seed))[:algebra_ops]:
             curve = C.curve_model(spec["n"], spec["s"], spec["lam"])
@@ -93,9 +107,12 @@ def main(algebra_ops: int = 250, period_curves: int = 60) -> dict:
         for spec in inputs.periods_pool(inputs.workload_rng("periods", seed))[:period_curves]:
             curve = C.curve_model(spec["n"], spec["s"], spec["lam"])
             digests["periods"].update(repr(_guarded(lambda: _periods(curve))).encode())
+        state = workloads.setup_bridge(seed)
+        for spec in state["pool"][:bridge_ops]:
+            digests["bridge"].update(repr(_guarded(lambda: _bridge(state, spec))).encode())
     return {name: h.hexdigest() for name, h in digests.items()}
 
 
 if __name__ == "__main__":
-    for name, digest in main(*(int(a) for a in sys.argv[1:3])).items():
+    for name, digest in main(*(int(a) for a in sys.argv[1:4])).items():
         print(name, digest)

@@ -301,8 +301,9 @@ def interpolate_in_basis(curve: CurveModel, basis: list[Monomial], leads, D: Div
         raise InvalidCurveError(
             f"need a degree {len(basis)} divisor for this interpolation, got {D.degree}"
         )
-    A = interpolation_rows(curve, basis, D)
-    B = -(interpolation_rows(curve, [m for m, _ in leads], D) * [c for _, c in leads])
+    rows = interpolation_rows(curve, [*basis, *(m for m, _ in leads)], D)
+    A = np.ascontiguousarray(rows[:, : len(basis)])
+    B = -(rows[:, len(basis) :] * [c for _, c in leads])  # a new C-ordered array
     try:
         C = _solve_equilibrated(A, B)
     except np.linalg.LinAlgError as exc:

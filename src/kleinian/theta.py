@@ -184,8 +184,8 @@ def theta_directional(
 # -- logarithmic derivatives ---------------------------------------------------
 
 
-def _log_derivative(base, F) -> complex:
-    """Joint cumulant of the columns of F under the lattice weights base.
+def _log_derivative(base, F, cols=None, moments=None) -> complex:
+    """Joint cumulant of the columns cols (default all) of F under the lattice weights base.
 
     base holds the terms of one _terms pass and column a of F the per-term
     factors 2 i pi m.w_a of a direction w_a, so this is the mixed partial of
@@ -193,16 +193,23 @@ def _log_derivative(base, F) -> complex:
     mu(S) = sum base prod_(a in S) F_a / sum base over the column subsets S
     (bitmasks, each product extending the one without S's lowest bit),
     kappa(S) = mu(S) - sum kappa(T) mu(S - T) over the proper subsets T of
-    S that contain its lowest column.
+    S that contain its lowest column.  ``moments`` maps a product chain,
+    the columns of F in the order they multiply base, to the product and
+    its sum, () to base and sum base; calls at one lattice pass that share
+    it form each product once, with the same bits in every call.
     """
-    n = F.shape[1]
-    t0 = np.sum(base)
-    prods, mu, kappa = [base], [1.0], [0.0]
-    for S in range(1, 1 << n):
+    cols = range(F.shape[1]) if cols is None else cols
+    moments = {(): (base, np.sum(base))} if moments is None else moments
+    t0, chains, mu, kappa = moments[()][1], [()], [1.0], [0.0]
+    for S in range(1, 1 << len(cols)):
         low = S & -S
-        prods.append(prods[S ^ low] * F[:, low.bit_length() - 1])
-        mu.append(np.sum(prods[S]) / t0)
         rest = S ^ low
+        chain = chains[rest] + (cols[low.bit_length() - 1],)
+        if chain not in moments:
+            prod = moments[chains[rest]][0] * F[:, chain[-1]]
+            moments[chain] = (prod, np.sum(prod))
+        chains.append(chain)
+        mu.append(moments[chain][1] / t0)
         acc, R = mu[S], 0
         while R != rest:  # the proper subsets R of rest, T = low | R
             acc -= kappa[low | R] * mu[rest ^ R]
@@ -222,8 +229,8 @@ def log_theta_derivatives(v, tau, orders, char=None) -> dict:
     t0 = np.sum(base)
     if abs(t0) == 0:
         raise PrecisionError("theta vanishes: logarithmic derivatives undefined")
-    F = 2j * np.pi * m.T
+    F, moments = 2j * np.pi * m.T, {(): (base, t0)}
     return {
-        tuple(sorted(a)): _log_derivative(base, F[:, list(a)]) if a else np.log(np.exp(shift) * t0)
+        tuple(sorted(a)): _log_derivative(base, F, a, moments) if a else np.log(np.exp(shift) * t0)
         for a in orders
     }

@@ -20,13 +20,14 @@ The Abel map (base point infinity) starts from the branch points, whose
 images are half-periods: sums of half edge integrals, snapped to the
 half-period lattice, which certifies them.  A point is reached by one leg
 from the branch point of widest Bernstein radius, under the chain edges'
-node-count rule, with its sheet fixed by the point's y.
+node-count rule, with its sheet fixed by the point's y; the legs of a
+divisor are one batched pass, as the chain edges are.
 
 wp-values are logarithmic derivatives of theta(omega^-1 u) along u, with
 the Riemann-constant characteristic (the sum of the alternate branch
 points' half-periods, certified by the weighted vanishing order of theta
 with that one characteristic): joint cumulants of the columns of
-2 i pi m^t omega^-1 over the terms of one theta pass per argument.
+2 i pi m^t omega^-1 over the terms and moments of one theta pass per argument.
 """
 
 from __future__ import annotations
@@ -118,9 +119,10 @@ class PeriodData:
     of 2 * the images' lattice coordinates from integers (not serialized).
     ``theta_form`` is ``_check_tau(tau)``, computed once for every theta
     pass on this data.  ``theta_memo`` keeps the one theta pass of the last
-    ``wp_theta`` argument, at order 4: ((char, u.tobytes()), base, F), the
-    lattice terms and their factors F = 2 i pi m^t omega^-1, one column per
-    u-direction.
+    ``wp_theta`` argument, at order 4: ((char, u.tobytes()), F, moments),
+    the factors F = 2 i pi m^t omega^-1 of the lattice terms, one column per
+    u-direction, and _log_derivative's table from () to the terms and their
+    sum and from each product chain formed so far to its product and sum.
     """
 
     curve: CurveModel
@@ -141,6 +143,12 @@ class PeriodData:
     @cached_property
     def omega_inv(self) -> np.ndarray:
         return np.linalg.inv(self.omega)
+
+    @cached_property
+    def chain_diff(self) -> tuple:
+        """c_m - c_k and c_k - c_m at [k, m != k] over the chain c (n x n-1 each)."""
+        M, off = self.chain - self.chain[:, None], ~np.eye(len(self.chain), dtype=bool)
+        return M[off].reshape(len(M), -1), M.T[off].reshape(len(M), -1)
 
     @cached_property
     def theta_form(self) -> tuple:
@@ -467,30 +475,43 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData) -> np.ndarray:
     A point (x, y) is reached from the half-period pd.images[:, k] of the
     branch point c_k of widest Bernstein radius over x = c_k + d s^2
     (d = x - c_k), where du_i / ds = -sqrt(d) x^(g-1-i) / sqrt(Q), Q the
-    product of x - c_m over the other branch points, is analytic."""
+    product of x - c_m over the other branch points, is analytic.  A
+    branch point adds its half-period; the other points' legs are one
+    batched pass (_leg_sums) with the bits of a leg taken alone."""
     _require_hyperelliptic(curve)
-    g = curve.genus
-    c, n = pd.chain, len(pd.chain)
-    total = np.zeros(g, dtype=complex)
-    for pt in D.points:
-        on = np.flatnonzero(c == pt.x)
-        if len(on):
-            total += pd.images[:, on[0]]
-            continue
-        r = (c - c[:, None]) / (pt.x - c)[:, None]  # s^2 at the singularities of each leg
-        z = np.sqrt(r[~np.eye(n, dtype=bool)].reshape(n, n - 1))
-        rho = _bernstein_radius(np.concatenate([2.0 * z - 1.0, -2.0 * z - 1.0], axis=1))
-        k = int(np.argmax(rho))
-        s, w = _leg_rule(_node_count(rho[k], "Abel leg"))
-        d = pt.x - c[k]
-        s2 = np.append(1.0, s[::-1] ** 2)  # s = 1, where y fixes the sheet, then the nodes down
-        Q = np.prod((c[k] - c[np.arange(n) != k]) + d * s2[:, None], axis=1)
-        q = _continue_sqrt(Q, pt.y / np.sqrt(d), [0, len(Q)])
-        x = c[k] + d * s2[:0:-1]
-        du = np.array([x ** (g - 1 - i) for i in range(g)]) / q[:0:-1]
-        total += pd.images[:, k] - np.sqrt(d) * (du @ w)
+    on = D.xs()[:, None] == pd.chain
+    branch, leg = np.argmax(on, axis=1).tolist(), np.flatnonzero(~np.any(on, axis=1))
+    sums = iter(_leg_sums(pd, D, leg) if len(leg) else [])
+    total = np.zeros(curve.genus, dtype=complex)
+    for i, b in enumerate(branch):
+        total += pd.images[:, b] if on[i, b] else next(sums)
     L = np.hstack([pd.omega, pd.omega_prime])
     return total - L @ np.round(_lattice_coords(L, total))
+
+
+def _leg_sums(pd: PeriodData, D: Divisor, leg: np.ndarray) -> list:
+    """pd.images[:, k] plus the leg integral for each point D.points[leg]: the
+    legs are segments of one array, from s = 1, where y fixes the sheet, down
+    the nodes; a leg's du is copied back to rising s for its own product with w."""
+    g, c = pd.curve.genus, pd.chain
+    diff, back = pd.chain_diff
+    x = D.xs()[leg]
+    z = np.sqrt(diff / (x[:, None] - c)[:, :, None])  # s^2 at the singularities of each leg
+    rho = _bernstein_radius(np.concatenate([2.0 * z - 1.0, -2.0 * z - 1.0], axis=2))
+    k = np.argmax(rho, axis=1)
+    rules = [_leg_rule(_node_count(rho[p, kp], "Abel leg")) for p, kp in enumerate(k)]
+    size = [len(w) + 1 for _, w in rules]
+    bounds, seg = np.cumsum([0] + size), np.repeat(np.arange(len(leg)), size)
+    s2 = np.concatenate([v for s, _ in rules for v in ([1.0], s[::-1])]) ** 2
+    d = x - c[k]
+    root = np.sqrt(d)
+    ds2 = d[seg] * s2
+    Q = np.prod(back[k][seg] + ds2[:, None], axis=1)
+    q = _continue_sqrt(Q, [D.points[i].y / root[p] for p, i in enumerate(leg)], bounds)
+    xn = c[k][seg] + ds2
+    du = np.array([xn ** (g - 1 - i) for i in range(g)]) / q
+    return [pd.images[:, k[p]] - root[p] * (np.ascontiguousarray(du[:, b - 1:a:-1]) @ w)
+            for p, (a, b, (_, w)) in enumerate(zip(bounds, bounds[1:], rules))]
 
 
 # -- wp from theta ---------------------------------------------------------------
@@ -505,7 +526,7 @@ def wp_theta(pd: PeriodData, char: Characteristic, u, indices) -> complex:
     of 2 i pi m^t omega^-1 (_log_derivative).  The kappa correction applies
     to the 2-index values and the quadratic exponential drops out of all
     higher ones.  Calls at one (char, u) share one theta pass at order 4
-    (``pd.theta_memo``, replaced when the argument changes).
+    and its moments (``pd.theta_memo``, replaced when the argument changes).
     """
     gaps = list(pd.curve.gaps)
     try:
@@ -518,11 +539,12 @@ def wp_theta(pd: PeriodData, char: Characteristic, u, indices) -> complex:
     key = (char, u.tobytes())
     if pd.theta_memo is None or pd.theta_memo[0] != key:
         m, _, base = _terms(pd.omega_inv @ u, pd.theta_form, char, 1e-14, 4)
-        pd.theta_memo = (key, base, 2j * np.pi * (m.T @ pd.omega_inv))
-    _, base, F = pd.theta_memo
-    if abs(np.sum(base)) < 1e-8:  # |theta| in units of its largest lattice term
+        pd.theta_memo = (key, 2j * np.pi * (m.T @ pd.omega_inv), {(): (base, np.sum(base))})
+    _, F, moments = pd.theta_memo
+    base, t0 = moments[()]
+    if abs(t0) < 1e-8:  # |theta| in units of its largest lattice term
         raise ThetaDivisorError("u lies on (or too near) the theta divisor")
-    val = -_log_derivative(base, F[:, pos])
+    val = -_log_derivative(base, F, pos, moments)
     if len(pos) == 2:
         val += pd.kappa[pos[0], pos[1]]
     return complex(val)

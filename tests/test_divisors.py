@@ -131,6 +131,26 @@ def test_confluent_interpolation(rng):
         assert abs(dRdx) / scale < 1e-7
 
 
+def test_interpolation_builds_one_jet_per_repeated_point(rng, monkeypatch):
+    # the basis and the leads share one row pass, so the Newton on jets of
+    # branch_jet runs once per repeated point and solve, and the rows split
+    # into the same A and B as two passes
+    calls, real = [], divisors.branch_jet
+    monkeypatch.setattr(divisors, "branch_jet", lambda *a: calls.append(a) or real(*a))
+    for n, s in FAMILIES:
+        curve = random_curve(n, s, rng)
+        g = curve.genus
+        base = random_divisor(curve, g - 1, rng)
+        doubled = Divisor(curve, list(base.points) + [base.points[0]], validate=False)
+        mons = curve.monomials_up_to(2 * g)
+        del calls[:]
+        C = divisors.interpolate_in_basis(curve, mons[:-1], [(mons[-1], 1.0)], doubled)
+        assert len(calls) == 1
+        A = divisors.interpolation_rows(curve, mons[:-1], doubled)
+        B = -(divisors.interpolation_rows(curve, mons[-1:], doubled) * [1.0])
+        assert np.array_equal(C, divisors._solve_equilibrated(A, B))
+
+
 def test_branch_jet_rejects_branch_points():
     curve = curve_model(2, 3, {4: -1.0})
     with pytest.raises(BranchPointError):

@@ -36,6 +36,18 @@ def test_power():
     assert np.allclose((a**3).c, np.array([8.0, 12.0, 6.0, 1.0, 0.0, 0.0]))
 
 
+def test_power_squares_only_below_the_top_bit(monkeypatch):
+    real, calls = series.Jet.__mul__, []
+    monkeypatch.setattr(series.Jet, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    a = ref = series.var(1.5 - 0.5j, 6)
+    for k in range(1, 12):
+        del calls[:]
+        p = a**k
+        assert len(calls) == bin(k).count("1") + k.bit_length() - 1
+        assert np.allclose(p.c, ref.c, rtol=1e-13)
+        ref = real(ref, a)
+
+
 def test_solve_series_solves_the_jet_system():
     rng = np.random.default_rng(1)
     n, order = 4, 6

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -18,7 +19,7 @@ from kleinian.errors import (
 )
 from kleinian.jsonio import period_to_json
 from kleinian.sampling import random_curve, random_divisor
-from kleinian.theta import Characteristic, theta_directional
+from kleinian.theta import Characteristic, _log_derivative, _terms, theta_directional
 from kleinian.transcendental import (
     _EDGE_EPS,
     _EDGE_MARGIN,
@@ -449,9 +450,61 @@ def test_wp_theta_memo_raises_on_every_call_on_the_theta_divisor(monkeypatch):
     for idx in [(1, 1), (1, 1), (1, 1, 3)]:
         with pytest.raises(ThetaDivisorError):
             wp_theta(pd, ch, np.zeros(2), idx)
-    key, base, F = pd.theta_memo
+    key, F, moments = pd.theta_memo
+    base, t0 = moments[()]
     assert key == (ch, np.zeros(2, dtype=complex).tobytes()) and passes == [4]
-    assert abs(np.sum(base)) < 1e-8 and F.shape == (base.size, 2)
+    assert abs(t0) < 1e-8 and t0 == np.sum(base) and F.shape == (base.size, 2)
+    assert list(moments) == [()]  # a raise forms no product
+
+
+@pytest.mark.parametrize("name", ["g2", "g3"])
+def test_wp_theta_values_have_the_bits_of_a_cumulant_without_a_table(name):
+    # every index tuple of order 2-4, at two arguments, in shuffled orders:
+    # a shared product has the bits of the product formed for that call alone
+    curve, pd, ch, us = _bridge_setup(name)
+    gaps = curve.gaps
+    calls = [(u, idx) for u in range(2) for k in (2, 3, 4)
+             for idx in itertools.product(gaps, repeat=k)]
+    refs = {}
+    for u in range(2):
+        m, _, base = _terms(pd.omega_inv @ us[u], pd.theta_form, ch, 1e-14, 4)
+        F = 2j * np.pi * (m.T @ pd.omega_inv)
+        for _, idx in calls:
+            pos = [gaps.index(w) for w in idx]
+            refs[u, idx] = -_log_derivative(base, F[:, pos])
+            if len(pos) == 2:
+                refs[u, idx] += pd.kappa[pos[0], pos[1]]
+    rng = np.random.default_rng(5)
+    for order in (rng.permutation(len(calls)), rng.permutation(len(calls))):
+        for u, idx in (calls[i] for i in order):
+            assert wp_theta(pd, ch, us[u], idx) == complex(refs[u, idx])
+
+
+def test_wp_theta_bundle_forms_seven_products_once(monkeypatch):
+    # the genus-2 bundle reads 23 lattice products over 7 distinct chains;
+    # each chain's product and sum are formed once, base is summed once
+    curve, pd, ch, (u1, u2) = _bridge_setup()
+    real, sums = np.sum, []
+
+    def spy(a, *args, **kwargs):
+        if np.ndim(a) == 1:  # the lattice pass's own sums are over a 2-D array
+            sums.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sum", spy)
+    bundle = [(1, 1), (1, 3), (3, 3), (1, 1, 1), (1, 1, 3)]
+    for idx in bundle:
+        wp_theta(pd, ch, u1, idx)
+    key, F, moments = pd.theta_memo
+    assert sorted(moments) == [(), (0,), (0, 0), (0, 0, 0), (1,), (1, 0), (1, 0, 0), (1, 1)]
+    assert len(sums) == 8 and all(any(a is p for p, _ in moments.values()) for a in sums)
+    assert all(t == real(p) for p, t in moments.values())
+    for idx in bundle:  # the same argument again forms nothing
+        wp_theta(pd, ch, u1, idx)
+    assert len(sums) == 8 and pd.theta_memo[2] is moments
+    wp_theta(pd, ch, u2, (1, 3))  # a new argument starts an empty table
+    assert pd.theta_memo[0] != key and sorted(pd.theta_memo[2]) == [(), (0,), (1,), (1, 0)]
+    assert len(sums) == 12
 
 
 def test_wp_theta_memo_leaves_repr_and_equality_alone():
@@ -596,14 +649,17 @@ def test_swapped_cycles_fail_the_positivity_gate(monkeypatch):
         period_matrices(curve)
 
 
-def test_abel_leg_needing_too_many_nodes_raises():
+def test_abel_leg_needing_too_many_nodes_raises(monkeypatch):
     curve = FIXED_CURVES["g2"]()
     pd = period_matrices(curve)
-    x = 1e7 * np.exp(0.3j)  # 1846 nodes
-    abel(curve, Divisor(curve, [(x, np.sqrt(np.polyval(x_polynomial(curve), x)))], validate=False), pd)
-    x = 1e16 * np.exp(0.3j)
-    with pytest.raises(PrecisionError, match="nodes"):
-        abel(curve, Divisor(curve, [(x, np.sqrt(np.polyval(x_polynomial(curve), x)))], validate=False), pd)
+    far, bad = (_on_curve(curve, 10.0**p * np.exp(0.3j)) for p in (7, 16))  # 1846 nodes; too many
+    abel(curve, Divisor(curve, [far], validate=False), pd)
+    calls = []
+    monkeypatch.setattr(transcendental, "_continue_sqrt", lambda *a: calls.append(a))
+    for pts in ([bad], [far, bad], [_on_curve(curve, 0.3 - 0.2j), bad]):
+        with pytest.raises(PrecisionError, match="Abel leg needs"):
+            abel(curve, Divisor(curve, pts, validate=False), pd)
+    assert calls == []  # it raises before the batched pass
 
 
 def test_continue_sqrt_on_coarse_leg_nodes_is_ambiguous():
@@ -1117,3 +1173,95 @@ def test_branch_points_are_found_once_per_curve(monkeypatch):
         with pytest.raises(DegenerateCurveError, match="collide"):
             branch_points(cusp)
         assert len(calls) == n
+
+
+# -- the batched Abel legs against the point-by-point loop -----------------------
+
+
+def _on_curve(curve, x):
+    x = complex(x)
+    return x, complex(np.sqrt(np.polyval(x_polynomial(curve), x)))
+
+
+def _reference_abel(curve, D, pd):
+    """Reference: the Abel map point by point, as abel computed it before
+    the legs of a divisor became one batched pass."""
+    g = curve.genus
+    c, n = pd.chain, len(pd.chain)
+    total = np.zeros(g, dtype=complex)
+    for pt in D.points:
+        on = np.flatnonzero(c == pt.x)
+        if len(on):
+            total += pd.images[:, on[0]]
+            continue
+        r = (c - c[:, None]) / (pt.x - c)[:, None]  # s^2 at the singularities of each leg
+        z = np.sqrt(r[~np.eye(n, dtype=bool)].reshape(n, n - 1))
+        rho = _bernstein_radius(np.concatenate([2.0 * z - 1.0, -2.0 * z - 1.0], axis=1))
+        k = int(np.argmax(rho))
+        s, w = _leg_rule(_node_count(rho[k], "Abel leg"))
+        d = pt.x - c[k]
+        s2 = np.append(1.0, s[::-1] ** 2)
+        Q = np.prod((c[k] - c[np.arange(n) != k]) + d * s2[:, None], axis=1)
+        q = _continue_sqrt(Q, pt.y / np.sqrt(d), [0, len(Q)])
+        x = c[k] + d * s2[:0:-1]
+        du = np.array([x ** (g - 1 - i) for i in range(g)]) / q[:0:-1]
+        total += pd.images[:, k] - np.sqrt(d) * (du @ w)
+    L = np.hstack([pd.omega, pd.omega_prime])
+    return total - L @ np.round(_lattice_coords(L, total))
+
+
+def _assert_abel_bits(curve, pts, pd):
+    D = Divisor(curve, pts, validate=False)
+    try:
+        ref = _reference_abel(curve, D, pd)
+    except PrecisionError:
+        with pytest.raises(PrecisionError):
+            abel(curve, D, pd)
+        return None
+    u = abel(curve, D, pd)
+    assert np.array_equal(u, ref)
+    assert np.array_equal(np.signbit(u.view(float)), np.signbit(ref.view(float)))
+    return u
+
+
+@pytest.mark.parametrize("name", ["g1", "g2", "g3", "real"])
+def test_batched_abel_legs_have_the_bits_of_the_point_by_point_loop(name):
+    curve = {**FIXED_CURVES, **REAL_CURVE}[name]()
+    pd = period_matrices(curve, best_effort_genus3=curve.genus == 3)
+    c = pd.chain
+    plain = [_on_curve(curve, x) for x in (0.3 - 0.2j, -0.5 + 0.4j, 2.5)]
+    near = [_on_curve(curve, ck + 10.0 ** -(2 + k % 7) * np.exp(0.7j * (k + 1)))
+            for k, ck in enumerate(c)]  # 1e-2 to 1e-8 from each branch point
+    far = [_on_curve(curve, x) for x in (1e3 * np.exp(0.3j), 1e7 * np.exp(-2.1j))]
+    branch = [(complex(ck), 0j) for ck in c]
+    divisors = [plain[:2], [branch[1], plain[0]], [plain[1], branch[0], near[2]],
+                near, far, [far[1], near[0], plain[2]], [plain[0], plain[0]],
+                [near[1], branch[2], near[1], far[0]], branch[:2], [plain[2]], []]
+    images = [_assert_abel_bits(curve, pts, pd) for pts in divisors]
+    assert all(u is not None for u in images)
+    assert np.array_equal(images[-1], np.zeros(curve.genus))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_batched_abel_legs_have_the_bits_of_the_point_by_point_loop_on_random_curves(data):
+    g = data.draw(st.integers(1, 3), label="g")
+    curve = random_curve(2, 2 * g + 1, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    try:
+        pd = period_matrices(curve, best_effort_genus3=g == 3)
+    except PrecisionError:
+        return
+    c = pd.chain
+    unit = st.builds(lambda r, t: r * np.exp(2j * np.pi * t), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    point = st.one_of(
+        unit.map(lambda z: _on_curve(curve, 2.0 * z)),  # ordinary
+        st.tuples(st.integers(0, 2 * g), st.integers(2, 8), unit).map(  # near a branch point
+            lambda a: _on_curve(curve, c[a[0]] + 10.0 ** -a[1] * a[2] / max(abs(a[2]), 1e-3))),
+        st.tuples(st.sampled_from([1e3, 1e7]), unit).map(lambda a: _on_curve(curve, a[0] * a[1])),
+        st.integers(0, 2 * g).map(lambda k: (complex(c[k]), 0j)),  # a branch point
+    )
+    pts = data.draw(st.lists(point, min_size=1, max_size=4))
+    if data.draw(st.booleans(), label="repeat"):
+        pts.append(pts[0])
+    sheet = data.draw(st.lists(st.sampled_from([1, -1]), min_size=len(pts), max_size=len(pts)))
+    _assert_abel_bits(curve, [(x, s * y) for (x, y), s in zip(pts, sheet)], pd)
