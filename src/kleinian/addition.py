@@ -6,9 +6,11 @@ quotient of the function's y-resultant with the curve equation by the
 divisor's x-polynomial (``divisors.complement``):
 
 * ``negate``  complements D in the zeros of the weight-2g function
-  through D; on hyperelliptic curves that function is x-only, and the
-  complement is the pointwise involution (x, y) -> (x, -y), found with
-  no root-finder;
+  through D.  On hyperelliptic curves that function is x-only, and the
+  complement is the pointwise involution (x, y) -> (x, -y) (Cantor's
+  (u, v) -> (u, -v)), so ``negate`` reads each point's mirror straight
+  off the fiber, the other root of y^2 = f(x) at its x, with no
+  interpolation, division or resultant;
 * ``add``     complements D1 + D2 in the zeros of the weight-3g function
   through it, whose quotient has degree g (yielding the class of
   -(u + u~)), then negates.
@@ -25,23 +27,55 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import CurveModel
-from .divisors import Divisor, complement, interpolate, poly_mul_raw
+from .curves import CurveModel, CurvePoint
+from .divisors import (
+    Divisor,
+    _at_branch_point,
+    _grouped_points,
+    complement,
+    fiber_points,
+    interpolate,
+    poly_mul_raw,
+)
 from .errors import (
+    BranchPointError,
     DegenerateComplementError,
     DegeneratePairError,
     InvalidCurveError,
+    SpecialDivisorError,
 )
 from .uniformization import BasisRecord
 
 
 def negate(curve: CurveModel, D: Divisor) -> Divisor:
-    """The divisor of the inverse class: (interpolate(2g, D))_0 - D."""
+    """The divisor of the inverse class: (interpolate(2g, D))_0 - D.
+
+    On a hyperelliptic curve that is the mirror of D, read off the fiber:
+    one stacked ``fiber_points`` solve over D's distinct points, and for a
+    point of multiplicity m, m copies of the root of y^2 = f(x) at its x
+    that is not nearest its y, in the order the points first appear.
+    These are the points, bits and order of complementing D in the zeros
+    of the x-only weight-2g function, and its gates stay: a repeated
+    branch point raises BranchPointError (no branch jet there), and two
+    distinct points over one x, an involution pair say, raise
+    SpecialDivisorError (no unique weight-2g function).
+    """
     g = curve.genus
     if D.degree != g:
         raise InvalidCurveError(f"need a degree-{g} divisor")
-    R = interpolate(curve, 2 * g, D)
-    return complement(curve, R, D)
+    if curve.n != 2:
+        return complement(curve, interpolate(curve, 2 * g, D), D)
+    groups = _grouped_points(D)
+    for p, m in groups:
+        if m > 1 and _at_branch_point(curve, p.x, p.y):
+            raise BranchPointError(f"branch point at x = {p.x}")
+    xs = [p.x for p, _ in groups]
+    if len(set(xs)) < len(xs):
+        raise SpecialDivisorError("two points over one x: the weight-2g function is not unique")
+    points: list[CurvePoint] = []
+    for (p, m), ys in zip(groups, fiber_points(curve, xs)):
+        points.extend([CurvePoint(p.x, ys[1 - int(np.argmin(np.abs(ys - p.y)))])] * m)
+    return Divisor(curve, points, validate=False)
 
 
 def add(curve: CurveModel, D1: Divisor, D2: Divisor) -> Divisor:

@@ -345,16 +345,16 @@ def _poly_det(mat: list[list[np.ndarray]]) -> np.ndarray:
     leading y-coefficient and f's y^0 coefficient (x^s + ...) is longest.
     """
     size = len(mat)
-    acc = np.zeros(1, dtype=complex)
     live = [[j for j in range(size) if mat[r][j].any()] for r in range(size)]
-    for perm in _perms_within(live, ()):
+    perms = list(_perms_within(live, ()))
+    lengths = [1 + sum(len(mat[r][j]) - 1 for r, j in enumerate(perm)) for perm in perms]
+    acc = np.zeros(max(lengths, default=1), dtype=complex)
+    for perm, length in zip(perms, lengths):
         inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
         term = np.array([(-1) ** inversions + 0j])
         for r in range(size):
             term = np.convolve(term, mat[r][perm[r]])
-        if len(term) > len(acc):
-            acc = np.pad(acc, (len(term) - len(acc), 0))
-        acc[len(acc) - len(term) :] += term
+        acc[len(acc) - length :] += term
     return acc
 
 
@@ -588,7 +588,9 @@ def complement(curve: CurveModel, R: PolyFunction, D: Divisor) -> Divisor:
         clusters = [(x, curve.n * m - len(held), held) for x, m, held in fibers]
         clusters += [(x, curve.n * m, ()) for x, m in clustered_roots(q)]
     else:
-        q, rem = _divide(np.trim_zeros(y_resultant(curve, R), "f"), D.xs())
+        res = y_resultant(curve, R)
+        lead = np.flatnonzero(res)  # Res_y from its first nonzero coefficient
+        q, rem = _divide(res[lead[0] if len(lead) else len(res) :], D.xs())
         clusters = [
             (x, m, [p for p in D if _near(x, p.x, CLUSTER_TOL)])
             for x, m in clustered_roots(q)

@@ -113,7 +113,8 @@ class PeriodData:
     ``images`` (g x (2g+1)) are the Abel images of the branch points in
     ``chain`` order: half-periods (1/2) [omega | omega'] n, n in {0, 1}^2g.
     ``char`` (the Riemann characteristic) is filled on first use, and
-    ``omega_inv`` is computed once (``dataclasses.replace`` starts afresh).
+    ``omega_inv`` and ``lattice``, [omega | omega'] with its real form, are
+    computed once (``dataclasses.replace`` starts afresh).
     ``quadrature`` records the Chebyshev nodes and Bernstein radius of each
     chain edge, the chain's clearance and, as ``snap``, the largest distance
     of 2 * the images' lattice coordinates from integers (not serialized).
@@ -149,6 +150,15 @@ class PeriodData:
         """c_m - c_k and c_k - c_m at [k, m != k] over the chain c (n x n-1 each)."""
         M, off = self.chain - self.chain[:, None], ~np.eye(len(self.chain), dtype=bool)
         return M[off].reshape(len(M), -1), M.T[off].reshape(len(M), -1)
+
+    @cached_property
+    def lattice(self) -> tuple:
+        """L = [omega | omega'] and its real form [Re L; Im L] (read-only)."""
+        L = np.hstack([self.omega, self.omega_prime])
+        LR = np.vstack([L.real, L.imag])
+        L.setflags(write=False)
+        LR.setflags(write=False)
+        return L, LR
 
     @cached_property
     def theta_form(self) -> tuple:
@@ -230,10 +240,12 @@ def _continue_sqrt(w2: np.ndarray, y0, bounds) -> np.ndarray:
     one per segment w2[bounds[k]:bounds[k+1]], each from the sheet nearest
     y0[k], its sign flipped wherever the principal root jumps to the other
     sheet between consecutive nodes; PrecisionError if such a step is ambiguous."""
-    w, starts = np.sqrt(w2), np.asarray(bounds[:-1])
+    w, starts, y0 = np.sqrt(w2), np.asarray(bounds[:-1]), np.asarray(y0)
     # in a segment |y_k -+ y_k-1| are A, B in some order; s0 cancels earlier flips
     A, B = np.abs(w[1:] - w[:-1]), np.abs(w[1:] + w[:-1])
-    sign = np.concatenate([[1.0], np.cumprod(np.where(A > B, -1.0, 1.0))])
+    sign = np.empty(len(w))
+    sign[0] = 1.0
+    np.cumprod(np.where(A > B, -1.0, 1.0), out=sign[1:])
     w0, s0 = w[starts], sign[starts]
     start = np.where(np.abs(w0 - y0) <= np.abs(w0 + y0), s0, -s0)
     step = np.minimum(A, B) > 0.7 * np.maximum(A, B)
@@ -358,9 +370,10 @@ def _chain_homology(curve: CurveModel, e: np.ndarray):
     return raw, c, {"nodes": nodes, "bernstein": rho.tolist(), "clearance": clearance}
 
 
-def _lattice_coords(L: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Real coordinates of u (a vector or columns) in the lattice L = [omega | omega']."""
-    return np.linalg.solve(np.vstack([L.real, L.imag]), np.concatenate([u.real, u.imag]))
+def _lattice_coords(LR: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Real coordinates of u (a vector or columns) in the lattice L = [omega | omega'],
+    given as its real form LR = [Re L; Im L]."""
+    return np.linalg.solve(LR, np.concatenate([u.real, u.imag]))
 
 
 def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> PeriodData:
@@ -402,14 +415,15 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
     # U[c_k+1] = U[c_k] + half the loop round edge k, and sum_k U[c_k] = 0
     # (div y = sum_k c_k - (2g+1) inf) with 2 U[c_0] in the lattice
     S = np.concatenate([np.zeros((g, 1)), np.cumsum(0.5 * raw[:g], axis=1)], axis=1)
-    twice = 2.0 * _lattice_coords(Omega[:g], S + np.sum(S, axis=1, keepdims=True))
+    L = Omega[:g]
+    twice = 2.0 * _lattice_coords(np.vstack([L.real, L.imag]), S + np.sum(S, axis=1, keepdims=True))
     quadrature["snap"] = snap = float(np.max(np.abs(twice - np.round(twice))))
     if snap > _SNAP_TOL:
         raise PrecisionError(f"branch images miss the half-periods by {snap:.2e}")
     pd = PeriodData(
         curve=curve, omega=omega, omega_prime=omega_p, eta=eta, eta_prime=eta_p, tau=tau,
         kappa=None, legendre_residual=resid, branch=e, chain=chain,
-        images=Omega[:g] @ (0.5 * (np.round(twice) % 2.0)), quadrature=quadrature,
+        images=L @ (0.5 * (np.round(twice) % 2.0)), quadrature=quadrature,
     )
     pd.kappa = eta @ pd.omega_inv
     return pd
@@ -438,7 +452,7 @@ def riemann_characteristic(pd: PeriodData) -> Characteristic:
         return pd.char
     g = pd.curve.genus
     K = np.sum(pd.images[:, 1 : 2 * g : 2], axis=1)
-    twice = 2.0 * _lattice_coords(np.hstack([pd.omega, pd.omega_prime]), K)
+    twice = 2.0 * _lattice_coords(pd.lattice[1], K)
     half = [0.5 * (int(b) % 2) for b in np.round(twice)]
     char = Characteristic(tuple(half[g:]), tuple(half[:g]))
     d = vanishing_order_target(pd.curve)
@@ -485,8 +499,8 @@ def abel(curve: CurveModel, D: Divisor, pd: PeriodData) -> np.ndarray:
     total = np.zeros(curve.genus, dtype=complex)
     for i, b in enumerate(branch):
         total += pd.images[:, b] if on[i, b] else next(sums)
-    L = np.hstack([pd.omega, pd.omega_prime])
-    return total - L @ np.round(_lattice_coords(L, total))
+    L, LR = pd.lattice
+    return total - L @ np.round(_lattice_coords(LR, total))
 
 
 def _leg_sums(pd: PeriodData, D: Divisor, leg: np.ndarray) -> list:

@@ -1,11 +1,20 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kleinian.addition as addition
+import kleinian.divisors as divisors
 from kleinian.addition import add, add27_explicit, negate, quotient_identity_residual_27
-from kleinian.divisors import Divisor, complement, interpolate, multiset_distance
-from kleinian.errors import DegeneratePairError
+from kleinian.divisors import Divisor, complement, fiber_points, interpolate, multiset_distance
+from kleinian.errors import (
+    BranchPointError,
+    DegeneratePairError,
+    KleinianError,
+    SpecialDivisorError,
+)
 from kleinian.sampling import random_curve, random_divisor
+from kleinian.transcendental import branch_points
 from kleinian.uniformization import basis_to_divisor, divisor_to_basis
 
 
@@ -16,6 +25,149 @@ def test_negate_hyperelliptic_is_involution(rng):
         N = negate(curve, D)
         ref = Divisor(curve, [(p.x, -p.y) for p in D], validate=False)
         assert multiset_distance(N, ref) < 1e-10
+
+
+def _complement_route(curve, D):
+    """negate's hyperelliptic route before it read the fiber, kept as the
+    oracle: D complemented in the zeros of the x-only weight-2g function."""
+    return complement(curve, interpolate(curve, 2 * curve.genus, D), D)
+
+
+def _outcome(fn, curve, D):
+    """fn's divisor, or the class of the KleinianError it raised."""
+    try:
+        return fn(curve, D)
+    except KleinianError as exc:
+        return type(exc)
+
+
+def _kind(outcome):
+    return outcome if isinstance(outcome, type) else type(outcome)
+
+
+def _assert_same_bits(got, want):
+    a = np.array([[p.x, p.y] for p in got.points], dtype=complex).reshape(-1, 2)
+    b = np.array([[p.x, p.y] for p in want.points], dtype=complex).reshape(-1, 2)
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a.real), np.signbit(b.real))
+    assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag))
+
+
+def _mirror_case(ns, kind, seed, log10_dist):
+    """(curve, D): D of degree g with a plain, doubled (on |x| = 1), near-branch
+    (10**log10_dist from a branch point) or far (|x| = 10) first point."""
+    rng = np.random.default_rng(seed)
+    curve = random_curve(*ns, rng)
+    g = curve.genus
+    if kind == "plain":
+        return curve, random_divisor(curve, g, rng)
+    turn = np.exp(2j * np.pi * rng.uniform())
+    if kind == "repeated":
+        x, copies = turn, min(2, g)
+    elif kind == "far":
+        x, copies = 10.0 * turn, 1
+    else:
+        e = branch_points(curve)
+        x, copies = e[int(rng.integers(len(e)))] + 10.0**log10_dist * turn, 1
+    ys = fiber_points(curve, [x])[0]
+    first = [(x, ys[int(rng.integers(2))])] * copies
+    return curve, Divisor(curve, first + list(random_divisor(curve, g - copies, rng).points), tol=1e-8)
+
+
+@pytest.mark.parametrize("ns", ((2, 3), (2, 5), (2, 7)), ids=["2-3", "2-5", "2-7"])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(["plain", "repeated", "near-branch", "far"]),
+    st.integers(0, 2**32 - 1),
+    st.floats(-8.0, -2.0),
+)
+def test_hyperelliptic_negate_has_the_bits_of_the_complement_route(ns, kind, seed, log10_dist):
+    # each point's mirror read off its fiber is the point the complement
+    # route keeps there, bit for bit and in the same order
+    curve, D = _mirror_case(ns, kind, seed, log10_dist)
+    want = _outcome(_complement_route, curve, D)
+    got = _outcome(negate, curve, D)
+    assert _kind(got) is _kind(want)
+    if isinstance(want, Divisor):
+        _assert_same_bits(got, want)
+
+
+def _pair(curve, rng, sep):
+    """(x, y) and the point over x + sep on the other sheet."""
+    x = complex(rng.normal(), rng.normal())
+    y = fiber_points(curve, [x])[0][0]
+    ys = fiber_points(curve, [x + sep])[0]
+    return [(x, y), (x + sep, ys[int(np.argmin(np.abs(ys + y)))])]
+
+
+def _parity_case(ns, case, seed):
+    rng = np.random.default_rng(seed)
+    curve = random_curve(*ns, rng)
+    rest = list(random_divisor(curve, curve.genus - 2, rng).points)
+    if case == "doubled-weierstrass":
+        e = branch_points(curve)[int(rng.integers(curve.genus * 2 + 1))]
+        return curve, Divisor(curve, [(e, 0j)] * 2 + rest, validate=False)
+    sep = {"involution-pair": 0.0, "near-pair-1e-6": 1e-6, "near-pair-1e-10": 1e-10}[case]
+    return curve, Divisor(curve, _pair(curve, rng, sep) + rest, validate=False)
+
+
+@pytest.mark.parametrize(
+    "ns, case",
+    [
+        ((2, 5), "involution-pair"),
+        ((2, 5), "near-pair-1e-6"),
+        ((2, 7), "near-pair-1e-6"),
+        ((2, 5), "near-pair-1e-10"),
+        ((2, 7), "near-pair-1e-10"),
+        ((2, 5), "doubled-weierstrass"),
+        ((2, 7), "doubled-weierstrass"),
+    ],
+)
+def test_hyperelliptic_negate_raises_as_the_complement_route(ns, case):
+    expected = {"involution-pair": SpecialDivisorError, "doubled-weierstrass": BranchPointError}
+    for seed in range(5):
+        curve, D = _parity_case(ns, case, seed)
+        got = _outcome(negate, curve, D)
+        assert _kind(got) is _kind(_outcome(_complement_route, curve, D)) is expected.get(case, Divisor)
+        if isinstance(got, Divisor):
+            # both routes return; the mirror is exact, the complement route
+            # merges the two fibers at 1e-10 and drifts
+            mirror = Divisor(curve, [(p.x, -p.y) for p in D], validate=False)
+            assert multiset_distance(got, mirror) < 1e-10
+
+
+@pytest.mark.parametrize("ns", ((2, 5), (2, 7)), ids=["2-5", "2-7"])
+def test_hyperelliptic_negate_raises_on_every_involution_pair(ns):
+    # two points over one x leave the weight-2g function through D
+    # undetermined; the complement route's singular solve misses some of
+    # these at genus 3, where elimination rounding can leave a tiny pivot
+    for seed in range(12):
+        curve, D = _parity_case(ns, "involution-pair", seed)
+        with pytest.raises(SpecialDivisorError):
+            negate(curve, D)
+
+
+def test_hyperelliptic_negate_reads_the_fiber_alone(monkeypatch, rng):
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    for module in (addition, divisors):
+        for name in ("interpolate", "complement", "y_resultant"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    for ns in ((2, 3), (2, 5), (2, 7)):
+        curve = random_curve(*ns, rng)
+        negate(curve, random_divisor(curve, curve.genus, rng))
+    assert calls == []
+    curve = random_curve(3, 4, rng)
+    negate(curve, random_divisor(curve, 3, rng))
+    assert "complement" in calls
 
 
 def test_negate_twice_identity(rng):

@@ -154,14 +154,14 @@ def test_abel_conjugate_in_lattice(rng):
 def test_abel_of_a_branch_point_is_its_half_period():
     curve = curve_model(2, 3, {4: -1.0})
     pd = period_matrices(curve)
-    L = np.hstack([pd.omega, pd.omega_prime])
+    LR = pd.lattice[1]
     # 1.0 is a branch point, whether or not the computed one equals it exactly
     k = int(np.argmin(np.abs(pd.chain - 1.0)))
     for x, U in [(1.0, pd.images[:, k])] + list(zip(pd.chain, pd.images.T)):
         u = abel(curve, Divisor(curve, [(x, 0.0)], validate=False), pd)
-        coords = _lattice_coords(L, u - U)
+        coords = _lattice_coords(LR, u - U)
         assert np.max(np.abs(coords - np.round(coords))) < 1e-14
-        assert np.max(np.abs(_lattice_coords(L, u))) <= 0.5 + 1e-14  # the centred cell
+        assert np.max(np.abs(_lattice_coords(LR, u))) <= 0.5 + 1e-14  # the centred cell
 
 
 def test_wp_theta_bridge_and_x_recovery(rng):
@@ -419,6 +419,29 @@ def test_wp_theta_makes_one_theta_pass_per_argument(monkeypatch):
     assert passes == [4, 4, 4]
 
 
+def test_lattice_is_stacked_once_per_period_data(monkeypatch):
+    curve, pd, _, _ = _bridge_setup()
+    L, LR = pd.lattice  # riemann_characteristic and abel filled it
+    assert np.array_equal(L, np.hstack([pd.omega, pd.omega_prime]))
+    assert np.array_equal(LR, np.vstack([L.real, L.imag]))
+    assert not L.flags.writeable and not LR.flags.writeable
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(np, "hstack", spy("hstack", np.hstack))
+    monkeypatch.setattr(np, "vstack", spy("vstack", np.vstack))
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        abel(curve, random_divisor(curve, curve.genus, rng), pd)
+    assert calls == [] and pd.lattice[0] is L
+
+
 def test_wp_theta_sets_up_theta_once_per_period_data(monkeypatch):
     curve, pd, ch, (u1, u2) = _bridge_setup()
     assert "theta_form" in vars(pd)  # riemann_characteristic filled it
@@ -565,7 +588,7 @@ def _oracle_abel_point(e, x, y):
 
 def _off_lattice(pd, u):
     """Largest distance of the lattice coordinates of u from integers."""
-    coords = _lattice_coords(np.hstack([pd.omega, pd.omega_prime]), u)
+    coords = _lattice_coords(pd.lattice[1], u)
     return float(np.max(np.abs(coords - np.round(coords))))
 
 
@@ -588,7 +611,7 @@ REAL_CURVE = {"real": lambda: _curve_from_branch_points([-1.3, -0.4, 0.2, 0.9, 1
 def test_abel_matches_an_mpmath_oracle_mod_the_lattice(name):
     curve = {**FIXED_CURVES, **REAL_CURVE}[name]()
     pd = period_matrices(curve, best_effort_genus3=curve.genus == 3)
-    P, L = x_polynomial(curve), np.hstack([pd.omega, pd.omega_prime])
+    P, LR = x_polynomial(curve), pd.lattice[1]
     # far points, |x| = 1e3, and one point 1e-2, 1e-5 or 1e-8 from each branch point
     targets = [0.3 - 0.2j, 2.5, 1e3 * np.exp(0.3j)]
     targets += [ek + (1e-2, 1e-5, 1e-8)[k % 3] * np.exp(0.7j) for k, ek in enumerate(pd.branch)]
@@ -596,7 +619,7 @@ def test_abel_matches_an_mpmath_oracle_mod_the_lattice(name):
         y = (-1) ** n * np.sqrt(np.polyval(P, x))
         u = abel(curve, Divisor(curve, [(x, y)], validate=False), pd)
         assert _off_lattice(pd, u - _oracle_abel_point(pd.branch, x, y)) < 1e-14
-        assert np.max(np.abs(_lattice_coords(L, u))) <= 0.5 + 1e-12  # the centred cell
+        assert np.max(np.abs(_lattice_coords(LR, u))) <= 0.5 + 1e-12  # the centred cell
 
 
 def test_branch_images_off_the_half_periods_raise(monkeypatch):
@@ -1207,7 +1230,7 @@ def _reference_abel(curve, D, pd):
         du = np.array([x ** (g - 1 - i) for i in range(g)]) / q[:0:-1]
         total += pd.images[:, k] - np.sqrt(d) * (du @ w)
     L = np.hstack([pd.omega, pd.omega_prime])
-    return total - L @ np.round(_lattice_coords(L, total))
+    return total - L @ np.round(_lattice_coords(np.vstack([L.real, L.imag]), total))
 
 
 def _assert_abel_bits(curve, pts, pd):
