@@ -6,14 +6,18 @@ quotient of the function's y-resultant with the curve equation by the
 divisor's x-polynomial (``divisors.complement``):
 
 * ``negate``  complements D in the zeros of the weight-2g function
-  through D.  On hyperelliptic curves that function is x-only, and the
-  complement is the pointwise involution (x, y) -> (x, -y) (Cantor's
-  (u, v) -> (u, -v)), so ``negate`` reads each point's mirror straight
-  off the fiber, the other root of y^2 = f(x) at its x, with no
-  interpolation, division or resultant;
+  through D.  On the (3,4) curve that function is linear in y, and the
+  new zeros are read off its graph.  On hyperelliptic curves it is
+  x-only, and the complement is the pointwise involution
+  (x, y) -> (x, -y) (Cantor's (u, v) -> (u, -v)), so ``negate`` reads
+  each point's mirror straight off the fiber, the other root of
+  y^2 = f(x) at its x, with no interpolation, division or resultant;
 * ``add``     complements D1 + D2 in the zeros of the weight-3g function
   through it, whose quotient has degree g (yielding the class of
-  -(u + u~)), then negates.
+  -(u + u~)), then negates.  On hyperelliptic curves that function is
+  linear in y, y = v(x) on its graph (Cantor's composition), and its
+  resultant is in closed form; the (3,4) weight-9 function has y-degree
+  2 and takes the Sylvester determinant and the fiber solve.
 
 For the genus-3 hyperelliptic curve there is a second, fully explicit
 path through basis wp-values: the weight-9 function with unknown gamma

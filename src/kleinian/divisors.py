@@ -7,12 +7,17 @@ the curve equation.  The workhorses are
 * :func:`interpolate` -- the unique monic polynomial function of weight w
   through a positive divisor of degree w - g (repeated points contribute
   derivative conditions along the branch y(x)); its solve,
-  :func:`interpolate_in_basis`, also solves the Jacobi inversion system;
+  :func:`interpolate_in_basis`, also solves the Jacobi inversion system
+  and refuses (nearly) special divisors by the conditioning of its matrix;
 * :func:`complement` -- the zeros of such a function beyond the divisor:
   its y-resultant with the curve equation divided exactly by the divisor's
   x-polynomial, the step the group law repeats; and
 * :func:`zero_divisor` -- the full divisor of zeros, from the roots of the
-  resultant itself.  Both solve the fibers over all their roots at once.
+  resultant itself.
+
+A function linear in y, R = r1(x) y + r0(x), has its resultant in closed
+form and one zero per root x, on its graph y = -r0(x) / r1(x) (Cantor's
+composition); every other R solves the fibers over all its roots at once.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ PAIR_TOL = 1e-9  # involution-pair detection, relative
 COMMON_ZERO_STEPS = 5  # budget of _polish_common_zero
 MATCH_TOL = 1e-8  # complement's checks, relative
 CLUSTER_TOL = 1e-6  # multiple-root detection, relative to each root
+SPECIAL_COND = 1e8  # special-divisor gate (equilibrated condition); the jet flow keeps ~8 digits
 
 
 class PolyFunction:
@@ -262,16 +268,44 @@ def _grouped_points(D: Divisor):
     return [(p, m) for p, m in out]
 
 
+def _equilibrate(A: np.ndarray):
+    """(E, r, c): A with each row, then each column, scaled to unit maximum
+    (a zero row or column left as it is), and the row and column scales r, c."""
+    r = np.abs(A).max(axis=1)
+    r[r == 0] = 1.0
+    Ar = A / r[:, None]
+    c = np.abs(Ar).max(axis=0)
+    c[c == 0] = 1.0
+    return Ar / c, r, c
+
+
 def _solve_equilibrated(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row/column-scaled solve of A X = B for the columns of B; divisors with
     far-out points span many orders of magnitude across monomial columns,
     which plain partial pivoting handles poorly."""
-    r = np.max(np.abs(A), axis=1)
-    r[r == 0] = 1.0
-    Ar, br = A / r[:, None], B / r[:, None]
-    c = np.max(np.abs(Ar), axis=0)
-    c[c == 0] = 1.0
-    return np.linalg.solve(Ar / c[None, :], br) / c[:, None]
+    E, r, c = _equilibrate(A)
+    return np.linalg.solve(E, B / r[:, None]) / c[:, None]
+
+
+def _solve_nonspecial(E: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
+    """X with E X = B for the equilibrated n x n monomial matrix E of a divisor.
+
+    SpecialDivisorError when E is singular, or when n |E^-1|_1 exceeds
+    SPECIAL_COND (or is NaN): an upper bound on the 1-norm condition number
+    |E|_1 |E^-1|_1, since no entry of E exceeds 1.  The divisor is then
+    (nearly) special, an involution pair say.  E^-1 comes from the same
+    solve, as identity columns appended to B, which leave the bits of X as
+    a solve for B alone gives them.
+    """
+    k, n = B.shape[1], len(E)
+    try:
+        X = np.linalg.solve(E, np.concatenate((B, np.eye(n)), axis=1))
+    except np.linalg.LinAlgError as exc:
+        raise SpecialDivisorError(f"{what} singular: {exc}") from exc
+    cond = n * np.abs(X[:, k:]).sum(axis=0).max()
+    if not cond <= SPECIAL_COND:
+        raise SpecialDivisorError(f"{what} (condition {cond:.1e}): divisor is (nearly) special")
+    return X[:, :k]
 
 
 def interpolation_rows(curve: CurveModel, monomials, D: Divisor) -> np.ndarray:
@@ -294,8 +328,9 @@ def interpolate_in_basis(curve: CurveModel, basis: list[Monomial], leads, D: Div
     sum_k c_k basis_k vanishing on D, for ``leads`` = [(lead_i, coeff_i)].
 
     One equilibrated solve covers every column.  A singular system, or an
-    entry of A C - B above 1e-6 max(1, |A| |C| + |B|) (the system was
-    effectively singular), raises SpecialDivisorError.
+    equilibrated condition number past SPECIAL_COND (``_solve_nonspecial``,
+    the gate ``abel_jacobian`` applies), raises SpecialDivisorError: the
+    function through a (nearly) special divisor is not (well) determined.
     """
     if len(basis) != D.degree:
         raise InvalidCurveError(
@@ -304,16 +339,8 @@ def interpolate_in_basis(curve: CurveModel, basis: list[Monomial], leads, D: Div
     rows = interpolation_rows(curve, [*basis, *(m for m, _ in leads)], D)
     A = np.ascontiguousarray(rows[:, : len(basis)])
     B = -(rows[:, len(basis) :] * [c for _, c in leads])  # a new C-ordered array
-    try:
-        C = _solve_equilibrated(A, B)
-    except np.linalg.LinAlgError as exc:
-        raise SpecialDivisorError(f"singular interpolation system: {exc}") from exc
-    defect = np.abs(A @ C - B)
-    if np.any(defect > 1e-6 * np.maximum(1.0, np.abs(A) @ np.abs(C) + np.abs(B))):
-        raise SpecialDivisorError(
-            f"interpolation defect {np.max(defect):.2e}: divisor is (nearly) special"
-        )
-    return C
+    E, r, c = _equilibrate(A)
+    return _solve_nonspecial(E, B / r[:, None], "interpolation system") / c[:, None]
 
 
 def interpolate(curve: CurveModel, w: int, D: Divisor) -> PolyFunction:
@@ -336,7 +363,9 @@ def interpolate(curve: CurveModel, w: int, D: Divisor) -> PolyFunction:
 
 
 def _poly_det(mat: list[list[np.ndarray]]) -> np.ndarray:
-    """Determinant of a small matrix of x-polynomials (descending coeffs).
+    """Determinant of a small matrix of x-polynomials (descending coeffs):
+    the Sylvester matrix of an R of y-degree 2 or more with f, which on
+    the supported curves is the (3,4) addition's weight-9 function.
 
     Leibniz expansion, in lexicographic order, over the permutations that
     avoid exact-zero entries.  The terms left out are exact zeros, so the
@@ -369,9 +398,17 @@ def _perms_within(live: list[list[int]], head: tuple):
 
 
 def y_resultant(curve: CurveModel, R: PolyFunction) -> np.ndarray:
-    """Coefficients (descending) of Res_y(R, f) as a polynomial in x: the
+    """Coefficients (descending) of Res_y(f, R) as a polynomial in x: the
     determinant of the Sylvester matrix of (f, R) in y, whose entries are
-    x-polynomials."""
+    x-polynomials.
+
+    For R = r1(x) y + r0(x) the determinant has one term per y-coefficient
+    c_j(x) of f, in closed form (-1)^n sum_j c_j (-r0)^j r1^(n-j), that is
+    (-1)^n r1^n f(x, -r0 / r1) (Cantor's composition): ``_linear_resultant``
+    forms and sums these terms as ``_poly_det`` would, with its bits.  Only
+    a y-degree of 2 or more, the (3,4) addition's weight-9 function, takes
+    the Sylvester expansion.
+    """
     n = curve.n
     # f's y^n coefficient is the constant -1: one entry, not s + 1 with
     # leading zeros, keeps each Sylvester term at its own length
@@ -380,6 +417,8 @@ def y_resultant(curve: CurveModel, R: PolyFunction) -> np.ndarray:
     dr = R.y_degree()
     if dr == 0:
         raise InvalidCurveError("x-only functions need no resultant")
+    if dr == 1:
+        return _linear_resultant(fc, *rc)
     size = n + dr
     zero = np.array([0j])
     mat = [[zero] * size for _ in range(size)]
@@ -390,6 +429,30 @@ def y_resultant(curve: CurveModel, R: PolyFunction) -> np.ndarray:
         for k in range(dr + 1):
             mat[dr + r][r + k] = rc[dr - k]
     return _poly_det(mat)
+
+
+def _linear_resultant(fc: list, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
+    """Res_y(f, r1 y + r0) for f's y-coefficients ``fc`` (ascending in y).
+
+    The Sylvester matrix has one nonzero Leibniz term per column k of f's
+    row: that row takes c_(n-k), the k rows of R left of it r1, the others
+    r0, with sign (-1)^k.  The terms are the convolution chains of
+    ``_poly_det``, built and summed in its lexicographic order, so the sum
+    is its expansion bit for bit, with no permutation search.
+    """
+    n = len(fc) - 1
+    terms = []
+    for k in range(n + 1):
+        factors = [fc[n - k]] + [r1] * k + [r0] * (n - k)
+        if all(f.any() for f in factors):
+            term = np.array([(-1) ** k + 0j])
+            for f in factors:
+                term = np.convolve(term, f)
+            terms.append(term)
+    acc = np.zeros(max(len(t) for t in terms), dtype=complex)
+    for term in terms:
+        acc[len(acc) - len(term) :] += term
+    return acc
 
 
 def fiber_points(curve: CurveModel, xs) -> np.ndarray:
@@ -489,8 +552,49 @@ def clustered_roots(c: np.ndarray) -> list:
     ]
 
 
+def graph_y(curve: CurveModel, R: PolyFunction, x: complex) -> complex:
+    """y = -r0(x) / r1(x) for R = r1(x) y + r0(x): the one zero of R over x.
+
+    r1(x) = 0 (R is free of y there), or a point (x, y) off the curve by
+    more than 1e-6 relative, raises PrecisionError.
+    """
+    r1 = R.eval_dy(x, 0.0)
+    if r1 == 0:
+        raise PrecisionError(f"R is free of y at x = {x:.6g}")
+    y = -R.eval(x, 0.0) / r1
+    try:
+        curve.point(x, y, 1e-6)
+    except InvalidCurveError as exc:
+        raise PrecisionError(f"zero of R off the curve: {exc}") from exc
+    return y
+
+
+def _graph_zeros(curve: CurveModel, R: PolyFunction, roots) -> list:
+    """Common zeros of (R, f) over the x-roots ``roots``, [(x, m)], for R
+    linear in y.
+
+    R = r1(x) y + r0(x) vanishes at one point of each fiber, on its graph
+    (``graph_y``).  That point is moved onto the curve by one Newton step
+    in y at fixed x, then polished on (R, f) for a simple root, along the
+    curve branch for an m-fold one, and taken m times.
+    """
+    points: list[CurvePoint] = []
+    for x, m in roots:
+        y = graph_y(curve, R, x)
+        fy = curve.eval_fy(x, y)
+        if fy != 0:
+            y = y - curve.eval_f(x, y) / fy
+        if m == 1:
+            x, y = _polish_common_zero(curve, R, x, y)
+        else:
+            x, y = _polish_multiple_zero(curve, R, x, y, m)
+        points.extend([CurvePoint(x, y)] * m)
+    return points
+
+
 def _fiber_zeros(curve: CurveModel, R: PolyFunction, clusters) -> list:
-    """Common zeros of (R, f) over the x-roots ``clusters``, [(x, m, held)].
+    """Common zeros of (R, f) over the x-roots ``clusters``, [(x, m, held)],
+    for R x-only or of y-degree 2 or more.
 
     Over x, the m new zeros and the points ``held`` there spread evenly over
     the fiber points where |R| is below 1e-5 of its term scale (the nearest
@@ -563,20 +667,25 @@ def _divide(num: np.ndarray, xs) -> tuple[np.ndarray, float]:
 def complement(curve: CurveModel, R: PolyFunction, D: Divisor) -> Divisor:
     """The divisor D* with (R)_0 = D + D*, from the zeros of R that D lacks.
 
-    For R with y-terms, Res_y(R, f) / prod_(P in D) (x - x_P) is the
+    For R with y-terms, Res_y(f, R) / prod_(P in D) (x - x_P) is the
     x-polynomial of D* (Cantor's exact division u3 = (f - v^2) / (u1 u2), on
-    C_ab curves after Arita, Miura and Sekiguchi): D* holds the fiber zeros
-    over its roots, less D's points there.  An x-only R = r(x) vanishes on
+    C_ab curves after Arita, Miura and Sekiguchi).  For R = r1(x) y + r0(x),
+    linear in y (the hyperelliptic addition, the (3,4) negation), D* holds
+    the graph point (x, -r0(x) / r1(x)) over each root x, as often as the
+    root (``_graph_zeros``); for a higher y-degree, the fiber zeros over
+    its roots, less D's points there.  An x-only R = r(x) vanishes on
     whole fibers: D* holds the fiber points D lacks over each of D's
     x-values, as often as r's root there, and whole fibers over the roots of
     r's quotient.  The division sees only x, so InconsistencyError is raised
     when |R(P)| over R's term scale at a P in D, or the weighted remainder,
-    exceeds MATCH_TOL; a degree deficit raises DegenerateComplementError.
+    exceeds MATCH_TOL; a degree deficit raises DegenerateComplementError,
+    and a graph zero that cannot be read PrecisionError.
     """
     worst = max((abs(R.eval(p.x, p.y)) / max(1.0, R.term_scale(p.x, p.y)) for p in D), default=0.0)
     if worst > MATCH_TOL:
         raise InconsistencyError(f"divisor is off the zeros of R: |R| {worst:.2e} relative")
-    if R.y_degree() == 0:
+    dr = R.y_degree()
+    if dr == 0:
         fibers: list = []  # [x, largest point multiplicity, D's points over x]
         for p, m in _grouped_points(D):
             hit = next((f for f in fibers if _near(p.x, f[0], PAIR_TOL)), None)
@@ -591,13 +700,12 @@ def complement(curve: CurveModel, R: PolyFunction, D: Divisor) -> Divisor:
         res = y_resultant(curve, R)
         lead = np.flatnonzero(res)  # Res_y from its first nonzero coefficient
         q, rem = _divide(res[lead[0] if len(lead) else len(res) :], D.xs())
-        clusters = [
-            (x, m, [p for p in D if _near(x, p.x, CLUSTER_TOL)])
-            for x, m in clustered_roots(q)
-        ]
+        clusters = clustered_roots(q)
+        if dr > 1:
+            clusters = [(x, m, [p for p in D if _near(x, p.x, CLUSTER_TOL)]) for x, m in clusters]
     if rem > MATCH_TOL:
         raise InconsistencyError(f"divisor does not divide the zeros of R: remainder {rem:.2e}")
-    points = _fiber_zeros(curve, R, clusters)
+    points = (_graph_zeros if dr == 1 else _fiber_zeros)(curve, R, clusters)
     if len(points) + D.degree != R.weight:
         raise DegenerateComplementError(
             f"zeros of R found to degree {len(points) + D.degree}, not its weight {R.weight}: "

@@ -39,9 +39,12 @@ from .divisors import (
     Divisor,
     PolyFunction,
     _at_branch_point,
+    _equilibrate,
     _polish_common_zero,
     _solve_equilibrated,
+    _solve_nonspecial,
     clustered_roots,
+    graph_y,
     interpolate_in_basis,
     y_jet,
 )
@@ -51,10 +54,8 @@ from .errors import (
     InconsistentRecordError,
     InvalidCurveError,
     PoleOfRepresentationError,
-    SpecialDivisorError,
+    PrecisionError,
 )
-
-SPECIAL_COND = 1e8  # abel_jacobian's special-divisor gate; the flow keeps ~8 digits there
 
 
 @dataclass
@@ -135,9 +136,10 @@ def basis_to_divisor(curve: CurveModel, rec: BasisRecord) -> Divisor:
     Both polynomials are linear in y, R_lo = a_1 y + a_0 and R_hi = b_1 y + b_0
     (for n = 2, a_1 = 0 and b_1 = 2: Mumford's (u, v) form), so their common
     zeros lie over the g roots x of the y-resultant a_1 b_0 - a_0 b_1.  Over
-    each root y = -R(x, 0) / R_y(x, 0) from whichever of the two has the
-    larger |R_y| there; a root where both are free of y, or a point off the
-    curve by more than 1e-6 relative, raises InconsistentRecordError.  Each
+    each root y is read off the graph of whichever of the two has the
+    larger |R_y| there (``divisors.graph_y``); a root where both are free
+    of y, or a point off the curve by more than 1e-6 relative, raises
+    InconsistentRecordError.  Each
     simple point then takes one Newton polish on (R_lo, f) or (R_hi, f),
     whichever has the larger |det J| over the product of J's row sums, of
     those with a y-term.
@@ -148,14 +150,11 @@ def basis_to_divisor(curve: CurveModel, rec: BasisRecord) -> Divisor:
     a, b = y_split(R_lo.coeffs) + [np.zeros(1)], y_split(R_hi.coeffs)
     points = []
     for x, m in clustered_roots(np.polysub(np.polymul(a[1], b[0]), np.polymul(a[0], b[1]))):
-        ry, R = max(((R.eval_dy(x, 0.0), R) for R in (R_lo, R_hi)), key=lambda t: abs(t[0]))
-        if ry == 0:
-            raise InconsistentRecordError(f"R_lo and R_hi are both free of y at x = {x:.6g}")
-        y = -R.eval(x, 0.0) / ry
+        R = max((R_lo, R_hi), key=lambda R: abs(R.eval_dy(x, 0.0)))
         try:
-            curve.point(x, y, 1e-6)
-        except InvalidCurveError as exc:
-            raise InconsistentRecordError(f"record defines off-curve points: {exc}") from exc
+            y = graph_y(curve, R, x)
+        except PrecisionError as exc:
+            raise InconsistentRecordError(f"record defines no curve point: {exc}") from exc
         if m == 1:
             # an x-only R_lo (every n = 2 record) would leave y to f alone
             R = max((R for R in (R_lo, R_hi) if R.y_degree()),
@@ -179,10 +178,11 @@ def abel_jacobian(curve: CurveModel, D: Divisor) -> np.ndarray:
     """Matrix M of du_i/dx_k = u_i(P_k) / f_y(P_k).
 
     A point where f_y vanishes raises BranchPointError.  M is singular
-    exactly when the monomial matrix u_i(P_k) is; past a row- and
-    column-equilibrated condition number of SPECIAL_COND that matrix marks
-    the divisor as (nearly) special, an involution pair say, and raises
-    SpecialDivisorError.
+    exactly when the monomial matrix u_i(P_k) is; past an equilibrated
+    condition number of SPECIAL_COND that matrix marks the divisor as
+    (nearly) special, an involution pair say, and raises
+    SpecialDivisorError: ``_solve_nonspecial``, the gate of the
+    interpolation system, which is the same matrix with points as rows.
     """
     g = curve.genus
     if D.degree != g:
@@ -192,13 +192,7 @@ def abel_jacobian(curve: CurveModel, D: Divisor) -> np.ndarray:
             raise BranchPointError(f"branch point in divisor at x = {pt.x}")
     basis = curve.basis_monomials()
     U = np.array([[m.eval(pt.x, pt.y) for pt in D.points] for m in basis], dtype=complex)
-    E = U / np.maximum(np.max(np.abs(U), axis=1, keepdims=True), 1e-300)
-    E /= np.maximum(np.max(np.abs(E), axis=0, keepdims=True), 1e-300)
-    cond = np.linalg.cond(E)
-    if not cond <= SPECIAL_COND:
-        raise SpecialDivisorError(
-            f"Abel Jacobian singular (condition {cond:.1e}): divisor is special"
-        )
+    _solve_nonspecial(_equilibrate(U.T)[0], np.zeros((g, 0)), "Abel Jacobian")
     return U / np.array([curve.eval_fy(pt.x, pt.y) for pt in D.points], dtype=complex)
 
 
