@@ -13,8 +13,8 @@ seeds 1 and 3 it digests, as exact float hex strings,
   with ``add27_explicit`` and ``quotient_identity_residual_27`` on (2,7),
   ``residuals_34`` after ``extended_34`` on (3,4));
 * ``periods``: ``omega``, ``eta`` and the branch images of
-  ``period_matrices``, and ``second_kind_residue_matrix``, on the first
-  PERIOD_CURVES (default 60) ``periods`` pool curves;
+  ``period_matrices`` on the first PERIOD_CURVES (default 60)
+  ``periods`` pool curves;
 * ``bridge``: the Abel image and the wp-values of BRIDGE_WP (the five
   index tuples a ``bridge`` op reads, and two of order 4) on the first
   BRIDGE_OPS (default 300) ``bridge`` pool divisors, on the curves and
@@ -78,8 +78,7 @@ def _identities(curve, D1, D2) -> list:
 
 def _periods(curve) -> list:
     pd = T.period_matrices(curve, best_effort_genus3=(curve.genus == 3))
-    return [_hex(pd.omega), _hex(pd.eta), _hex(pd.images),
-            _hex(T.second_kind_residue_matrix(curve, 30))]
+    return [_hex(pd.omega), _hex(pd.eta), _hex(pd.images)]
 
 
 BRIDGE_WP = ((1, 1), (1, 3), (3, 3), (1, 1, 1), (1, 1, 3), (1, 1, 1, 1), (1, 1, 3, 3))

@@ -27,7 +27,7 @@ from .curves import (
     gap_sequence,
     infinity_series,
 )
-from .divisors import Divisor, PolyFunction, complement, interpolate, reduce_poly, zero_divisor
+from .divisors import Divisor, PolyFunction, complement, interpolate, zero_divisor
 from .uniformization import (
     BasisRecord,
     abel_jacobian,
@@ -66,7 +66,6 @@ __all__ = [
     "infinity_series",
     "Divisor",
     "PolyFunction",
-    "reduce_poly",
     "interpolate",
     "zero_divisor",
     "complement",

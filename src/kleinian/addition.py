@@ -16,8 +16,8 @@ divisor's x-polynomial (``divisors.complement``):
   through it, whose quotient has degree g (yielding the class of
   -(u + u~)), then negates.  On hyperelliptic curves that function is
   linear in y, y = v(x) on its graph (Cantor's composition), and its
-  resultant is in closed form; the (3,4) weight-9 function has y-degree
-  2 and takes the Sylvester determinant and the fiber solve.
+  resultant keeps one Leibniz term per y-coefficient of f; the (3,4)
+  weight-9 function has y-degree 2 and takes the fiber solve.
 
 For the genus-3 hyperelliptic curve there is a second, fully explicit
 path through basis wp-values: the weight-9 function with unknown gamma

@@ -15,12 +15,18 @@ the curve equation.  The workhorses are
 * :func:`zero_divisor` -- the full divisor of zeros, from the roots of the
   resultant itself.
 
-A function linear in y, R = r1(x) y + r0(x), has its resultant in closed
-form and one zero per root x, on its graph y = -r0(x) / r1(x) (Cantor's
-composition); every other R solves the fibers over all its roots at once.
+Every resultant, of R with f here and of the two Jacobi inversion
+functions in ``uniformization``, is one Leibniz expansion, ``_poly_det``,
+whose terms are listed once per pattern of live entries.  A function
+linear in y, R = r1(x) y + r0(x), has one zero per root x, on its graph
+y = -r0(x) / r1(x) (Cantor's composition); every other R solves the
+fibers over all its roots at once.
 """
 
 from __future__ import annotations
+
+import itertools
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -86,29 +92,6 @@ class PolyFunction:
         items = sorted(self.coeffs.items(), key=lambda kv: kv[0][0] * n + kv[0][1] * s)
         body = " + ".join(f"({c:.6g})*{Monomial(i, j, 0)}" for (i, j), c in items)
         return f"PolyFunction[{body}]"
-
-
-def reduce_poly(curve: CurveModel, raw: dict) -> PolyFunction:
-    """Ring representative with y-degree < n, equal to ``raw`` mod f.
-
-    ``raw`` is any {(i, j): coeff} table; y^n is rewritten as
-    y^n + f = x^s + sum lambda_k y^j x^i until no power of y reaches n.
-    """
-    n = curve.n
-    work = {tuple(k): complex(v) for k, v in raw.items() if v != 0}
-    done: dict = {}
-    while work:
-        (i, j), c = work.popitem()
-        if c == 0:
-            continue
-        if j < n:
-            done[(i, j)] = done.get((i, j), 0) + c
-            continue
-        for (ii, jj), cf in curve.coeffs.items():
-            if jj < n:
-                key = (i + ii, j - n + jj)
-                work[key] = work.get(key, 0) + c * cf
-    return PolyFunction(curve, done)
 
 
 def poly_mul_raw(a: dict, b: dict) -> dict:
@@ -362,52 +345,51 @@ def interpolate(curve: CurveModel, w: int, D: Divisor) -> PolyFunction:
 # -- zero divisors via resultants --------------------------------------------
 
 
-def _poly_det(mat: list[list[np.ndarray]]) -> np.ndarray:
-    """Determinant of a small matrix of x-polynomials (descending coeffs):
-    the Sylvester matrix of an R of y-degree 2 or more with f, which on
-    the supported curves is the (3,4) addition's weight-9 function.
+def _poly_det(mat: list[list]) -> np.ndarray:
+    """Determinant of a small matrix of x-polynomials (descending coeffs),
+    ``None`` marking a structural zero: the y-resultant of two functions.
 
-    Leibniz expansion, in lexicographic order, over the permutations that
-    avoid exact-zero entries.  The terms left out are exact zeros, so the
-    sum is the full expansion's bit for bit; so is its length whenever a
-    longest term is kept, as in a Sylvester matrix, whose term through R's
-    leading y-coefficient and f's y^0 coefficient (x^s + ...) is longest.
+    Leibniz expansion over the terms ``_leibniz_terms`` lists for the
+    matrix's pattern of live (not None, not all-zero) entries, each term a
+    convolution chain down the rows, summed in lexicographic order.  The
+    terms left out are exact zeros, so the sum is the full expansion's bit
+    for bit; so is its length whenever a longest term is kept, as in a
+    Sylvester matrix, whose term through R's leading y-coefficient and f's
+    y^0 coefficient (x^s + ...) is longest.
     """
-    size = len(mat)
-    live = [[j for j in range(size) if mat[r][j].any()] for r in range(size)]
-    perms = list(_perms_within(live, ()))
-    lengths = [1 + sum(len(mat[r][j]) - 1 for r, j in enumerate(perm)) for perm in perms]
+    pattern = tuple(tuple(e is not None and e.any() for e in row) for row in mat)
+    terms = _leibniz_terms(pattern)
+    lengths = [1 + sum(len(mat[r][j]) - 1 for r, j in enumerate(perm)) for perm, _ in terms]
     acc = np.zeros(max(lengths, default=1), dtype=complex)
-    for perm, length in zip(perms, lengths):
-        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
-        term = np.array([(-1) ** inversions + 0j])
-        for r in range(size):
-            term = np.convolve(term, mat[r][perm[r]])
+    for (perm, sign), length in zip(terms, lengths):
+        term = np.array([sign + 0j])
+        for r, j in enumerate(perm):
+            term = np.convolve(term, mat[r][j])
         acc[len(acc) - length :] += term
     return acc
 
 
-def _perms_within(live: list[list[int]], head: tuple):
-    """Permutations p extending ``head`` with p[r] in live[r], in lexicographic order."""
-    if len(head) == len(live):
-        yield head
-        return
-    for j in live[len(head)]:
-        if j not in head:
-            yield from _perms_within(live, head + (j,))
+@lru_cache
+def _leibniz_terms(live: tuple) -> tuple:
+    """(permutation, sign) of every Leibniz term through live entries only,
+    ``live[r][j]`` true, in lexicographic order."""
+    size = len(live)
+    return tuple(
+        (perm, (-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :]))
+        for perm in itertools.permutations(range(size))
+        if all(live[r][j] for r, j in enumerate(perm))
+    )
 
 
 def y_resultant(curve: CurveModel, R: PolyFunction) -> np.ndarray:
     """Coefficients (descending) of Res_y(f, R) as a polynomial in x: the
-    determinant of the Sylvester matrix of (f, R) in y, whose entries are
-    x-polynomials.
+    determinant (``_poly_det``) of the Sylvester matrix of (f, R) in y,
+    whose entries are x-polynomials.
 
-    For R = r1(x) y + r0(x) the determinant has one term per y-coefficient
-    c_j(x) of f, in closed form (-1)^n sum_j c_j (-r0)^j r1^(n-j), that is
-    (-1)^n r1^n f(x, -r0 / r1) (Cantor's composition): ``_linear_resultant``
-    forms and sums these terms as ``_poly_det`` would, with its bits.  Only
-    a y-degree of 2 or more, the (3,4) addition's weight-9 function, takes
-    the Sylvester expansion.
+    For R = r1(x) y + r0(x) the live terms are one per y-coefficient c_j(x)
+    of f, (-1)^n sum_j c_j (-r0)^j r1^(n-j), that is (-1)^n r1^n
+    f(x, -r0 / r1) (Cantor's composition); the (3,4) addition's weight-9
+    function, of y-degree 2, has the one 5 x 5 matrix with more.
     """
     n = curve.n
     # f's y^n coefficient is the constant -1: one entry, not s + 1 with
@@ -417,11 +399,8 @@ def y_resultant(curve: CurveModel, R: PolyFunction) -> np.ndarray:
     dr = R.y_degree()
     if dr == 0:
         raise InvalidCurveError("x-only functions need no resultant")
-    if dr == 1:
-        return _linear_resultant(fc, *rc)
     size = n + dr
-    zero = np.array([0j])
-    mat = [[zero] * size for _ in range(size)]
+    mat = [[None] * size for _ in range(size)]
     for r in range(dr):  # dr shifted copies of f
         for k in range(n + 1):
             mat[r][r + k] = fc[n - k]
@@ -429,30 +408,6 @@ def y_resultant(curve: CurveModel, R: PolyFunction) -> np.ndarray:
         for k in range(dr + 1):
             mat[dr + r][r + k] = rc[dr - k]
     return _poly_det(mat)
-
-
-def _linear_resultant(fc: list, r0: np.ndarray, r1: np.ndarray) -> np.ndarray:
-    """Res_y(f, r1 y + r0) for f's y-coefficients ``fc`` (ascending in y).
-
-    The Sylvester matrix has one nonzero Leibniz term per column k of f's
-    row: that row takes c_(n-k), the k rows of R left of it r1, the others
-    r0, with sign (-1)^k.  The terms are the convolution chains of
-    ``_poly_det``, built and summed in its lexicographic order, so the sum
-    is its expansion bit for bit, with no permutation search.
-    """
-    n = len(fc) - 1
-    terms = []
-    for k in range(n + 1):
-        factors = [fc[n - k]] + [r1] * k + [r0] * (n - k)
-        if all(f.any() for f in factors):
-            term = np.array([(-1) ** k + 0j])
-            for f in factors:
-                term = np.convolve(term, f)
-            terms.append(term)
-    acc = np.zeros(max(len(t) for t in terms), dtype=complex)
-    for term in terms:
-        acc[len(acc) - len(term) :] += term
-    return acc
 
 
 def fiber_points(curve: CurveModel, xs) -> np.ndarray:

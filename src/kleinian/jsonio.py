@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .curves import CurveModel, curve_model
-from .divisors import Divisor, PolyFunction
+from .divisors import Divisor
 from .errors import InputError, InvalidCurveError
 from .transcendental import PeriodData
 from .uniformization import BasisRecord
@@ -97,20 +97,6 @@ def divisor_from_json(curve: CurveModel, data: dict, tol: float = 1e-8) -> Divis
             raise InputError(f"divisor point must be [xre, xim, yre, yim], got {row!r}")
         pts.append((complex(row[0], row[1]), complex(row[2], row[3])))
     return Divisor(curve, pts, tol=tol)
-
-
-def poly_to_json(R: PolyFunction) -> dict:
-    return {"coeffs": {f"{i},{j}": _c2j(c) for (i, j), c in sorted(R.coeffs.items())}}
-
-
-def poly_from_json(curve: CurveModel, data: dict) -> PolyFunction:
-    coeffs = {}
-    for key, v in _object(_object(data, "function JSON").get("coeffs") or {}, "coeffs").items():
-        ij = _index_key(key, "coefficient key entry")
-        if len(ij) != 2:
-            raise InputError(f"coefficient key must be \"i,j\", got {key!r}")
-        coeffs[ij] = _j2c(v)
-    return PolyFunction(curve, coeffs)
 
 
 def record_to_json(rec: BasisRecord) -> dict:

@@ -39,7 +39,7 @@ from typing import Optional
 import numpy as np
 import scipy.fft
 
-from .curves import HYPERELLIPTIC, CurveModel, infinity_series, y_split
+from .curves import HYPERELLIPTIC, CurveModel, y_split
 from .divisors import Divisor
 from .errors import (
     CharacteristicSearchError,
@@ -49,7 +49,6 @@ from .errors import (
     ThetaDivisorError,
 )
 from .roots import newton_polish
-from .series import Jet
 from .theta import (
     Characteristic,
     _check_tau,
@@ -562,45 +561,3 @@ def wp_theta(pd: PeriodData, char: Characteristic, u, indices) -> complex:
     if len(pos) == 2:
         val += pd.kappa[pos[0], pos[1]]
     return complex(val)
-
-
-# -- series-level consistency of the associated differentials -------------------
-
-
-def second_kind_residue_matrix(curve: CurveModel, order: int = 60) -> np.ndarray:
-    """res_{xi=0} (int du_i) dr_j; the identity matrix certifies du/dr.
-
-    Series bookkeeping at infinity: with x = xi^-2 and y = xi^-s u(xi),
-    du_i = xi^(2i-2)/u dxi while dr_j has a pole of order w_j + 1; the
-    xi^-1 coefficient of (int du_i) dr_j must be delta_ij.
-    """
-    _require_hyperelliptic(curve)
-    g = curve.genus
-    ser = infinity_series(curve, order)
-    u = ser.c  # ascending coefficients of the unit series
-    uinv = _series_inv(u)
-    out = np.zeros((g, g), dtype=complex)
-    rhos = curve.second_kind_numerators()
-    for i in range(g):
-        # antiderivative of du_i/dxi = xi^(2i) / u(xi)   (i zero-based)
-        antider = np.zeros(order + 2, dtype=complex)
-        for mth, cm in enumerate(uinv):
-            expo = 2 * i + mth  # power in the integrand
-            antider_idx = expo + 1
-            if antider_idx <= order + 1:
-                antider[antider_idx] = cm / (expo + 1)
-        for jj in range(g):
-            table = rhos[jj]
-            # dr_j/dxi = rho_j(x) * xi^(2g-2) * uinv ; rho term x^k -> xi^(-2k)
-            for (kk, _), cv in table.items():
-                lead = 2 * g - 2 - 2 * kk
-                # contribution to residue: sum_m antider[m] * cv * uinv[r] with m + lead + r = -1
-                for mth in range(len(antider)):
-                    r = -1 - lead - mth
-                    if 0 <= r <= order:
-                        out[i, jj] += antider[mth] * cv * uinv[r]
-    return out
-
-
-def _series_inv(c: np.ndarray) -> np.ndarray:
-    return Jet(c).reciprocal().c

@@ -17,7 +17,8 @@ The forward map reads p and q off one equilibrated solve of the g x g
 system of basis monomials at the divisor's points (interpolate_in_basis,
 with its special-divisor gate).  Both polynomials are linear in y on
 every supported curve, so the inverse is one path for every family: the
-x-roots of their 2x2 y-resultant, y from whichever of the two depends on
+x-roots of their 2x2 y-resultant (``divisors._poly_det``, the one
+Leibniz expansion), y from whichever of the two depends on
 y more strongly, an on-curve check and one Newton polish on the
 better-conditioned of the two.
 Derivatives along Jacobian coordinates take one route, basis_flow: the
@@ -40,6 +41,7 @@ from .divisors import (
     PolyFunction,
     _at_branch_point,
     _equilibrate,
+    _poly_det,
     _polish_common_zero,
     _solve_equilibrated,
     _solve_nonspecial,
@@ -50,7 +52,6 @@ from .divisors import (
 )
 from .errors import (
     BranchPointError,
-    IncompleteRecordError,
     InconsistentRecordError,
     InvalidCurveError,
     PoleOfRepresentationError,
@@ -69,25 +70,6 @@ class BasisRecord:
     p: dict
     q: dict
     extended: dict = field(default_factory=dict)
-
-    def negated(self, curve=None) -> "BasisRecord":
-        """The record at -u; extended values are dropped.
-
-        p is even.  Hyperelliptic q is purely odd, so it flips sign.  The
-        trigonal q mixes parities, q(-u) = -q(u) - 2 wp_{2,w}(u), which
-        needs the even values wp_{2,w}: pass the curve and call on a
-        record already carrying the (2,2) and (2,5) extension.
-        """
-        if curve is None or curve.n == 2:
-            return BasisRecord(dict(self.p), {w: -v for w, v in self.q.items()}, {})
-        if (curve.n, curve.s) != (3, 4):
-            raise InvalidCurveError("record negation needs wp_{2,w}; only (3,4) is wired")
-        wp2 = {1: self.p[2], 2: self.extended.get((2, 2)), 5: self.extended.get((2, 5))}
-        if wp2[2] is None or wp2[5] is None:
-            raise IncompleteRecordError("trigonal negation needs the (2,2)/(2,5) extension")
-        return BasisRecord(
-            dict(self.p), {w: -v - 2.0 * wp2[w] for w, v in self.q.items()}, {}
-        )
 
     def copy(self) -> "BasisRecord":
         return BasisRecord(dict(self.p), dict(self.q), dict(self.extended))
@@ -135,7 +117,8 @@ def basis_to_divisor(curve: CurveModel, rec: BasisRecord) -> Divisor:
 
     Both polynomials are linear in y, R_lo = a_1 y + a_0 and R_hi = b_1 y + b_0
     (for n = 2, a_1 = 0 and b_1 = 2: Mumford's (u, v) form), so their common
-    zeros lie over the g roots x of the y-resultant a_1 b_0 - a_0 b_1.  Over
+    zeros lie over the g roots x of the y-resultant a_1 b_0 - a_0 b_1, the
+    2 x 2 determinant that ``divisors._poly_det`` expands as every other.  Over
     each root y is read off the graph of whichever of the two has the
     larger |R_y| there (``divisors.graph_y``); a root where both are free
     of y, or a point off the curve by more than 1e-6 relative, raises
@@ -147,9 +130,9 @@ def basis_to_divisor(curve: CurveModel, rec: BasisRecord) -> Divisor:
     if set(rec.p) != set(curve.gaps) or set(rec.q) != set(curve.gaps):
         raise InconsistentRecordError("record keys must be exactly the gap weights")
     R_lo, R_hi = solution_polynomials(curve, rec)
-    a, b = y_split(R_lo.coeffs) + [np.zeros(1)], y_split(R_hi.coeffs)
+    a, b = y_split(R_lo.coeffs) + [None], y_split(R_hi.coeffs)
     points = []
-    for x, m in clustered_roots(np.polysub(np.polymul(a[1], b[0]), np.polymul(a[0], b[1]))):
+    for x, m in clustered_roots(_poly_det([[a[1], a[0]], [b[1], b[0]]])):
         R = max((R_lo, R_hi), key=lambda R: abs(R.eval_dy(x, 0.0)))
         try:
             y = graph_y(curve, R, x)

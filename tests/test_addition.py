@@ -15,7 +15,7 @@ from kleinian.errors import (
 )
 from kleinian.sampling import random_curve, random_divisor
 from kleinian.transcendental import branch_points
-from kleinian.uniformization import basis_to_divisor, divisor_to_basis
+from kleinian.uniformization import BasisRecord, basis_to_divisor, divisor_to_basis
 
 
 def test_negate_hyperelliptic_is_involution(rng):
@@ -261,12 +261,17 @@ def test_add27_explicit_full_sum_matches_generic(rng):
         assert abs(rec_hat.q[w] + rec_sum.q[w]) < 1e-6 * (1 + abs(rec_sum.q[w]))
 
 
+def _negated(rec):
+    """The hyperelliptic record at -u: p is even and q purely odd."""
+    return BasisRecord(dict(rec.p), {w: -v for w, v in rec.q.items()})
+
+
 def test_add27_gamma_parity(rng):
     curve = random_curve(2, 7, rng)
     D1, D2 = random_divisor(curve, 3, rng), random_divisor(curve, 3, rng)
     r1, r2 = divisor_to_basis(curve, D1), divisor_to_basis(curve, D2)
     _, gam = add27_explicit(r1, r2, curve)
-    _, gam_neg = add27_explicit(r1.negated(), r2.negated(), curve)
+    _, gam_neg = add27_explicit(_negated(r1), _negated(r2), curve)
     for k in (1, 3, 5, 7, 9):
         assert abs(gam_neg[k] + gam[k]) < 1e-9 * (1 + abs(gam[k]))
     assert abs(gam_neg[2] - gam[2]) < 1e-9 * (1 + abs(gam[2]))
@@ -311,6 +316,27 @@ def test_plain_benchmark_ops_pass_roundtrip_and_group_law(algebra_ops, key):
     assert kind == "plain"
     back = basis_to_divisor(curve, divisor_to_basis(curve, D1))
     assert multiset_distance(D1, back) < 1e-8
+    assert multiset_distance(D1, add(curve, add(curve, D1, D2), negate(curve, D2))) < 1e-7
+
+
+# two confluent (3,4) benchmark ops that are wrong today, pinned at the
+# benchmark's tolerances so that a fix shows as an unexpected pass
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the double x-root of the inversion resultant comes back as two roots "
+    "2.03e-6 apart, past CLUSTER_TOL, each polished as a simple root: gap 3.76e-8"))
+def test_confluent_34_op_11_401_roundtrip(algebra_ops):
+    _, curve, D1, _ = algebra_ops["11:401"]
+    back = basis_to_divisor(curve, divisor_to_basis(curve, D1))
+    assert multiset_distance(D1, back) < 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "D1 + D2 - D2 misses D1 by 8.32e-7; D2 holds two points whose x-values "
+    "are 0.052 apart"))
+def test_confluent_34_op_107_491_group_law(algebra_ops):
+    _, curve, D1, D2 = algebra_ops["107:491"]
     assert multiset_distance(D1, add(curve, add(curve, D1, D2), negate(curve, D2))) < 1e-7
 
 

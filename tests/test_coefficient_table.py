@@ -18,7 +18,6 @@ from kleinian.divisors import (
     PolyFunction,
     _poly_det,
     poly_mul_raw,
-    reduce_poly,
     y_resultant,
 )
 from kleinian.sampling import random_curve
@@ -138,28 +137,6 @@ def ref_mul(a, b):
     return out
 
 
-def ref_reduce_poly(curve, raw):
-    n = curve.n
-    work = {tuple(k): complex(v) for k, v in raw.items() if v != 0}
-    done = {}
-    while work:
-        (i, j), c = work.popitem()
-        if c == 0:
-            continue
-        if j < n:
-            done[(i, j)] = done.get((i, j), 0) + c
-            continue
-        base = j - n
-        key = (i + curve.s, base)
-        work[key] = work.get(key, 0) + c
-        for ii, jj, k in curve.terms:
-            lk = curve.lam.get(k)
-            if lk:
-                key = (i + ii, base + jj)
-                work[key] = work.get(key, 0) + c * lk
-    return PolyFunction(curve, done)
-
-
 def ref_y_resultant(curve, R):
     n = curve.n
     fc = ref_curve_y_coefficient_polys(curve)
@@ -228,9 +205,6 @@ def _check_table(curve, coeffs, rng):
     if any(j for (_, j) in R.coeffs):
         res, want = y_resultant(curve, R), ref_y_resultant(curve, R)
         assert len(res) == len(want) and np.array_equal(res, want)
-    raw = {(i, j + curve.n): c for (i, j), c in R.coeffs.items()}  # y^n R: one rewrite each
-    got, want = reduce_poly(curve, raw), ref_reduce_poly(curve, raw)
-    assert list(got.coeffs) == list(want.coeffs) and got.coeffs == want.coeffs
 
 
 @pytest.mark.parametrize("n, s", FAMILIES)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kleinian import divisors
+from kleinian import divisors, uniformization
 from kleinian.addition import add, negate
 from kleinian.curves import curve_model, y_split
 from kleinian.divisors import (
@@ -17,7 +17,6 @@ from kleinian.divisors import (
     interpolate,
     multiset_distance,
     poly_mul_raw,
-    reduce_poly,
     y_resultant,
     zero_divisor,
 )
@@ -35,42 +34,6 @@ from kleinian.uniformization import basis_to_divisor, divisor_to_basis
 
 FAMILIES = ((2, 5), (2, 7), (3, 4))
 FAMILY_IDS = ["2-5", "2-7", "3-4"]
-
-
-def test_reduce_examples(rng):
-    c27 = random_curve(2, 7, rng)
-    r = reduce_poly(c27, {(0, 2): 1.0})  # y^2
-    expect = {(7, 0): 1.0}
-    for i, j, k in c27.terms:
-        expect[(i, j)] = c27.lam.get(k, 0.0)
-    for key, v in expect.items():
-        if v:
-            assert abs(r.coeffs[key] - v) < 1e-14
-    assert r.y_degree() == 0
-    c34 = curve_model(3, 4)
-    r = reduce_poly(c34, {(0, 3): 1.0})
-    assert r.coeffs == {(4, 0): 1.0}
-
-
-def test_reduce_idempotent(rng):
-    curve = random_curve(3, 4, rng)
-    raw = {(2, 5): 1.3 - 0.2j, (1, 4): -0.7j, (0, 1): 2.0}
-    once = reduce_poly(curve, raw)
-    twice = reduce_poly(curve, once.coeffs)
-    assert once.coeffs.keys() == twice.coeffs.keys()
-    for k in once.coeffs:
-        assert abs(once.coeffs[k] - twice.coeffs[k]) < 1e-13
-
-
-def test_reduce_equal_mod_f(rng):
-    curve = random_curve(3, 4, rng)
-    raw = {(1, 5): 0.8 + 0.1j, (0, 3): -1.0, (2, 0): 0.5}
-    red = reduce_poly(curve, raw)
-    for _ in range(5):
-        x = complex(*rng.uniform(-1, 1, 2))
-        y = fiber_points(curve, [x])[0, 0]
-        direct = sum(c * x**i * y**j for (i, j), c in raw.items())
-        assert abs(direct - red.eval(x, y)) < 1e-10 * max(1.0, abs(direct))
 
 
 def test_interpolate_genus1_line():
@@ -468,9 +431,15 @@ def _sylvester(curve, R):
     return mat
 
 
-def test_poly_det_bit_identical_to_full_expansion(rng):
-    # the Sylvester matrices of the interpolants of every family; a y-linear
-    # R's resultant is its closed form, which has the expansion's bits too
+def _same_bits(a, b) -> bool:
+    """Equal arrays, bit for bit: the sign of a zero counts."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_poly_det_bit_identical_to_full_expansion(rng, monkeypatch):
+    # the Sylvester matrices of the interpolants of every family, a y-linear
+    # R's included, and the 2 x 2 resultant of the Jacobi inversion pair
     sizes = set()
     curves = [random_curve(n, s, rng) for n, s in FAMILIES] + [_sparse_34()]
     for curve in curves:
@@ -483,6 +452,22 @@ def test_poly_det_bit_identical_to_full_expansion(rng):
                 assert np.array_equal(divisors._poly_det(mat), _leibniz(mat))
                 assert np.array_equal(y_resultant(curve, R), _leibniz(mat))
     assert sizes == {3, 4, 5}
+    # basis_to_divisor's resultant against the expression it replaced,
+    # a_1 b_0 - a_0 b_1 with a_1 = 0 on n = 2; np.polymul trims the leading
+    # exact zeros that y_split's common x-degree gives b_1, and that
+    # poly_roots strips
+    seen = []
+    monkeypatch.setattr(uniformization, "clustered_roots",
+                        lambda c: seen.append(c) or divisors.clustered_roots(c))
+    for curve in curves:
+        for _ in range(8):
+            rec = divisor_to_basis(curve, random_divisor(curve, curve.genus, rng))
+            R_lo, R_hi = uniformization.solution_polynomials(curve, rec)
+            a, b = y_split(R_lo.coeffs) + [np.zeros(1)], y_split(R_hi.coeffs)
+            want = np.polysub(np.polymul(a[1], b[0]), np.polymul(a[0], b[1]))
+            seen.clear()
+            basis_to_divisor(curve, rec)
+            assert len(seen) == 1 and _same_bits(np.trim_zeros(seen[0], "f"), want)
 
 
 def _fiber_xs(curve, rng):
@@ -525,28 +510,39 @@ def test_fiber_points_empty():
 
 
 def test_zero_divisor_reads_a_y_linear_function_off_its_graph(rng, monkeypatch):
-    # a y-linear R takes its resultant in closed form and its zeros off its
-    # graph; an x-only R, or (3,4)'s weight-9 R of y-degree 2, solves all of
-    # its fibers in one stacked call
+    # a function with y-terms takes one Leibniz expansion for its resultant,
+    # whose terms a second pass over the same functions finds listed, with
+    # no permutation search; a y-linear R then reads its zeros off its
+    # graph, while an x-only R, or (3,4)'s weight-9 R of y-degree 2, solves
+    # all of its fibers in one stacked call
     calls = []
     for name in ("fiber_points", "_poly_det"):
         real = getattr(divisors, name)
         monkeypatch.setattr(divisors, name, lambda *a, _n=name, _r=real: calls.append(_n) or _r(*a))
-    degrees = set()
+    functions = []
     for n, s in FAMILIES:
         curve = random_curve(n, s, rng)
         g = curve.genus
         for w in (2 * g, 2 * g + 1, 3 * g):
-            R = interpolate(curve, w, random_divisor(curve, w - g, rng))
+            functions.append((curve, interpolate(curve, w, random_divisor(curve, w - g, rng))))
+
+    def sweep():
+        for curve, R in functions:
             calls.clear()
-            Z = zero_divisor(curve, R)
-            assert Z.degree == w
-            degrees.add(R.y_degree())
+            assert zero_divisor(curve, R).degree == R.weight
             if R.y_degree() == 1:
-                assert calls == []
+                assert calls == ["_poly_det"]
             else:
                 assert calls.count("fiber_points") == 1
-    assert degrees == {0, 1, 2}
+                assert calls.count("_poly_det") == (R.y_degree() > 1)
+
+    sweep()
+    searches = []
+    permutations = itertools.permutations
+    monkeypatch.setattr(itertools, "permutations", lambda *a: searches.append(a) or permutations(*a))
+    sweep()
+    assert searches == []
+    assert {R.y_degree() for _, R in functions} == {0, 1, 2}
 
 
 def _fiber_route(curve, R, D):

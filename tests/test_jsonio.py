@@ -40,15 +40,6 @@ def test_record_roundtrip(rng):
     assert abs(back.extended[(2, 2)] - rec.extended[(2, 2)]) < 1e-15
 
 
-def test_poly_roundtrip(rng):
-    from kleinian.divisors import interpolate
-
-    curve = random_curve(2, 5, rng)
-    R = interpolate(curve, 4, random_divisor(curve, 2, rng))
-    back = jsonio.poly_from_json(curve, jsonio.poly_to_json(R))
-    assert back.coeffs.keys() == R.coeffs.keys()
-
-
 def test_period_json(rng):
     curve = random_curve(2, 3, rng)
     pd = period_matrices(curve)
@@ -67,8 +58,8 @@ def test_period_json(rng):
         lambda c: jsonio.divisor_from_json(c, {"points": [[0.5, 0.0, 1.0]]}),
         lambda c: jsonio.divisor_from_json(c, {"points": [[0.5, 0.0, None, 1.0]]}),
         lambda c: jsonio.divisor_from_json(c, {"points": ["0.5,0,1,0"]}),
-        lambda c: jsonio.poly_from_json(c, {"coeffs": {"1;0": [1.0, 0.0]}}),
-        lambda c: jsonio.poly_from_json(c, {"coeffs": {"1,0,2": [1.0, 0.0]}}),
+        lambda c: jsonio.curve_from_json({"n": "two", "s": 5}),
+        lambda c: jsonio.curve_from_json({"n": 2, "s": 5, "lambda": {"4": "1.0"}}),
         lambda c: jsonio.record_from_json({"p": [[0.1, 0.0]], "q": {}}),
         lambda c: jsonio.record_from_json({"p": {"w": [0.1, 0.0]}, "q": {}}),
         lambda c: jsonio.record_from_json({"p": {}, "q": {}, "extended": {"2,x": [0.1, 0.0]}}),
@@ -76,8 +67,8 @@ def test_period_json(rng):
         lambda c: jsonio.record_from_json([1]),
         lambda c: jsonio.divisor_from_json(c, [[0.5, 0.0, 1.0, 0.0]]),
         lambda c: jsonio.divisor_from_json(c, {"points": 5}),
-        lambda c: jsonio.poly_from_json(c, [[1.0, 0.0]]),
-        lambda c: jsonio.poly_from_json(c, {"coeffs": [[1.0, 0.0]]}),
+        lambda c: jsonio.record_from_json({"q": {}}),
+        lambda c: jsonio.record_from_json({"p": {"1": [0.1, 0.0, 0.2]}, "q": {}}),
     ],
 )
 def test_malformed_json_raises_input_error(load):

@@ -1,12 +1,14 @@
-"""Every library name is used somewhere: no exported helper that nothing calls,
-and no optional parameter that no call passes.
+"""Every library name is used by the program: no exported helper that nothing
+or only a test calls, and no optional parameter that no call passes.
 
 A top-level def, class or assignment, or a method, of ``src/kleinian/*.py``
-counts as used when some ``.py`` file under src/, tests/, demos/ or
-perfbench/ names it: as an ``ast.Name`` that it does not assign, an
-``ast.Attribute`` attribute, an import alias, or a whole string constant
-(``perfbench/layers.py`` wraps library functions by name).  Only dunder
-names are exempt.
+counts as used when some ``.py`` file under src/, demos/ or perfbench/,
+outside any ``tests`` directory and other than the re-exports of
+``src/kleinian/__init__.py``, names it: as an ``ast.Name`` that it does not
+assign, an ``ast.Attribute`` attribute, an import alias, or a whole string
+constant (``perfbench/layers.py`` wraps library functions by name).  A
+name that only tests call belongs in the tests.  Only dunder names are
+exempt.
 """
 
 import ast
@@ -15,6 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kleinian"
 SCANNED = ("src", "tests", "demos", "perfbench")
+REEXPORTS = PACKAGE / "__init__.py"
 
 
 def _is_dunder(name: str) -> bool:
@@ -52,18 +55,25 @@ def _uses(tree: ast.Module):
             yield node.value
 
 
-def test_every_library_name_is_used():
-    used: set = set()
+def _program_files():
+    """The scanned files that are not tests and not the package's re-exports."""
     for top in SCANNED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            used.update(_uses(ast.parse(path.read_text(), filename=str(path))))
+            if "tests" not in path.relative_to(ROOT).parts and path != REEXPORTS:
+                yield path
+
+
+def test_every_library_name_is_used():
+    used: set = set()
+    for path in _program_files():
+        used.update(_uses(ast.parse(path.read_text(), filename=str(path))))
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for qualname in _definitions(ast.parse(path.read_text(), filename=str(path))):
             name = qualname.rsplit(".", 1)[-1]
             if not _is_dunder(name) and name not in used:
                 unused.append(f"{path.name}: {qualname}")
-    assert not unused, "defined but never used:\n" + "\n".join(unused)
+    assert not unused, "defined but used by no program file:\n" + "\n".join(unused)
 
 
 def _optional_parameters(tree: ast.Module):

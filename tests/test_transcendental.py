@@ -38,7 +38,6 @@ from kleinian.transcendental import (
     branch_points,
     period_matrices,
     riemann_characteristic,
-    second_kind_residue_matrix,
     vanishing_order_target,
     wp_theta,
     x_polynomial,
@@ -83,13 +82,6 @@ def test_branch_points_continuity(rng):
     lam2 = {k: v + 1e-7 for k, v in curve.lam.items()}
     e2 = branch_points(curve_model(2, 5, lam2))
     assert np.max(np.abs(e1 - e2)) < 1e-5
-
-
-def test_residue_pairing_is_identity(rng):
-    for g in (1, 2, 3):
-        curve = random_curve(2, 2 * g + 1, rng)
-        R = second_kind_residue_matrix(curve)
-        assert np.max(np.abs(R - np.eye(g))) < 1e-10
 
 
 def test_lemniscatic_tau():
