@@ -151,7 +151,12 @@ def derivative_ladder(rng, tols):
 
 
 def group_law(rng, tols):
-    """Negation, associativity, the inverse axiom, and the explicit path."""
+    """Negation, associativity, the inverse axiom, and the explicit path.
+
+    ``trials`` counts, per family, the triples tested and those skipped
+    because a step raised a KleinianError (a degenerate random draw), by
+    exception class.
+    """
     worst_neg = 0.0
     for t in range(25):
         n, s = ((2, 3), (2, 5), (2, 7))[t % 3]
@@ -160,8 +165,10 @@ def group_law(rng, tols):
         ref = Divisor(curve, [(p.x, -p.y) for p in D], validate=False)
         worst_neg = max(worst_neg, multiset_distance(negate(curve, D), ref))
     worst_assoc = worst_inv = 0.0
-    for t in range(100):  # >= 50 triples per family
+    trials = {fam: {"tested": 0, "skipped": {}} for fam in ("2-5", "3-4")}
+    for t in range(100):  # 50 triples per family
         n, s = (2, 5) if t % 2 == 0 else (3, 4)
+        tally = trials[f"{n}-{s}"]
         curve = random_curve(n, s, rng)
         D1, D2, D3 = (random_divisor(curve, curve.genus, rng) for _ in range(3))
         try:
@@ -170,8 +177,10 @@ def group_law(rng, tols):
             worst_assoc = max(worst_assoc, multiset_distance(lhs, rhs))
             back = add(curve, add(curve, D1, D2), negate(curve, D2))
             worst_inv = max(worst_inv, multiset_distance(back, D1))
-        except KleinianError:
-            continue  # degenerate random configuration; the law is untested there
+            tally["tested"] += 1
+        except KleinianError as exc:  # the law is untested there
+            name = type(exc).__name__
+            tally["skipped"][name] = tally["skipped"].get(name, 0) + 1
     worst_explicit = 0.0
     for _ in range(50):
         curve = random_curve(2, 7, rng)
@@ -198,6 +207,7 @@ def group_law(rng, tols):
         "associativity": worst_assoc,
         "inverse_axiom": worst_inv,
         "explicit_vs_generic": worst_explicit,
+        "trials": trials,
     }
 
 

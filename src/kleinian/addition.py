@@ -12,12 +12,11 @@ divisor's x-polynomial (``divisors.complement``):
   (x, y) -> (x, -y) (Cantor's (u, v) -> (u, -v)), so ``negate`` reads
   each point's mirror straight off the fiber, the other root of
   y^2 = f(x) at its x, with no interpolation, division or resultant;
-* ``add``     complements D1 + D2 in the zeros of the weight-3g function
-  through it, whose quotient has degree g (yielding the class of
-  -(u + u~)), then negates.  On hyperelliptic curves that function is
-  linear in y, y = v(x) on its graph (Cantor's composition), and its
-  resultant keeps one Leibniz term per y-coefficient of f; the (3,4)
-  weight-9 function has y-degree 2 and takes the fiber solve.
+* ``add``     complements D1 + D2 in the zeros of the least-weight
+  function linear in y through it, y = v(x) on its graph (Cantor's
+  composition), and reduces the remainder D' through a second function
+  of least weight: ``negate`` on hyperelliptic curves, the weight-7
+  function on (3,4).  Every step reads its zeros off a graph.
 
 For the genus-3 hyperelliptic curve there is a second, fully explicit
 path through basis wp-values: the weight-9 function with unknown gamma
@@ -39,6 +38,7 @@ from .divisors import (
     complement,
     fiber_points,
     interpolate,
+    interpolate_y_linear,
     poly_mul_raw,
 )
 from .errors import (
@@ -83,7 +83,16 @@ def negate(curve: CurveModel, D: Divisor) -> Divisor:
 
 
 def add(curve: CurveModel, D1: Divisor, D2: Divisor) -> Divisor:
-    """Divisor representing the sum of the classes of D1 and D2."""
+    """Divisor representing the sum of the classes of D1 and D2.
+
+    Cantor's composition and reduction, each through a function of least
+    weight: D' = (R)_0 - D1 - D2 for the least-weight y-linear R through
+    D1 + D2, then ``negate(D')`` when deg D' = g (every hyperelliptic
+    curve, R of weight 3g), else D' complemented in the zeros of the
+    weight-(g + deg D') function through it (on (3,4), weights 10 and 7:
+    D'' ~ 7 inf - D' ~ D1 + D2 - 3 inf).  A complement that escapes to
+    infinity raises DegeneratePairError.
+    """
     g = curve.genus
     if D1.degree != g or D2.degree != g:
         raise InvalidCurveError(f"need degree-{g} divisors")
@@ -92,12 +101,14 @@ def add(curve: CurveModel, D1: Divisor, D2: Divisor) -> Divisor:
         raise DegeneratePairError(
             "inputs share points in involution; the sum degenerates toward the identity"
         )
-    R = interpolate(curve, 3 * g, union)
+    R = interpolate_y_linear(curve, union)
     try:
-        Dhat = complement(curve, R, union)
+        Dp = complement(curve, R, union)
+        if Dp.degree == g:
+            return negate(curve, Dp)
+        return complement(curve, interpolate(curve, g + Dp.degree, Dp), Dp)
     except DegenerateComplementError as exc:
         raise DegeneratePairError(f"complement escapes to infinity: {exc}") from exc
-    return negate(curve, Dhat)
 
 
 # -- explicit genus-3 hyperelliptic addition ----------------------------------

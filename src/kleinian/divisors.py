@@ -6,9 +6,11 @@ the curve equation.  The workhorses are
 
 * :func:`interpolate` -- the unique monic polynomial function of weight w
   through a positive divisor of degree w - g (repeated points contribute
-  derivative conditions along the branch y(x)); its solve,
-  :func:`interpolate_in_basis`, also solves the Jacobi inversion system
-  and refuses (nearly) special divisors by the conditioning of its matrix;
+  derivative conditions along the branch y(x)), and
+  :func:`interpolate_y_linear`, the least-weight one linear in y, through
+  which the group law composes; their solve, :func:`interpolate_in_basis`,
+  also solves the Jacobi inversion system and refuses (nearly) special
+  divisors by the conditioning of its matrix;
 * :func:`complement` -- the zeros of such a function beyond the divisor:
   its y-resultant with the curve equation divided exactly by the divisor's
   x-polynomial, the step the group law repeats; and
@@ -19,8 +21,9 @@ Every resultant, of R with f here and of the two Jacobi inversion
 functions in ``uniformization``, is one Leibniz expansion, ``_poly_det``,
 whose terms are listed once per pattern of live entries.  A function
 linear in y, R = r1(x) y + r0(x), has one zero per root x, on its graph
-y = -r0(x) / r1(x) (Cantor's composition); every other R solves the
-fibers over all its roots at once.
+y = -r0(x) / r1(x) (Cantor's composition), save where R vanishes on a
+whole fiber; every other R, x-only or of y-degree 2 or more (no step of
+the group law takes one), solves the fibers over all its roots at once.
 """
 
 from __future__ import annotations
@@ -332,9 +335,25 @@ def interpolate(curve: CurveModel, w: int, D: Divisor) -> PolyFunction:
     if w < 2 * g:
         raise InvalidCurveError(f"weight {w} below 2g = {2 * g}")
     mons = curve.monomials_up_to(w)
-    lead = mons[-1]
-    if lead.weight != w:
+    if mons[-1].weight != w:
         raise InvalidCurveError(f"no monomial of weight {w}")
+    return _monic_through(curve, mons, D)
+
+
+def interpolate_y_linear(curve: CurveModel, D: Divisor) -> PolyFunction:
+    """The least-weight monic function linear in y through D: the first
+    deg D + 1 monomials x^i y^j with j < 2, ascending in weight, the last
+    the lead.  That is ``interpolate(curve, deg D + g, D)`` on a
+    hyperelliptic curve, and x^2 y + c (1, x, y, x^2, xy, x^3), weight 10
+    (no y^2), through six points of the (3,4) curve."""
+    # x^0 ... x^deg D alone are deg D + 1 such monomials
+    mons = [m for m in curve.monomials_up_to(curve.n * D.degree) if m.j < 2]
+    return _monic_through(curve, mons[: D.degree + 1], D)
+
+
+def _monic_through(curve: CurveModel, mons: list[Monomial], D: Divisor) -> PolyFunction:
+    """The function mons[-1] + sum c_k mons[k] through D, deg D = len(mons) - 1."""
+    lead = mons[-1]
     C = interpolate_in_basis(curve, mons[:-1], [(lead, 1.0)], D)
     table = {(lead.i, lead.j): 1.0 + 0j}
     for m, ck in zip(mons[:-1], C[:, 0]):
@@ -388,8 +407,9 @@ def y_resultant(curve: CurveModel, R: PolyFunction) -> np.ndarray:
 
     For R = r1(x) y + r0(x) the live terms are one per y-coefficient c_j(x)
     of f, (-1)^n sum_j c_j (-r0)^j r1^(n-j), that is (-1)^n r1^n
-    f(x, -r0 / r1) (Cantor's composition); the (3,4) addition's weight-9
-    function, of y-degree 2, has the one 5 x 5 matrix with more.
+    f(x, -r0 / r1) (Cantor's composition).  Every function of the group
+    law is y-linear, so its matrices are (n + 1) x (n + 1); a function of
+    y-degree 2 on the (3,4) curve has a 5 x 5 one with more live terms.
     """
     n = curve.n
     # f's y^n coefficient is the constant -1: one entry, not s + 1 with
@@ -524,18 +544,26 @@ def graph_y(curve: CurveModel, R: PolyFunction, x: complex) -> complex:
     return y
 
 
-def _graph_zeros(curve: CurveModel, R: PolyFunction, roots) -> list:
-    """Common zeros of (R, f) over the x-roots ``roots``, [(x, m)], for R
-    linear in y.
+def _graph_zeros(curve: CurveModel, R: PolyFunction, roots, D: Divisor) -> list:
+    """Common zeros of (R, f) over the x-roots ``roots``, [(x, m)], of the
+    quotient that complements D, for R linear in y.
 
     R = r1(x) y + r0(x) vanishes at one point of each fiber, on its graph
     (``graph_y``).  That point is moved onto the curve by one Newton step
     in y at fixed x, then polished on (R, f) for a simple root, along the
-    curve branch for an m-fold one, and taken m times.
+    curve branch for an m-fold one, and taken m times.  Where the graph
+    cannot be read, R is (nearly) free of y at x: D holds two points of
+    that fiber, so r1 and r0 both vanish there, and R on the whole fiber.
+    The zeros there are then the fiber points D lacks (``_fiber_zeros``,
+    holding D's points near x).
     """
     points: list[CurvePoint] = []
     for x, m in roots:
-        y = graph_y(curve, R, x)
+        try:
+            y = graph_y(curve, R, x)
+        except PrecisionError:
+            points.extend(_fiber_zeros(curve, R, [(x, m, _held(D, x))]))
+            continue
         fy = curve.eval_fy(x, y)
         if fy != 0:
             y = y - curve.eval_f(x, y) / fy
@@ -547,9 +575,15 @@ def _graph_zeros(curve: CurveModel, R: PolyFunction, roots) -> list:
     return points
 
 
+def _held(D: Divisor, x: complex) -> list:
+    """D's points within CLUSTER_TOL of x: those a fiber zero over x may be."""
+    return [p for p in D if _near(x, p.x, CLUSTER_TOL)]
+
+
 def _fiber_zeros(curve: CurveModel, R: PolyFunction, clusters) -> list:
     """Common zeros of (R, f) over the x-roots ``clusters``, [(x, m, held)],
-    for R x-only or of y-degree 2 or more.
+    for R x-only or of y-degree 2 or more, or where R, linear in y, is free
+    of y.
 
     Over x, the m new zeros and the points ``held`` there spread evenly over
     the fiber points where |R| is below 1e-5 of its term scale (the nearest
@@ -625,16 +659,18 @@ def complement(curve: CurveModel, R: PolyFunction, D: Divisor) -> Divisor:
     For R with y-terms, Res_y(f, R) / prod_(P in D) (x - x_P) is the
     x-polynomial of D* (Cantor's exact division u3 = (f - v^2) / (u1 u2), on
     C_ab curves after Arita, Miura and Sekiguchi).  For R = r1(x) y + r0(x),
-    linear in y (the hyperelliptic addition, the (3,4) negation), D* holds
-    the graph point (x, -r0(x) / r1(x)) over each root x, as often as the
-    root (``_graph_zeros``); for a higher y-degree, the fiber zeros over
-    its roots, less D's points there.  An x-only R = r(x) vanishes on
+    linear in y (every step of ``add`` and ``negate`` that complements),
+    D* holds the graph point (x, -r0(x) / r1(x)) over each root x, as
+    often as the root (``_graph_zeros``), or, where R is free of y at x
+    because D holds two points of that fiber, the fiber points D lacks
+    there; for a higher y-degree, the fiber zeros over its roots, less D's
+    points there.  An x-only R = r(x) vanishes on
     whole fibers: D* holds the fiber points D lacks over each of D's
     x-values, as often as r's root there, and whole fibers over the roots of
     r's quotient.  The division sees only x, so InconsistencyError is raised
     when |R(P)| over R's term scale at a P in D, or the weighted remainder,
     exceeds MATCH_TOL; a degree deficit raises DegenerateComplementError,
-    and a graph zero that cannot be read PrecisionError.
+    and fiber zeros that cannot be told apart PrecisionError.
     """
     worst = max((abs(R.eval(p.x, p.y)) / max(1.0, R.term_scale(p.x, p.y)) for p in D), default=0.0)
     if worst > MATCH_TOL:
@@ -657,10 +693,13 @@ def complement(curve: CurveModel, R: PolyFunction, D: Divisor) -> Divisor:
         q, rem = _divide(res[lead[0] if len(lead) else len(res) :], D.xs())
         clusters = clustered_roots(q)
         if dr > 1:
-            clusters = [(x, m, [p for p in D if _near(x, p.x, CLUSTER_TOL)]) for x, m in clusters]
+            clusters = [(x, m, _held(D, x)) for x, m in clusters]
     if rem > MATCH_TOL:
         raise InconsistencyError(f"divisor does not divide the zeros of R: remainder {rem:.2e}")
-    points = (_graph_zeros if dr == 1 else _fiber_zeros)(curve, R, clusters)
+    if dr == 1:
+        points = _graph_zeros(curve, R, clusters, D)
+    else:
+        points = _fiber_zeros(curve, R, clusters)
     if len(points) + D.degree != R.weight:
         raise DegenerateComplementError(
             f"zeros of R found to degree {len(points) + D.degree}, not its weight {R.weight}: "

@@ -5,9 +5,13 @@ same code path as `kleinian selftest`) and prints its pass/fail line;
 trial counts and tolerances are the contract values, not reduced ones.
 """
 
+import numpy as np
 import pytest
 
+from kleinian import acceptance
 from kleinian.acceptance import CRITERIA, run_acceptance
+from kleinian.errors import DegeneratePairError
+from kleinian.tolerances import resolve
 
 KEYS = [key for key, _, _ in CRITERIA]
 
@@ -28,3 +32,22 @@ def test_runtime_budgets():
     budget = {"structural": 1.0, "roundtrip": 30.0, "legendre": 60.0}
     for entry in report["criteria"]:
         assert entry["elapsed_s"] < budget[entry["key"]], entry
+
+
+def test_group_law_counts_tested_and_skipped_trials(monkeypatch):
+    # every add triple is counted once, as tested or as skipped under the
+    # class of the KleinianError that stopped it
+    real_add = acceptance.add
+
+    def flaky_add(curve, D1, D2):
+        if abs(D1.points[0].x) < 0.5:
+            raise DegeneratePairError("a degenerate draw")
+        return real_add(curve, D1, D2)
+
+    monkeypatch.setattr(acceptance, "add", flaky_add)
+    _, details = acceptance.group_law(np.random.default_rng(0), resolve(None))
+    trials = details["trials"]
+    assert set(trials) == {"2-5", "3-4"}
+    for tally in trials.values():
+        assert tally["tested"] + sum(tally["skipped"].values()) == 50
+        assert set(tally["skipped"]) == {"DegeneratePairError"}

@@ -15,6 +15,7 @@ from kleinian.divisors import (
     complement,
     fiber_points,
     interpolate,
+    interpolate_y_linear,
     multiset_distance,
     poly_mul_raw,
     y_resultant,
@@ -25,7 +26,6 @@ from kleinian.errors import (
     InconsistencyError,
     KleinianError,
     NonReducedDivisorError,
-    PrecisionError,
     SpecialDivisorError,
 )
 from kleinian.roots import newton_polish, poly_roots
@@ -549,9 +549,8 @@ def _fiber_route(curve, R, D):
     """complement before it read a y-linear R's zeros off its graph, kept as
     the oracle: the Sylvester resultant's quotient, its roots clustered with
     D's points over them, and the zeros solved on each fiber by _fiber_zeros."""
-    def fiber_zeros(curve, R, roots):
-        held = [(x, m, [p for p in D if divisors._near(x, p.x, divisors.CLUSTER_TOL)]) for x, m in roots]
-        return divisors._fiber_zeros(curve, R, held)
+    def fiber_zeros(curve, R, roots, D):
+        return divisors._fiber_zeros(curve, R, [(x, m, divisors._held(D, x)) for x, m in roots])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(divisors, "y_resultant", lambda curve, R: divisors._poly_det(_sylvester(curve, R)))
@@ -573,17 +572,17 @@ def _outcome(fn, *args):
 @given(st.integers(0, 2**32 - 1), st.floats(-5.0, -2.0))
 def test_graph_zeros_agree_with_the_fiber_route(hard_divisor, ns, kind, seed, log10_dist):
     # the y-linear functions of the group law at the benchmark's hard
-    # shares: add's weight-3g function through D1 + D2 on n = 2, negate's
-    # weight-2g one through D1 and a weight-(2g + 1) one on (3,4)
+    # shares: add's least-weight one through D1 + D2 (weight 3g on n = 2,
+    # 10 on (3,4)), and on (3,4) negate's weight-2g one through D1 and a
+    # weight-(2g + 1) one, as add's second step takes through D'
     curve, D1, rng = hard_divisor(ns, kind, seed, log10_dist)
     D2 = random_divisor(curve, curve.genus, rng)
     g = curve.genus
-    if curve.n == 2:
-        cases = [(3 * g, D1 + D2)]
-    else:
-        cases = [(2 * g, D1), (2 * g + 1, D1 + Divisor(curve, D2.points[:1]))]
-    for w, D in cases:
-        R = _outcome(interpolate, curve, w, D)
+    cases = [(D1 + D2, interpolate_y_linear, ())]
+    if curve.n == 3:
+        cases += [(D1, interpolate, (2 * g,)), (D1 + Divisor(curve, D2.points[:1]), interpolate, (2 * g + 1,))]
+    for D, make, w in cases:
+        R = _outcome(make, curve, *w, D)
         if isinstance(R, type):
             continue
         assert R.y_degree() == 1
@@ -597,14 +596,21 @@ def test_graph_zeros_agree_with_the_fiber_route(hard_divisor, ns, kind, seed, lo
 
 
 @pytest.mark.parametrize("ns", FAMILIES, ids=FAMILY_IDS)
-def test_graph_route_raises_where_r_vanishes_on_a_whole_fiber(ns, rng):
+def test_graph_route_takes_the_fiber_points_d_lacks_where_r_vanishes_on_it(ns, rng):
     # R = (x - a)(y - b) is linear in y with r1(a) = r0(a) = 0: no graph
-    # point over x = a, whose n-fold resultant root reads (a, b), off the curve
+    # point over x = a, where R vanishes on the whole fiber.  Through n - 1
+    # of that fiber's points, the zeros D lacks are its last point and the
+    # graph points (x, b), f(x, b) = 0
     curve = random_curve(*ns, rng)
     a, b = 0.3 + 0.2j, 5.0 - 1.0j
     R = PolyFunction(curve, {(1, 1): 1.0, (0, 1): -a, (1, 0): -b, (0, 0): a * b})
-    with pytest.raises(PrecisionError):
-        zero_divisor(curve, R)
+    ys = fiber_points(curve, [a])[0]
+    fb = np.zeros(curve.s + 1, dtype=complex)
+    for (i, j), c in curve.coeffs.items():
+        fb[curve.s - i] += c * b**j
+    want = [(a, ys[0])] + [(x, b) for x in newton_polish(fb, np.roots(fb))]
+    got = complement(curve, R, Divisor(curve, [(a, y) for y in ys[1:]]))
+    assert multiset_distance(got, Divisor(curve, want, validate=False)) < 1e-12
 
 
 def _agreement_bound(Z):
