@@ -32,7 +32,6 @@ import itertools
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import series
 from .curves import CurveModel, CurvePoint, Monomial, poly_eval, poly_partials, y_split
@@ -189,16 +188,25 @@ class Divisor:
 
 
 def multiset_distance(A: Divisor, B: Divisor) -> float:
-    """Hungarian-matched worst point distance, relative to the point scale."""
+    """Worst point distance, relative to the point scale, in the matching of
+    A's points to B's of least total distance (an exact assignment by dynamic
+    programming over subsets of B's points, O(d 2^d) for degree d)."""
     if A.degree != B.degree:
         raise InconsistencyError(f"degree mismatch {A.degree} != {B.degree}")
     if A.degree == 0:
         return 0.0
     ax, ay, bx, by = A.xs(), A.ys(), B.xs(), B.ys()
-    cost = np.abs(ax[:, None] - bx[None, :]) + np.abs(ay[:, None] - by[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    cost = (np.abs(ax[:, None] - bx[None, :]) + np.abs(ay[:, None] - by[None, :])).tolist()
+    # best[mask]: (least sum, its worst pair) matching A's first |mask| points to B's in mask
+    best = [(0.0, 0.0)] * (1 << A.degree)
+    for mask in range(1, len(best)):
+        row = cost[mask.bit_count() - 1]
+        best[mask] = min(
+            (best[mask ^ 1 << j][0] + c, max(best[mask ^ 1 << j][1], c))
+            for j, c in enumerate(row) if mask >> j & 1
+        )
     scale = 1.0 + max(np.max(np.abs(ax)), np.max(np.abs(ay)))
-    return float(np.max(cost[rows, cols])) / scale
+    return best[-1][1] / scale
 
 
 # -- branch expansion --------------------------------------------------------

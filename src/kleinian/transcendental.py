@@ -37,7 +37,6 @@ from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
-import scipy.fft
 
 from .curves import HYPERELLIPTIC, CurveModel, y_split
 from .divisors import Divisor
@@ -474,11 +473,18 @@ def riemann_characteristic(pd: PeriodData) -> Characteristic:
 def _leg_rule(N: int):
     """Fejer's first rule on [0, 1]: nodes s = sin^2(th / 2) at the chain
     edges' Chebyshev angles th, to full relative precision next to s = 0
-    (where a far leg's integrand lies), and weights; it errs by O(rho^-N)."""
-    m = np.zeros(N)
-    m[0] = 1.0
-    m[2::2] = -1.0 / (np.arange(2, N, 2) ** 2 - 1.0)
-    return np.sin((np.arange(N) + 0.5) * np.pi / (2 * N)) ** 2, scipy.fft.dct(m, type=3) / N
+    (where a far leg's integrand lies), and weights; it errs by O(rho^-N).
+
+    The weights are the DCT-III of the Chebyshev moments m_k, taken as one
+    FFT of length 2N (J. Waldvogel, "Fast construction of the Fejer and
+    Clenshaw-Curtis quadrature rules", BIT 46, 2006):
+    w_j = (1/N) sum_k c_k m_k cos(k th_j), c = (1, 2, 2, ...)."""
+    k = np.arange(N)
+    cm = np.zeros(N)
+    cm[0] = 1.0
+    cm[2::2] = -2.0 / (k[2::2] ** 2 - 1.0)
+    w = 2.0 * np.fft.ifft(cm * np.exp(0.5j * np.pi * k / N), 2 * N)[:N].real
+    return np.sin((k + 0.5) * np.pi / (2 * N)) ** 2, w
 
 
 def abel(curve: CurveModel, D: Divisor, pd: PeriodData) -> np.ndarray:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from kleinian.cli import main
 from kleinian.jsonio import curve_from_json, divisor_to_json
 from kleinian.sampling import random_divisor
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -299,3 +305,23 @@ def test_trials_below_one_is_input_error(capsys, curve34_file, curve25_file, tri
         code, out, err = run_cli(capsys, verb, "--curve", curve, "--trials", trials)
         assert code == 2 and out == "", verb
         assert json.loads(err)["kind"] == "input"
+
+
+def _fresh_python(code):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_the_library_runs_and_imports_without_scipy():
+    # numpy is the only runtime dependency: with every scipy import made to
+    # raise, the roundtrip and bridge suites pass, and a plain import loads
+    # no scipy module
+    blocked = _fresh_python(
+        'import sys; sys.modules["scipy"] = None; from kleinian.cli import main; '
+        'sys.exit(main(["selftest", "--seed", "1", "--suite", "roundtrip", "--suite", "bridge"]))')
+    assert blocked.returncode == 0, blocked.stderr
+    plain = _fresh_python(
+        'import sys, kleinian; '
+        'assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"], "scipy loaded"')
+    assert plain.returncode == 0, plain.stderr

@@ -170,6 +170,38 @@ def test_zero_divisor_pham_34():
     assert np.allclose(Z.ys(), 1.0, atol=1e-10)
 
 
+def _hungarian_distance(A, B):
+    """multiset_distance's reference: the worst pair of scipy's least-sum matching."""
+    from scipy.optimize import linear_sum_assignment
+
+    cost = np.abs(A.xs()[:, None] - B.xs()[None, :]) + np.abs(A.ys()[:, None] - B.ys()[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(np.max(cost[rows, cols])) / (1.0 + max(np.max(np.abs(A.xs())), np.max(np.abs(A.ys()))))
+
+
+def test_multiset_distance_is_the_worst_pair_of_a_least_sum_matching(rng):
+    curve = random_curve(3, 4, rng)
+
+    def points(d):
+        xs = rng.normal(size=d) + 1j * rng.normal(size=d)
+        return [(x, ys[rng.integers(3)]) for x, ys in zip(xs, fiber_points(curve, xs))]
+
+    def divisor(pts):
+        return Divisor(curve, pts, validate=False)
+
+    pairs = []
+    for d in range(1, 10):
+        for _ in range(10):
+            A = points(d)
+            noise = 10.0 ** rng.uniform(-12, 0, size=(d, 2)) * np.exp(2j * np.pi * rng.uniform(size=(d, 2)))
+            near = [(x + e[0], y + e[1]) for (x, y), e in zip(A, noise)]
+            pairs += [(A, points(d)), (A, [near[i] for i in rng.permutation(d)])]
+    p, q, r = points(3)  # exact ties: several least-sum matchings
+    pairs += [([p, p, q], [q, q, p]), ([p, p, p, q], [q, p, r, p]), ([q] * 5, [q] * 5)]
+    for A, B in pairs:
+        assert multiset_distance(divisor(A), divisor(B)) == _hungarian_distance(divisor(A), divisor(B))
+
+
 def test_zero_divisor_containment(rng):
     for n, s in FAMILIES:
         curve = random_curve(n, s, rng)

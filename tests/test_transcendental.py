@@ -23,6 +23,7 @@ from kleinian.theta import Characteristic, _log_derivative, _terms, theta_direct
 from kleinian.transcendental import (
     _EDGE_EPS,
     _EDGE_MARGIN,
+    _MAX_EDGE_NODES,
     _bernstein_radius,
     _canonical_rows,
     _chain_homology,
@@ -737,14 +738,37 @@ def test_continue_sqrt_over_segments_is_the_one_path_routine_per_segment(data):
 
 
 def test_leg_rule_is_fejer_with_full_precision_nodes_next_to_zero():
-    for N in (1, 2, 9, 40, 1846):
+    for N in (1, 2, 9, 40, 1846, _MAX_EDGE_NODES):
         s, w = _leg_rule(N)
-        for p in range(N):  # exact below degree N
-            assert abs(w @ s ** p - 1.0 / (p + 1)) < 1e-14
+        ws = w.copy()  # w s^p
+        for p in range(min(N, 2048)):  # exact below degree N; checked to degree 2047
+            assert abs(np.sum(ws) - 1.0 / (p + 1)) < 1e-14
+            ws *= s
         th = (np.arange(N) + 0.5) * np.pi / N
         assert np.allclose(s, 0.5 * (1.0 - np.cos(th)), rtol=1e-12, atol=1e-16)
         assert s[0] == np.sin(0.25 * np.pi / N) ** 2
     assert _leg_rule(40) is _leg_rule(40)  # one rule per node count
+
+
+def test_leg_rule_weights_match_an_mpmath_dct():
+    # the weights (1/N) sum_k c_k m_k cos(k th_j), c = (1, 2, 2, ...), summed
+    # at 40 digits by the cosines' three-term recurrence over the first half
+    # of the nodes (w_j = w_(N-1-j)); the FFT errs by at most 0.25 N eps
+    # relative here (2.8e-14 at N = 512, as scipy's DCT did)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for N in (8, 33, 64, 127, 256, 512):
+            th = [(j + mp.mpf(1) / 2) * mp.pi / N for j in range((N + 1) // 2)]
+            two_cos = np.array([2 * mp.cos(2 * t) for t in th], dtype=object)
+            prev, cur = np.ones(len(th), dtype=object), two_cos / 2
+            half = np.ones(len(th), dtype=object)
+            for k in range(2, N, 2):  # cur = cos(k th)
+                half = half - 2 * cur / (k * k - 1)
+                prev, cur = cur, two_cos * cur - prev
+            ref = np.concatenate([half, half[: N // 2][::-1]]) / N
+            w = _leg_rule(N)[1]
+            err = max(abs((mp.mpf(float(a)) - b) / b) for a, b in zip(w, ref))
+            assert err < N * np.finfo(float).eps, (N, err)
 
 
 # (branch points, target) where abs(u) ** 2 over an array of starts rounds
