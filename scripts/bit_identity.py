@@ -9,6 +9,9 @@ seeds 1 and 3 it digests, as exact float hex strings,
 * ``algebra``: ``add``, ``negate`` and the ``divisor_to_basis`` ->
   ``basis_to_divisor`` roundtrip on the first ALGEBRA_OPS (default 250)
   ``algebra`` pool ops;
+* ``algebra-34``: the same outputs on the (3,4) ops among them alone, so
+  a change to the hyperelliptic routes can show that the trigonal
+  outputs keep every bit;
 * ``identities``: the model residuals on the same ops (``residuals_27``
   with ``add27_explicit`` and ``quotient_identity_residual_27`` on (2,7),
   ``residuals_34`` after ``extended_34`` on (3,4));
@@ -91,7 +94,8 @@ def _bridge(state, spec) -> list:
 
 
 def main(algebra_ops: int = 250, period_curves: int = 60, bridge_ops: int = 300) -> dict:
-    digests = {name: hashlib.sha256() for name in ("algebra", "identities", "periods", "bridge")}
+    names = ("algebra", "identities", "periods", "bridge", "algebra-34")
+    digests = {name: hashlib.sha256() for name in names}
     for seed in (1, 3):
         for spec in inputs.algebra_pool(inputs.workload_rng("algebra", seed))[:algebra_ops]:
             curve = C.curve_model(spec["n"], spec["s"], spec["lam"])
@@ -102,6 +106,8 @@ def main(algebra_ops: int = 250, period_curves: int = 60, bridge_ops: int = 300)
                 _guarded(lambda: _points(U.basis_to_divisor(curve, U.divisor_to_basis(curve, D1)))),
             ]
             digests["algebra"].update(repr(out).encode())
+            if (curve.n, curve.s) == (3, 4):
+                digests["algebra-34"].update(repr(out).encode())
             digests["identities"].update(repr(_guarded(lambda: _identities(curve, D1, D2))).encode())
         for spec in inputs.periods_pool(inputs.workload_rng("periods", seed))[:period_curves]:
             curve = C.curve_model(spec["n"], spec["s"], spec["lam"])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -153,19 +154,25 @@ def derivative_ladder(rng, tols):
 def group_law(rng, tols):
     """Negation, associativity, the inverse axiom, and the explicit path.
 
-    ``trials`` counts, per family, the triples tested and those skipped
-    because a step raised a KleinianError (a degenerate random draw), by
-    exception class.
+    ``negate`` is checked against the complement route of the weight-2g
+    function.  ``negate_trials`` and ``trials`` (per family) count the
+    draws tested and those a KleinianError skipped, by exception class.
     """
     worst_neg = 0.0
+    negate_trials = {"tested": 0, "skipped": Counter()}
     for t in range(25):
         n, s = ((2, 3), (2, 5), (2, 7))[t % 3]
         curve = random_curve(n, s, rng)
         D = random_divisor(curve, curve.genus, rng)
-        ref = Divisor(curve, [(p.x, -p.y) for p in D], validate=False)
+        try:
+            ref = complement(curve, interpolate(curve, 2 * curve.genus, D), D)
+        except KleinianError as exc:  # negate is untested there
+            negate_trials["skipped"][type(exc).__name__] += 1
+            continue
         worst_neg = max(worst_neg, multiset_distance(negate(curve, D), ref))
+        negate_trials["tested"] += 1
     worst_assoc = worst_inv = 0.0
-    trials = {fam: {"tested": 0, "skipped": {}} for fam in ("2-5", "3-4")}
+    trials = {fam: {"tested": 0, "skipped": Counter()} for fam in ("2-5", "3-4")}
     for t in range(100):  # 50 triples per family
         n, s = (2, 5) if t % 2 == 0 else (3, 4)
         tally = trials[f"{n}-{s}"]
@@ -179,8 +186,7 @@ def group_law(rng, tols):
             worst_inv = max(worst_inv, multiset_distance(back, D1))
             tally["tested"] += 1
         except KleinianError as exc:  # the law is untested there
-            name = type(exc).__name__
-            tally["skipped"][name] = tally["skipped"].get(name, 0) + 1
+            tally["skipped"][type(exc).__name__] += 1
     worst_explicit = 0.0
     for _ in range(50):
         curve = random_curve(2, 7, rng)
@@ -207,6 +213,7 @@ def group_law(rng, tols):
         "associativity": worst_assoc,
         "inverse_axiom": worst_inv,
         "explicit_vs_generic": worst_explicit,
+        "negate_trials": negate_trials,
         "trials": trials,
     }
 
@@ -266,10 +273,10 @@ def bridge_errors(curve, D, pd, ch):
 
 def theta_bridge(rng, tols):
     """wp from theta equals wp from divisor algebra (genus 2): 4 divisors on
-    each of 5 curves, a fresh one for each that falls near Sigma, at most
-    16 draws per curve."""
+    each of 5 curves, a fresh one for each that falls near Sigma (``trials``
+    counts both, by exception class), at most 16 draws per curve."""
     worst = 0.0
-    done = 0
+    trials = {"tested": 0, "skipped": Counter()}
     for _ in range(5):
         curve = random_curve(2, 5, rng)
         pd = period_matrices(curve)
@@ -280,12 +287,13 @@ def theta_bridge(rng, tols):
             attempts += 1
             try:
                 _, errors = bridge_errors(curve, random_divisor(curve, 2, rng), pd, ch)
-            except ThetaDivisorError:
-                continue  # near Sigma: draw a fresh divisor
+            except ThetaDivisorError as exc:  # near Sigma: draw a fresh divisor
+                trials["skipped"][type(exc).__name__] += 1
+                continue
             worst = max(worst, *errors.values())
             completed += 1
-        done += completed
-    return worst < tols["bridge"] and done >= 20, {"worst": worst, "trials": done}
+        trials["tested"] += completed
+    return worst < tols["bridge"] and trials["tested"] >= 20, {"worst": worst, "trials": trials}
 
 
 def matrix_machinery(rng, tols):

@@ -8,10 +8,8 @@ divisor's x-polynomial (``divisors.complement``):
 * ``negate``  complements D in the zeros of the weight-2g function
   through D.  On the (3,4) curve that function is linear in y, and the
   new zeros are read off its graph.  On hyperelliptic curves it is
-  x-only, and the complement is the pointwise involution
-  (x, y) -> (x, -y) (Cantor's (u, v) -> (u, -v)), so ``negate`` reads
-  each point's mirror straight off the fiber, the other root of
-  y^2 = f(x) at its x, with no interpolation, division or resultant;
+  x-only, and the complement is the mirror (x, y) -> (x, -y) (Cantor's
+  (u, v) -> (u, -v)), which ``negate`` returns exactly, with no solve;
 * ``add``     complements D1 + D2 in the zeros of the least-weight
   function linear in y through it, y = v(x) on its graph (Cantor's
   composition), and reduces the remainder D' through a second function
@@ -30,13 +28,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import CurveModel, CurvePoint
+from .curves import CurveModel
 from .divisors import (
     Divisor,
     _at_branch_point,
     _grouped_points,
     complement,
-    fiber_points,
     interpolate,
     interpolate_y_linear,
     poly_mul_raw,
@@ -54,15 +51,12 @@ from .uniformization import BasisRecord
 def negate(curve: CurveModel, D: Divisor) -> Divisor:
     """The divisor of the inverse class: (interpolate(2g, D))_0 - D.
 
-    On a hyperelliptic curve that is the mirror of D, read off the fiber:
-    one stacked ``fiber_points`` solve over D's distinct points, and for a
-    point of multiplicity m, m copies of the root of y^2 = f(x) at its x
-    that is not nearest its y, in the order the points first appear.
-    These are the points, bits and order of complementing D in the zeros
-    of the x-only weight-2g function, and its gates stay: a repeated
-    branch point raises BranchPointError (no branch jet there), and two
-    distinct points over one x, an involution pair say, raise
-    SpecialDivisorError (no unique weight-2g function).
+    On a hyperelliptic curve that is the mirror of D: for a point (x, y)
+    of multiplicity m, m copies of (x, -y), in the order the points first
+    appear.  The gates of the complement route stay: a repeated branch
+    point raises BranchPointError (no branch jet there), and two distinct
+    points over one x, an involution pair say, raise SpecialDivisorError
+    (no unique weight-2g function).
     """
     g = curve.genus
     if D.degree != g:
@@ -73,13 +67,9 @@ def negate(curve: CurveModel, D: Divisor) -> Divisor:
     for p, m in groups:
         if m > 1 and _at_branch_point(curve, p.x, p.y):
             raise BranchPointError(f"branch point at x = {p.x}")
-    xs = [p.x for p, _ in groups]
-    if len(set(xs)) < len(xs):
+    if len({p.x for p, _ in groups}) < len(groups):
         raise SpecialDivisorError("two points over one x: the weight-2g function is not unique")
-    points: list[CurvePoint] = []
-    for (p, m), ys in zip(groups, fiber_points(curve, xs)):
-        points.extend([CurvePoint(p.x, ys[1 - int(np.argmin(np.abs(ys - p.y)))])] * m)
-    return Divisor(curve, points, validate=False)
+    return Divisor(curve, [(p.x, -p.y) for p, m in groups for _ in range(m)], validate=False)
 
 
 def add(curve: CurveModel, D1: Divisor, D2: Divisor) -> Divisor:

@@ -10,7 +10,7 @@ import pytest
 
 from kleinian import acceptance
 from kleinian.acceptance import CRITERIA, run_acceptance
-from kleinian.errors import DegeneratePairError
+from kleinian.errors import DegeneratePairError, SpecialDivisorError, ThetaDivisorError
 from kleinian.tolerances import resolve
 
 KEYS = [key for key, _, _ in CRITERIA]
@@ -51,3 +51,42 @@ def test_group_law_counts_tested_and_skipped_trials(monkeypatch):
     for tally in trials.values():
         assert tally["tested"] + sum(tally["skipped"].values()) == 50
         assert set(tally["skipped"]) == {"DegeneratePairError"}
+
+
+def test_group_law_checks_negate_against_the_complement_route(monkeypatch):
+    # a draw where the weight-2g route raises is skipped under its class;
+    # a negate that is not the inverse fails the criterion
+    real_interpolate = acceptance.interpolate
+
+    def flaky_interpolate(curve, weight, D):
+        if weight == 2 * curve.genus and abs(D.points[0].x) < 0.5:
+            raise SpecialDivisorError("a special draw")
+        return real_interpolate(curve, weight, D)
+
+    monkeypatch.setattr(acceptance, "interpolate", flaky_interpolate)
+    ok, details = acceptance.group_law(np.random.default_rng(0), resolve(None))
+    tally = details["negate_trials"]
+    assert ok and 0 < details["negate"] < 1e-14
+    assert 0 < tally["tested"] < 25
+    assert tally["tested"] + sum(tally["skipped"].values()) == 25
+    assert set(tally["skipped"]) == {"SpecialDivisorError"}
+    monkeypatch.setattr(acceptance, "negate", lambda curve, D: D)
+    ok, details = acceptance.group_law(np.random.default_rng(0), resolve(None))
+    assert not ok and details["negate"] > 1e-2
+
+
+def test_theta_bridge_counts_its_redraws(monkeypatch):
+    # every other divisor falls near Sigma: 20 tested, each redraw counted
+    real_bridge_errors = acceptance.bridge_errors
+    calls = []
+
+    def flaky_bridge_errors(*args):
+        calls.append(args)
+        if len(calls) % 2:
+            raise ThetaDivisorError("near Sigma")
+        return real_bridge_errors(*args)
+
+    monkeypatch.setattr(acceptance, "bridge_errors", flaky_bridge_errors)
+    ok, details = acceptance.theta_bridge(np.random.default_rng(0), resolve(None))
+    assert ok
+    assert details["trials"] == {"tested": 20, "skipped": {"ThetaDivisorError": 20}}
