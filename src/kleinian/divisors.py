@@ -463,8 +463,11 @@ def _polish_multiple_zero(curve: CurveModel, R: PolyFunction, x: complex, y: com
     quadratic convergence that plain Newton loses at multiple roots.  It
     stops after a step below 1e-15 (1 + |x|), and before a step that is no
     smaller than the last: at a double zero the attainable step floor is a
-    few 1e-15, so a step that stops shrinking is rounding noise.
-    Requires the branch to be smooth there (f_y != 0), else returns input.
+    few 1e-15, so a step that stops shrinking is rounding noise.  y at the
+    new x is read off the branch jet the step was taken on, whose Newton
+    corrects its constant term onto the curve, so no step solves a fiber;
+    one Newton step in y on f at the end puts the point on the curve.
+    Requires the branch to be smooth there (f_y != 0), else stops where it is.
     """
     last = np.inf
     try:
@@ -478,14 +481,18 @@ def _polish_multiple_zero(curve: CurveModel, R: PolyFunction, x: complex, y: com
             if abs(step) > 0.5 * (1.0 + abs(x)) or abs(step) >= last:
                 break
             last = abs(step)
-            x = x - step
-            ys = fiber_points(curve, [x])[0]
-            y = complex(ys[int(np.argmin(np.abs(ys - y)))])
+            x, y = x - step, complex(np.polyval(yj.c[::-1], -step))
             if abs(step) < 1e-15 * (1.0 + abs(x)):
                 break
     except BranchPointError:
         pass
-    return x, y
+    return x, _y_step(curve, x, y)
+
+
+def _y_step(curve: CurveModel, x: complex, y: complex) -> complex:
+    """y after one Newton step in y on f at fixed x (y itself where f_y = 0)."""
+    fy = curve.eval_fy(x, y)
+    return y - curve.eval_f(x, y) / fy if fy != 0 else y
 
 
 def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: complex):
@@ -494,21 +501,22 @@ def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: compl
     The rule is ``roots.newton_polish``'s: the point stops once a step is
     below rounding, |dx| + |dy| <= 4e-16 (1 + |x| + |y|), and a step that
     raised the residual is undone and the point stops there.  The residual
-    is |R| and |f| over the row sums of the Jacobian ahead of the step,
-    read from the next step's R and f, so a step below rounding costs one
-    more evaluation of R and f and the budget's last step is unchecked.
-    Returns the point it has when the Jacobian is singular or a step jumps
-    by more than half the point's scale.
+    is |R| and |f| in rounding units, each over the sum of its terms'
+    moduli at the start point, read from the next step's R and f, so a step
+    below rounding costs one more evaluation of R and f and the budget's
+    last step is unchecked.  The start may be a raw eigenvalue: this is the
+    zero's one polish.  Returns the point it has when the Jacobian is
+    singular or a step jumps by more than half the point's scale.
     """
-    before, small = None, False  # (x, y, row weights, residual) ahead of the last step
+    s1, s2 = (sum(abs(c * x**i * y**j) for (i, j), c in t.items()) for t in (R.coeffs, curve.coeffs))
+    before, small = None, False  # (x, y, residual) ahead of the last step
     for _ in range(COMMON_ZERO_STEPS):
         r1, r2 = R.eval(x, y), curve.eval_f(x, y)
-        if before is not None:
-            bx, by, w1, w2, res = before
-            if abs(r1) * w1 + abs(r2) * w2 > res:
-                return bx, by
-            if small:
-                return x, y
+        res = abs(r1) * s2 + abs(r2) * s1  # |R| / s1 + |f| / s2, times s1 s2: no sum divides
+        if before is not None and res > before[2]:
+            return before[:2]
+        if small:
+            return x, y
         j11, j12 = R.eval_dx(x, y), R.eval_dy(x, y)
         j21, j22 = curve.eval_fx(x, y), curve.eval_fy(x, y)
         det = j11 * j22 - j12 * j21
@@ -518,8 +526,7 @@ def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: compl
         dy = (r2 * j11 - r1 * j21) / det
         if abs(dx) + abs(dy) > 0.5 * (1 + abs(x) + abs(y)):
             return x, y
-        w1, w2 = 1.0 / (abs(j11) + abs(j12)), 1.0 / (abs(j21) + abs(j22))
-        before = (x, y, w1, w2, abs(r1) * w1 + abs(r2) * w2)
+        before = (x, y, res)
         x, y = x - dx, y - dy
         small = abs(dx) + abs(dy) <= 4e-16 * (1 + abs(x) + abs(y))
     return x, y
@@ -527,8 +534,9 @@ def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: compl
 
 def clustered_roots(c: np.ndarray) -> list:
     """(root, multiplicity) of the polynomial c (descending): the centres of
-    ``cluster_roots``, a multiple one Newton-polished on the (m-1)-st
-    derivative, where it is a simple root."""
+    ``cluster_roots`` over the unpolished ``poly_roots``.  A multiple centre
+    is Newton-polished on the (m-1)-st derivative, where it is a simple
+    root; a simple one is left to the caller's one polish of its zero."""
     return [
         (x if m == 1 else complex(newton_polish(np.polyder(c, m - 1), [x])[0]), m)
         for x, m in cluster_roots(poly_roots(c), CLUSTER_TOL)
@@ -557,13 +565,13 @@ def _graph_zeros(curve: CurveModel, R: PolyFunction, roots, D: Divisor) -> list:
     quotient that complements D, for R linear in y.
 
     R = r1(x) y + r0(x) vanishes at one point of each fiber, on its graph
-    (``graph_y``).  That point is moved onto the curve by one Newton step
-    in y at fixed x, then polished on (R, f) for a simple root, along the
-    curve branch for an m-fold one, and taken m times.  Where the graph
-    cannot be read, R is (nearly) free of y at x: D holds two points of
-    that fiber, so r1 and r0 both vanish there, and R on the whole fiber.
-    The zeros there are then the fiber points D lacks (``_fiber_zeros``,
-    holding D's points near x).
+    (``graph_y``).  That point, over the raw root, is polished once: on
+    (R, f) for a simple root, or, moved onto the curve by one Newton step
+    in y at fixed x, along the curve branch for an m-fold one; it is taken
+    m times.  Where the graph cannot be read, R is (nearly) free of y at x:
+    D holds two points of that fiber, so r1 and r0 both vanish there, and
+    R on the whole fiber.  The zeros there are then the fiber points D
+    lacks (``_fiber_zeros``, holding D's points near x).
     """
     points: list[CurvePoint] = []
     for x, m in roots:
@@ -572,13 +580,10 @@ def _graph_zeros(curve: CurveModel, R: PolyFunction, roots, D: Divisor) -> list:
         except PrecisionError:
             points.extend(_fiber_zeros(curve, R, [(x, m, _held(D, x))]))
             continue
-        fy = curve.eval_fy(x, y)
-        if fy != 0:
-            y = y - curve.eval_f(x, y) / fy
         if m == 1:
             x, y = _polish_common_zero(curve, R, x, y)
         else:
-            x, y = _polish_multiple_zero(curve, R, x, y, m)
+            x, y = _polish_multiple_zero(curve, R, x, _y_step(curve, x, y), m)
         points.extend([CurvePoint(x, y)] * m)
     return points
 
@@ -672,13 +677,15 @@ def complement(curve: CurveModel, R: PolyFunction, D: Divisor) -> Divisor:
     often as the root (``_graph_zeros``), or, where R is free of y at x
     because D holds two points of that fiber, the fiber points D lacks
     there; for a higher y-degree, the fiber zeros over its roots, less D's
-    points there.  An x-only R = r(x) vanishes on
-    whole fibers: D* holds the fiber points D lacks over each of D's
-    x-values, as often as r's root there, and whole fibers over the roots of
-    r's quotient.  The division sees only x, so InconsistencyError is raised
-    when |R(P)| over R's term scale at a P in D, or the weighted remainder,
-    exceeds MATCH_TOL; a degree deficit raises DegenerateComplementError,
-    and fiber zeros that cannot be told apart PrecisionError.
+    points there.  An x-only R = r(x) vanishes on whole fibers: D* holds
+    the fiber points D lacks over each of D's x-values, as often as r's
+    root there, and whole fibers over the roots of r's quotient, each
+    simple one Newton-polished on the quotient, since no joint polish
+    follows on this route.  The division sees only x, so
+    InconsistencyError is raised when |R(P)| over R's term scale at a P in
+    D, or the weighted remainder, exceeds MATCH_TOL; a degree deficit
+    raises DegenerateComplementError, and fiber zeros that cannot be told
+    apart PrecisionError.
     """
     worst = max((abs(R.eval(p.x, p.y)) / max(1.0, R.term_scale(p.x, p.y)) for p in D), default=0.0)
     if worst > MATCH_TOL:
@@ -694,7 +701,8 @@ def complement(curve: CurveModel, R: PolyFunction, D: Divisor) -> Divisor:
                 hit[1], hit[2] = max(hit[1], m), hit[2] + [p] * m
         q, rem = _divide(y_split(R.coeffs)[0], [x for x, m, _ in fibers for _ in range(m)])
         clusters = [(x, curve.n * m - len(held), held) for x, m, held in fibers]
-        clusters += [(x, curve.n * m, ()) for x, m in clustered_roots(q)]
+        clusters += [(complex(newton_polish(q, [x])[0]) if m == 1 else x, curve.n * m, ())
+                     for x, m in clustered_roots(q)]
     else:
         res = y_resultant(curve, R)
         lead = np.flatnonzero(res)  # Res_y from its first nonzero coefficient

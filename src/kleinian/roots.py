@@ -1,9 +1,10 @@
 """Complex polynomial roots tuned for the divisor-algebra workloads.
 
-Roots are companion-matrix eigenvalues (``np.roots``).  Every root is
-polished by Newton steps on the original coefficients until its step is
-below rounding or raises |p|, and a clustering pass recovers
-multiplicities from nearly-coincident roots.
+Roots are companion-matrix eigenvalues (``np.roots``), returned as they
+are: each caller polishes a zero once, where it knows what the zero is
+for.  ``newton_polish`` takes Newton steps on the original coefficients
+until a root's step is below rounding or raises |p|, and a clustering
+pass recovers multiplicities from nearly-coincident roots.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ def _strip(coeffs: np.ndarray) -> np.ndarray:
 
 
 def poly_roots(coeffs) -> np.ndarray:
-    """Newton-polished roots of sum coeffs[k] x^(deg-k); coeffs[0] is the
-    leading term."""
+    """Roots of sum coeffs[k] x^(deg-k), coeffs[0] the leading term: the
+    companion eigenvalues after negligible leading terms are stripped, with
+    no polish (backward stable, so one Newton pass later converges)."""
     c = _strip(coeffs)
     if len(c) <= 1:
         return np.zeros(0, dtype=complex)
-    return newton_polish(c, np.roots(c))
+    return np.roots(c)
 
 
 def newton_polish(coeffs, roots) -> np.ndarray:

@@ -20,7 +20,7 @@ every supported curve, so the inverse is one path for every family: the
 x-roots of their 2x2 y-resultant (``divisors._poly_det``, the one
 Leibniz expansion), y from whichever of the two depends on
 y more strongly, an on-curve check and one Newton polish on the
-better-conditioned of the two.
+better-conditioned of the two, the only polish a simple point takes.
 Derivatives along Jacobian coordinates take one route, basis_flow: the
 basis values as Taylor jets along a u_w coordinate line, exact to
 truncation, from the same solver applied order by order to the jets'
@@ -125,7 +125,9 @@ def basis_to_divisor(curve: CurveModel, rec: BasisRecord) -> Divisor:
     InconsistentRecordError.  Each
     simple point then takes one Newton polish on (R_lo, f) or (R_hi, f),
     whichever has the larger |det J| over the product of J's row sums, of
-    those with a y-term.
+    those with a y-term; its x-root enters that polish as the companion
+    eigenvalue, with no polish of its own.  A multiple point keeps the
+    root's centre, Newton-polished on the resultant's (m-1)-st derivative.
     """
     if set(rec.p) != set(curve.gaps) or set(rec.q) != set(curve.gaps):
         raise InconsistentRecordError("record keys must be exactly the gap weights")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kleinian import divisors, uniformization
+from kleinian import divisors, roots, uniformization
 from kleinian.addition import add, negate
 from kleinian.curves import curve_model, y_split
 from kleinian.divisors import (
@@ -739,6 +739,81 @@ def test_polish_multiple_zero_stops_when_its_step_stops_shrinking(algebra_ops, m
         made.clear()
         add(curve, add(curve, D1, D2), negate(curve, D2))
         assert made and max(made) <= 6
+
+
+def test_each_new_zero_is_polished_once(algebra_ops, monkeypatch):
+    # the group law and Jacobi inversion polish each new zero once, on
+    # (R, f) or along the curve branch: newton_polish runs on no quotient's
+    # raw roots, only on a multiple root's centre (on the (m-1)-st
+    # derivative), and a multiple zero's polish solves no fiber.  The polish
+    # inside fiber_points, which add's reduction check calls, is no zero's
+    centres, polished, strays = [], [], []
+    calls, depth = {"fiber": 0, "multiple": 0}, {"fiber": 0, "multiple": 0}
+    real_cluster, real_polish = divisors.cluster_roots, divisors.newton_polish
+
+    def cluster(*args):
+        out = real_cluster(*args)
+        centres.extend(x for x, m in out if m > 1)
+        return out
+
+    def polish(c, r):
+        if not depth["fiber"]:
+            polished.append([complex(z) for z in np.ravel(r)])
+        return real_polish(c, r)
+
+    def spy(key, real):
+        def call(*args):
+            if key == "fiber" and depth["multiple"]:
+                strays.append(args)
+            calls[key] += 1
+            depth[key] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[key] -= 1
+        return call
+
+    monkeypatch.setattr(divisors, "cluster_roots", cluster)
+    monkeypatch.setattr(roots, "newton_polish", polish)
+    monkeypatch.setattr(divisors, "newton_polish", polish)
+    monkeypatch.setattr(divisors, "fiber_points", spy("fiber", divisors.fiber_points))
+    monkeypatch.setattr(divisors, "_polish_multiple_zero", spy("multiple", divisors._polish_multiple_zero))
+    for _, curve, D1, D2 in algebra_ops.values():
+        try:
+            basis_to_divisor(curve, divisor_to_basis(curve, D1))
+            if curve.n == 3:
+                negate(curve, D1)
+            add(curve, add(curve, D1, D2), negate(curve, D2))
+        except KleinianError:
+            pass
+    assert centres and calls["multiple"]  # both polishes of a multiple zero ran
+    assert all(len(r) == 1 and r[0] in centres for r in polished)
+    assert strays == []
+
+
+@pytest.mark.parametrize("ns", FAMILIES, ids=FAMILY_IDS)
+def test_x_only_complement_polishes_its_quotients_roots(ns, rng):
+    # an x-only R vanishes on whole fibers, over roots that no joint polish
+    # follows: zero_divisor polishes them on the quotient itself, to within
+    # 4 eps (1 + |x|) of the 40-digit roots (1.7 at most over these draws)
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        curve = random_curve(*ns, rng)
+        g = curve.genus
+        if curve.n == 2:
+            R = interpolate(curve, 2 * g, random_divisor(curve, g, rng))
+        else:
+            c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            R = PolyFunction(curve, {(3, 0): 1.0, (2, 0): c[0], (1, 0): c[1], (0, 0): c[2]})
+        assert R.y_degree() == 0
+        q, _ = divisors._divide(y_split(R.coeffs)[0], [])
+        with mp.workdps(40):
+            want = [complex(r) for r in mp.polyroots([mp.mpc(z.real, z.imag) for z in q], extraprec=100)]
+        xs = zero_divisor(curve, R).xs()
+        assert len(xs) == curve.n * len(want)
+        for r in want:  # the n points over r, one whole fiber
+            assert np.all(np.sort(np.abs(xs - r))[: curve.n] <= 4 * eps * (1 + abs(r)))
 
 
 def test_exact_double_root_stays_double():
