@@ -45,7 +45,7 @@ from .identities import (
     residuals_34,
 )
 from .addition import add, add27_explicit, negate
-from .theta import theta, theta_derivatives
+from .theta import theta_derivatives
 from .transcendental import (
     PeriodData,
     abel,
@@ -84,7 +84,6 @@ __all__ = [
     "negate",
     "add",
     "add27_explicit",
-    "theta",
     "theta_derivatives",
     "PeriodData",
     "branch_points",

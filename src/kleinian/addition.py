@@ -87,7 +87,7 @@ def add(curve: CurveModel, D1: Divisor, D2: Divisor) -> Divisor:
     if D1.degree != g or D2.degree != g:
         raise InvalidCurveError(f"need degree-{g} divisors")
     union = D1 + D2
-    if union.involution_groups():
+    if not union.is_reduced():
         raise DegeneratePairError(
             "inputs share points in involution; the sum degenerates toward the identity"
         )

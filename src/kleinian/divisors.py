@@ -9,8 +9,10 @@ the curve equation.  The workhorses are
   derivative conditions along the branch y(x)), and
   :func:`interpolate_y_linear`, the least-weight one linear in y, through
   which the group law composes; their solve, :func:`interpolate_in_basis`,
-  also solves the Jacobi inversion system and refuses (nearly) special
-  divisors by the conditioning of its matrix;
+  also solves the Jacobi inversion system.  Every divisor system, this one,
+  the Abel Jacobian and each order of the jet flow in ``uniformization``,
+  is one equilibrated solve, ``_solve_nonspecial``, which refuses (nearly)
+  special divisors by the conditioning of its matrix;
 * :func:`complement` -- the zeros of such a function beyond the divisor:
   its y-resultant with the curve equation divided exactly by the divisor's
   x-polynomial, the step the group law repeats; and
@@ -24,6 +26,9 @@ linear in y, R = r1(x) y + r0(x), has one zero per root x, on its graph
 y = -r0(x) / r1(x) (Cantor's composition), save where R vanishes on a
 whole fiber; every other R, x-only or of y-degree 2 or more (no step of
 the group law takes one), solves the fibers over all its roots at once.
+A divisor is reduced when no full fiber lies in it, and n distinct points
+over one x are all of its fiber: ``Divisor.is_reduced`` reads that off
+D's own points (``_fibers``), with no fiber solve.
 """
 
 from __future__ import annotations
@@ -46,11 +51,11 @@ from .errors import (
 )
 from .roots import cluster_roots, newton_polish, poly_roots
 
-PAIR_TOL = 1e-9  # involution-pair detection, relative
+PAIR_TOL = 1e-9  # one point, or one fiber, relative
 COMMON_ZERO_STEPS = 5  # budget of _polish_common_zero
 MATCH_TOL = 1e-8  # complement's checks, relative
 CLUSTER_TOL = 1e-6  # multiple-root detection, relative to each root
-SPECIAL_COND = 1e8  # special-divisor gate (equilibrated condition); the jet flow keeps ~8 digits
+SPECIAL_COND = 1e8  # special-divisor gate of every divisor solve, set by the jet flow (~8 digits kept)
 
 
 class PolyFunction:
@@ -152,35 +157,10 @@ class Divisor:
             worst = max(worst, abs(self.curve.eval_f(p.x, p.y)) / scale)
         return worst
 
-    def involution_groups(self) -> list[tuple[int, ...]]:
-        """Index tuples forming a full fiber over one x (all n points).
-
-        A doubled point plus a second fiber point over the same x is NOT
-        a group: the divisor must contain every y of the fiber, each
-        matched to a distinct divisor point.  x and y values match within
-        PAIR_TOL of 1 + their own size.
-        """
-        n = self.curve.n
-        xs, ys = self.xs(), self.ys()
-        groups: list = []
-        used: set = set()
-        for i, x in enumerate(xs):
-            shared = [j for j in range(i, len(xs)) if j not in used and _near(x, xs[j], PAIR_TOL)]
-            if i in used or len(shared) < n:
-                continue
-            picked: list[int] = []
-            for yf in fiber_points(self.curve, [x])[0]:
-                hit = next((j for j in shared if j not in picked and _near(yf, ys[j], PAIR_TOL)), None)
-                if hit is None:
-                    break
-                picked.append(hit)
-            if len(picked) == n:
-                groups.append(tuple(sorted(picked)))
-                used.update(picked)
-        return groups
-
     def is_reduced(self) -> bool:
-        return not self.involution_groups()
+        """No full fiber lies in D: no x carries n distinct points of D, for
+        n distinct points of the curve over one x are all of its fiber."""
+        return all(len(groups) < self.curve.n for _, groups in _fibers(self))
 
     def assert_reduced(self):
         if not self.is_reduced():
@@ -262,6 +242,19 @@ def _grouped_points(D: Divisor):
     return [(p, m) for p, m in out]
 
 
+def _fibers(D: Divisor) -> list:
+    """D's points by fiber, in order of first appearance: [(x, [(point,
+    multiplicity), ...])], the ``_grouped_points`` within PAIR_TOL of one x."""
+    out: list = []
+    for p, m in _grouped_points(D):
+        fiber = next((f for f in out if _near(p.x, f[0], PAIR_TOL)), None)
+        if fiber is None:
+            out.append((p.x, [(p, m)]))
+        else:
+            fiber[1].append((p, m))
+    return out
+
+
 def _equilibrate(A: np.ndarray):
     """(E, r, c): A with each row, then each column, scaled to unit maximum
     (a zero row or column left as it is), and the row and column scales r, c."""
@@ -273,33 +266,31 @@ def _equilibrate(A: np.ndarray):
     return Ar / c, r, c
 
 
-def _solve_equilibrated(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row/column-scaled solve of A X = B for the columns of B; divisors with
-    far-out points span many orders of magnitude across monomial columns,
-    which plain partial pivoting handles poorly."""
-    E, r, c = _equilibrate(A)
-    return np.linalg.solve(E, B / r[:, None]) / c[:, None]
+def _solve_nonspecial(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
+    """X with A X = B for the n x n monomial matrix A of a divisor: the one
+    solve of every divisor system, the interpolation system, the Abel
+    Jacobian and each order of the jet flow.
 
-
-def _solve_nonspecial(E: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
-    """X with E X = B for the equilibrated n x n monomial matrix E of a divisor.
-
-    SpecialDivisorError when E is singular, or when n |E^-1|_1 exceeds
-    SPECIAL_COND (or is NaN): an upper bound on the 1-norm condition number
-    |E|_1 |E^-1|_1, since no entry of E exceeds 1.  The divisor is then
-    (nearly) special, an involution pair say.  E^-1 comes from the same
-    solve, as identity columns appended to B, which leave the bits of X as
-    a solve for B alone gives them.
+    A is equilibrated first (``_equilibrate``): divisors with far-out points
+    span many orders of magnitude across monomial columns, which plain
+    partial pivoting handles poorly.  SpecialDivisorError when the
+    equilibrated E is singular, or when n |E^-1|_1 exceeds SPECIAL_COND (or
+    is NaN): an upper bound on the 1-norm condition number |E|_1 |E^-1|_1,
+    since no entry of E exceeds 1.  The divisor is then (nearly) special,
+    an involution pair say.  E^-1 comes from the same solve, as identity
+    columns appended to B / r, which leave the bits of X as a solve for B
+    alone gives them.
     """
+    E, r, c = _equilibrate(A)
     k, n = B.shape[1], len(E)
     try:
-        X = np.linalg.solve(E, np.concatenate((B, np.eye(n)), axis=1))
+        Y = np.linalg.solve(E, np.concatenate((B / r[:, None], np.eye(n)), axis=1))
     except np.linalg.LinAlgError as exc:
         raise SpecialDivisorError(f"{what} singular: {exc}") from exc
-    cond = n * np.abs(X[:, k:]).sum(axis=0).max()
+    cond = n * np.abs(Y[:, k:]).sum(axis=0).max()
     if not cond <= SPECIAL_COND:
         raise SpecialDivisorError(f"{what} (condition {cond:.1e}): divisor is (nearly) special")
-    return X[:, :k]
+    return Y[:, :k] / c[:, None]
 
 
 def interpolation_rows(curve: CurveModel, monomials, D: Divisor) -> np.ndarray:
@@ -333,8 +324,7 @@ def interpolate_in_basis(curve: CurveModel, basis: list[Monomial], leads, D: Div
     rows = interpolation_rows(curve, [*basis, *(m for m, _ in leads)], D)
     A = np.ascontiguousarray(rows[:, : len(basis)])
     B = -(rows[:, len(basis) :] * [c for _, c in leads])  # a new C-ordered array
-    E, r, c = _equilibrate(A)
-    return _solve_nonspecial(E, B / r[:, None], "interpolation system") / c[:, None]
+    return _solve_nonspecial(A, B, "interpolation system")
 
 
 def interpolate(curve: CurveModel, w: int, D: Divisor) -> PolyFunction:
@@ -692,13 +682,9 @@ def complement(curve: CurveModel, R: PolyFunction, D: Divisor) -> Divisor:
         raise InconsistencyError(f"divisor is off the zeros of R: |R| {worst:.2e} relative")
     dr = R.y_degree()
     if dr == 0:
-        fibers: list = []  # [x, largest point multiplicity, D's points over x]
-        for p, m in _grouped_points(D):
-            hit = next((f for f in fibers if _near(p.x, f[0], PAIR_TOL)), None)
-            if hit is None:
-                fibers.append([p.x, m, [p] * m])
-            else:
-                hit[1], hit[2] = max(hit[1], m), hit[2] + [p] * m
+        # [x, largest point multiplicity, D's points over x]
+        fibers = [(x, max(m for _, m in grp), [p for p, m in grp for _ in range(m)])
+                  for x, grp in _fibers(D)]
         q, rem = _divide(y_split(R.coeffs)[0], [x for x, m, _ in fibers for _ in range(m)])
         clusters = [(x, curve.n * m - len(held), held) for x, m, held in fibers]
         clusters += [(complex(newton_polish(q, [x])[0]) if m == 1 else x, curve.n * m, ())

@@ -141,12 +141,6 @@ def _terms(v, form, char, tol, k):
     return m, shift, np.exp(expo - shift)
 
 
-def theta(v, tau, char: Characteristic | None = None) -> complex:
-    """theta[char](v; tau) by direct lattice summation."""
-    _, shift, base = _terms(v, _check_tau(tau), char, 1e-14, 0)
-    return complex(np.exp(shift) * np.sum(base))
-
-
 def theta_derivatives(v, tau, orders, char: Characteristic | None = None) -> dict:
     """Partial derivatives for every multi-index in ``orders``.
 

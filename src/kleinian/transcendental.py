@@ -430,10 +430,6 @@ def period_matrices(curve: CurveModel, best_effort_genus3: bool = False) -> Peri
 # -- Riemann constants ---------------------------------------------------------
 
 
-def vanishing_order_target(curve: CurveModel) -> int:
-    return ((curve.n**2 - 1) * (curve.s**2 - 1)) // 24
-
-
 def riemann_characteristic(pd: PeriodData) -> Characteristic:
     """The characteristic of the vector of Riemann constants, certified.
 
@@ -453,7 +449,7 @@ def riemann_characteristic(pd: PeriodData) -> Characteristic:
     twice = 2.0 * _lattice_coords(pd.lattice[1], K)
     half = [0.5 * (int(b) % 2) for b in np.round(twice)]
     char = Characteristic(tuple(half[g:]), tuple(half[:g]))
-    d = vanishing_order_target(pd.curve)
+    d = -pd.curve.sigma_weight()
     m, _, base = _terms(np.zeros(g), pd.theta_form, char, 1e-14, d)
     terms = base[:, None] * np.vander(2j * np.pi * (m.T @ pd.omega_inv[:, 0]), d + 1, True)
     ratio = np.abs(np.sum(terms, axis=0)) / np.sum(np.abs(terms), axis=0)

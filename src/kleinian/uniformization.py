@@ -40,10 +40,8 @@ from .divisors import (
     Divisor,
     PolyFunction,
     _at_branch_point,
-    _equilibrate,
     _poly_det,
     _polish_common_zero,
-    _solve_equilibrated,
     _solve_nonspecial,
     clustered_roots,
     graph_y,
@@ -177,7 +175,7 @@ def abel_jacobian(curve: CurveModel, D: Divisor) -> np.ndarray:
             raise BranchPointError(f"branch point in divisor at x = {pt.x}")
     basis = curve.basis_monomials()
     U = np.array([[m.eval(pt.x, pt.y) for pt in D.points] for m in basis], dtype=complex)
-    _solve_nonspecial(_equilibrate(U.T)[0], np.zeros((g, 0)), "Abel Jacobian")
+    _solve_nonspecial(U.T, np.zeros((g, 0)), "Abel Jacobian")
     return U / np.array([curve.eval_fy(pt.x, pt.y) for pt in D.points], dtype=complex)
 
 
@@ -189,10 +187,13 @@ def _coefficients(rows) -> np.ndarray:
 def _solve_series(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Taylor coefficients V_k of the solution of A(t) V(t) = B(t), from
     coefficient arrays of shape (order + 1, rows, cols): order by order,
-    V_k = A_0^-1 (B_k - sum_{j=1..k} A_j V_(k-j)), each an equilibrated solve."""
+    V_k = A_0^-1 (B_k - sum_{j=1..k} A_j V_(k-j)), each through
+    ``_solve_nonspecial``, so every order passes the special-divisor gate."""
     V = np.zeros((len(B), A.shape[2], B.shape[2]), dtype=complex)
     for k in range(len(B)):
-        V[k] = _solve_equilibrated(A[0], B[k] - sum(A[j] @ V[k - j] for j in range(1, k + 1)))
+        V[k] = _solve_nonspecial(
+            A[0], B[k] - sum(A[j] @ V[k - j] for j in range(1, k + 1)), "jet system"
+        )
     return V
 
 
@@ -204,7 +205,8 @@ def basis_flow(curve: CurveModel, D: Divisor, w_dir: int, order: int):
     dx_k/dt = (M^-1 e_w)_k, and the values solve divisor_to_basis's system
     on the flowed points, each jet system order by order through its value
     at t = 0 (_solve_series): exact to truncation.  abel_jacobian's checks
-    guard the flow (BranchPointError, SpecialDivisorError).
+    guard the flow (BranchPointError, SpecialDivisorError), and every order
+    of every jet system passes the same special-divisor gate.
     """
     if w_dir not in curve.gaps:
         raise InvalidCurveError(f"{w_dir} is not a gap weight of the curve")

@@ -368,7 +368,7 @@ def _weight9_add(curve, D1, D2):
     x^3 + ... + c y^2, of y-degree 2 (a 5 x 5 Sylvester resultant and the
     fiber solve with held points)."""
     union = D1 + D2
-    if union.involution_groups():
+    if not union.is_reduced():
         raise DegeneratePairError("inputs share points in involution")
     try:
         Dhat = complement(curve, interpolate(curve, 3 * curve.genus, union), union)

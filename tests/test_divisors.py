@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -116,7 +117,8 @@ def test_interpolation_builds_one_jet_per_repeated_point(rng, monkeypatch):
         assert len(calls) == 1
         A = divisors.interpolation_rows(curve, mons[:-1], doubled)
         B = -(divisors.interpolation_rows(curve, mons[-1:], doubled) * [1.0])
-        assert np.array_equal(C, divisors._solve_equilibrated(A, B))
+        E, r, c = divisors._equilibrate(A)
+        assert np.array_equal(C, np.linalg.solve(E, B / r[:, None]) / c[:, None])
 
 
 @pytest.mark.parametrize("sep", (0.0, 1e-13, 1e-10), ids=["pair", "1e-13", "1e-10"])
@@ -377,7 +379,7 @@ def test_involution_groups_at_each_points_own_scale():
     ys1 = fiber_points(curve, [x1])[0]
     far = (1e4 + 0j, fiber_points(curve, [1e4 + 0j])[0][0])
     D = Divisor(curve, [(x0, y0), (x1, ys1[np.argmin(np.abs(ys1 + y0))]), far])
-    assert D.involution_groups() == []
+    assert D.is_reduced()
 
 
 def test_involution_detection():
@@ -394,6 +396,101 @@ def test_involution_detection():
     assert two.is_reduced()  # n-1 = 2 points of a fiber are allowed
     three = Divisor(c34, [(x, ys[0]), (x, ys[1]), (x, ys[2])], validate=False)
     assert not three.is_reduced()
+
+
+def _reduced_by_fiber_matching(D):
+    """Reducedness as a fiber solve decides it, the oracle: D is reduced
+    unless, over some x of D, each of the n fiber points matches its own
+    point of D, x and y within PAIR_TOL."""
+    n, xs, ys = D.curve.n, D.xs(), D.ys()
+    for i, x in enumerate(xs):
+        shared = [j for j in range(i, len(xs)) if divisors._near(x, xs[j], divisors.PAIR_TOL)]
+        picked: list = []
+        for yf in fiber_points(D.curve, [x])[0]:
+            hit = next((j for j in shared if j not in picked
+                        and divisors._near(yf, ys[j], divisors.PAIR_TOL)), None)
+            if hit is None:
+                break
+            picked.append(hit)
+        if len(picked) == n:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("kind", ["confluent", "far-x", "near-ramification"])
+@pytest.mark.parametrize("ns", FAMILIES, ids=FAMILY_IDS)
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-5.0, -2.0))
+def test_is_reduced_reads_the_divisors_own_points(hard_divisor, ns, kind, seed, log10_dist):
+    # n distinct points of the curve over one x are all of its fiber, so
+    # is_reduced needs no fiber solve and agrees with the fiber-matching
+    # rule: on the hard draw, on its sum with a random divisor, and around
+    # its hard point P with a full fiber, n - 1 points of one fiber, a
+    # doubled point plus another point of its fiber (a full fiber on n = 2
+    # only) and a pair 1e-6 apart (no fiber)
+    curve, D, rng = hard_divisor(ns, kind, seed, log10_dist)
+    rest = list(random_divisor(curve, curve.genus, rng).points)
+    n, P = curve.n, D.points[0]
+    ys = fiber_points(curve, [P.x])[0]
+    other = ys[np.argmax(np.abs(ys - P.y))]
+    x1 = P.x + 1e-6
+    ys1 = fiber_points(curve, [x1])[0]
+    cases = [
+        (D, None),
+        (D + Divisor(curve, rest), None),
+        ([(P.x, y) for y in ys] + rest, False),
+        ([(P.x, y) for y in ys[: n - 1]] + rest, True),
+        ([P, P, (P.x, other)] + rest, n > 2),
+        ([P, (x1, ys1[np.argmin(np.abs(ys1 - other))])] + rest, True),
+    ]
+    for points, want in cases:
+        E = points if isinstance(points, Divisor) else Divisor(curve, points, validate=False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(divisors, "fiber_points", None)  # no fiber solve
+            got = E.is_reduced()
+        assert got == _reduced_by_fiber_matching(E)
+        assert want is None or got == want
+
+
+def test_group_law_and_inversion_solve_no_fiber(algebra_ops, monkeypatch):
+    # reducedness is read off D's own points: over the benchmark's ops,
+    # add, negate and divisor_to_basis make no fiber_points call (add's
+    # check on D1 + D2 and divisor_to_basis's once made 20)
+    calls, done, real = [], 0, divisors.fiber_points
+    monkeypatch.setattr(divisors, "fiber_points", lambda *a: calls.append(a) or real(*a))
+    for _, curve, D1, D2 in algebra_ops.values():
+        for op in (lambda: divisor_to_basis(curve, D1), lambda: negate(curve, D1),
+                   lambda: add(curve, add(curve, D1, D2), negate(curve, D2))):
+            try:
+                op()
+                done += 1
+            except KleinianError:
+                pass
+    assert done > 2 * len(algebra_ops) and calls == []
+
+
+def test_every_divisor_system_is_solved_through_the_special_divisor_gate(rng, monkeypatch):
+    # the interpolation system, the Abel Jacobian and every order of the
+    # jet flow equilibrate only inside _solve_nonspecial, whose gate they
+    # all pass
+    callers, real = [], divisors._equilibrate
+
+    def spy(A):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(A)
+
+    monkeypatch.setattr(divisors, "_equilibrate", spy)
+    monkeypatch.setattr(uniformization, "_equilibrate", spy, raising=False)
+    for n, s in FAMILIES:
+        curve = random_curve(n, s, rng)
+        D = random_divisor(curve, curve.genus, rng)
+        basis, m_lo, m_hi = uniformization.solution_monomials(curve)
+        for run in (lambda: divisors.interpolate_in_basis(curve, basis, [(m_lo, 1.0), (m_hi, 2.0)], D),
+                    lambda: uniformization.abel_jacobian(curve, D),
+                    lambda: uniformization.basis_flow(curve, D, curve.gaps[-1], 3)):
+            del callers[:]
+            run()
+            assert callers and set(callers) == {"_solve_nonspecial"}
 
 
 def test_poly_mul_raw():
@@ -746,7 +843,7 @@ def test_each_new_zero_is_polished_once(algebra_ops, monkeypatch):
     # (R, f) or along the curve branch: newton_polish runs on no quotient's
     # raw roots, only on a multiple root's centre (on the (m-1)-st
     # derivative), and a multiple zero's polish solves no fiber.  The polish
-    # inside fiber_points, which add's reduction check calls, is no zero's
+    # inside fiber_points, a fiber's own, is no zero's
     centres, polished, strays = [], [], []
     calls, depth = {"fiber": 0, "multiple": 0}, {"fiber": 0, "multiple": 0}
     real_cluster, real_polish = divisors.cluster_roots, divisors.newton_polish

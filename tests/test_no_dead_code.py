@@ -6,8 +6,9 @@ counts as used when some ``.py`` file under src/, demos/ or perfbench/,
 outside any ``tests`` directory and other than the re-exports of
 ``src/kleinian/__init__.py``, names it: as an ``ast.Name`` that it does not
 assign, an ``ast.Attribute`` attribute, an import alias, or a whole string
-constant (``perfbench/layers.py`` wraps library functions by name).  A
-name that only tests call belongs in the tests.  Only dunder names are
+constant that is no dict key (``perfbench/layers.py`` wraps library
+functions by name, the values of its ``TARGETS``; the keys name modules).
+A name that only tests call belongs in the tests.  Only dunder names are
 exempt.
 """
 
@@ -42,6 +43,7 @@ def _definitions(tree: ast.Module):
 
 
 def _uses(tree: ast.Module):
+    keys = {id(k) for node in ast.walk(tree) if isinstance(node, ast.Dict) for k in node.keys}
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             yield node.id
@@ -51,7 +53,7 @@ def _uses(tree: ast.Module):
             yield node.name.rsplit(".", 1)[-1]
             if node.asname:
                 yield node.asname
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in keys:
             yield node.value
 
 

@@ -16,7 +16,6 @@ from kleinian.theta import (
     _radius,
     _terms,
     log_theta_derivatives,
-    theta,
     theta_derivatives,
     theta_directional,
 )
@@ -24,6 +23,12 @@ from kleinian.transcendental import wp_theta
 from test_transcendental import _bridge_setup, all_half_characteristics
 
 TAU1 = np.array([[1j]])
+
+
+def theta(v, tau, char=None):
+    """theta[char](v; tau): the value alone, as theta_derivatives gives it."""
+    return theta_derivatives(v, tau, [()], char)[()]
+
 
 # Period matrices tau, u_1 directions w and vanishing-order targets d of
 # fixed hyperelliptic curves, rounded to 6 digits: genus 1, genus 2, genus 2
@@ -316,6 +321,16 @@ def test_ill_conditioned_tau_raises_precision_error():
     with pytest.raises(PrecisionError):
         theta_directional([0.0, 0.0], tau, np.array([1.0, 0.0]), 3,
                           char=Characteristic((0.5, 0.5), (0.5, 0.0)))
+
+
+def test_kleinian_theta_is_the_module():
+    # the package re-exported a function named theta, which shadowed the
+    # submodule as the attribute kleinian.theta
+    import kleinian
+
+    module = importlib.import_module("kleinian.theta")
+    assert kleinian.theta is module
+    assert kleinian.theta.theta_derivatives is kleinian.theta_derivatives
 
 
 def test_each_entry_point_sizes_the_lattice_for_its_derivative_order(monkeypatch):

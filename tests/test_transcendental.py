@@ -39,7 +39,6 @@ from kleinian.transcendental import (
     branch_points,
     period_matrices,
     riemann_characteristic,
-    vanishing_order_target,
     wp_theta,
     x_polynomial,
 )
@@ -107,12 +106,12 @@ def test_riemann_characteristic_genus1(rng):
     pd = period_matrices(curve)
     ch = riemann_characteristic(pd)
     assert ch.eps_prime == (0.5,) and ch.eps == (0.5,)
-    assert vanishing_order_target(curve) == 1
+    assert -curve.sigma_weight() == 1
 
 
 def test_riemann_characteristic_genus2(rng):
     curve = random_curve(2, 5, rng)
-    assert vanishing_order_target(curve) == 3
+    assert -curve.sigma_weight() == 3
     pd = period_matrices(curve)
     ch = riemann_characteristic(pd)
     assert ch.parity() == -1  # odd characteristic
@@ -248,7 +247,7 @@ def _reference_riemann_characteristic(pd):
     single one whose derivatives along the u_1 line vanish below order d
     and whose order-d derivative does not, relative to the largest of all."""
     g = pd.curve.genus
-    d = vanishing_order_target(pd.curve)
+    d = -pd.curve.sigma_weight()
     w = pd.omega_inv[:, 0]
     chars = all_half_characteristics(g)
     table = np.array([np.abs(theta_directional(np.zeros(g), pd.tau, w, d, char=ch))
@@ -288,7 +287,7 @@ def test_riemann_characteristic_matches_per_characteristic_search(name):
     ch = riemann_characteristic(pd)
     assert ch == expected and str(ch) == str(expected)
     assert all(type(x) is float for x in ch.eps_prime + ch.eps)
-    assert expected.parity() == (-1) ** (vanishing_order_target(curve) % 2)
+    assert expected.parity() == (-1) ** (-curve.sigma_weight() % 2)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
