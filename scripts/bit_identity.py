@@ -1,4 +1,4 @@
-"""SHA-256 digests of algebra, period and bridge outputs, to compare two commits bit for bit.
+"""SHA-256 digests of algebra, jet, period and bridge outputs, to compare two commits bit for bit.
 
     python3 scripts/bit_identity.py [ALGEBRA_OPS] [PERIOD_CURVES] [BRIDGE_OPS]
 
@@ -12,6 +12,8 @@ seeds 1 and 3 it digests, as exact float hex strings,
 * ``algebra-34``: the same outputs on the (3,4) ops among them alone, so
   a change to the hyperelliptic routes can show that the trigonal
   outputs keep every bit;
+* ``flow``: the p and q jets of ``basis_flow`` through D1 on the same
+  ops, at order 1 along the first gap and at order 3 along the last;
 * ``identities``: the model residuals on the same ops (``residuals_27``
   with ``add27_explicit`` and ``quotient_identity_residual_27`` on (2,7),
   ``residuals_34`` after ``extended_34`` on (3,4));
@@ -79,6 +81,14 @@ def _identities(curve, D1, D2) -> list:
     return sorted((k, _hex([v])) for k, v in res.items())
 
 
+FLOWS = ((0, 1), (-1, 3))  # (gap index of the direction, order)
+
+
+def _flow(curve, D, w, order) -> list:
+    p, q = U.basis_flow(curve, D, w, order)
+    return [_hex(jets[g].c) for jets in (p, q) for g in curve.gaps]
+
+
 def _periods(curve) -> list:
     pd = T.period_matrices(curve, best_effort_genus3=(curve.genus == 3))
     return [_hex(pd.omega), _hex(pd.eta), _hex(pd.images)]
@@ -94,7 +104,7 @@ def _bridge(state, spec) -> list:
 
 
 def main(algebra_ops: int = 250, period_curves: int = 60, bridge_ops: int = 300) -> dict:
-    names = ("algebra", "identities", "periods", "bridge", "algebra-34")
+    names = ("algebra", "identities", "periods", "bridge", "algebra-34", "flow")
     digests = {name: hashlib.sha256() for name in names}
     for seed in (1, 3):
         for spec in inputs.algebra_pool(inputs.workload_rng("algebra", seed))[:algebra_ops]:
@@ -109,6 +119,9 @@ def main(algebra_ops: int = 250, period_curves: int = 60, bridge_ops: int = 300)
             if (curve.n, curve.s) == (3, 4):
                 digests["algebra-34"].update(repr(out).encode())
             digests["identities"].update(repr(_guarded(lambda: _identities(curve, D1, D2))).encode())
+            for i, order in FLOWS:
+                flow = _guarded(lambda: _flow(curve, D1, curve.gaps[i], order))
+                digests["flow"].update(repr(flow).encode())
         for spec in inputs.periods_pool(inputs.workload_rng("periods", seed))[:period_curves]:
             curve = C.curve_model(spec["n"], spec["s"], spec["lam"])
             digests["periods"].update(repr(_guarded(lambda: _periods(curve))).encode())

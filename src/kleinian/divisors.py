@@ -9,10 +9,10 @@ the curve equation.  The workhorses are
   derivative conditions along the branch y(x)), and
   :func:`interpolate_y_linear`, the least-weight one linear in y, through
   which the group law composes; their solve, :func:`interpolate_in_basis`,
-  also solves the Jacobi inversion system.  Every divisor system, this one,
-  the Abel Jacobian and each order of the jet flow in ``uniformization``,
-  is one equilibrated solve, ``_solve_nonspecial``, which refuses (nearly)
-  special divisors by the conditioning of its matrix;
+  also solves the Jacobi inversion system.  Every divisor system, of
+  numbers or of jets (this one, the Abel Jacobian, the jet flow), is
+  equilibrated and gated once, in ``_solve_nonspecial``, which refuses
+  (nearly) special divisors by the conditioning of its matrix;
 * :func:`complement` -- the zeros of such a function beyond the divisor:
   its y-resultant with the curve equation divided exactly by the divisor's
   x-polynomial, the step the group law repeats; and
@@ -267,30 +267,38 @@ def _equilibrate(A: np.ndarray):
 
 
 def _solve_nonspecial(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
-    """X with A X = B for the n x n monomial matrix A of a divisor: the one
-    solve of every divisor system, the interpolation system, the Abel
-    Jacobian and each order of the jet flow.
+    """Taylor coefficients X_t of the solution of A(t) X(t) = B(t), for the
+    n x n monomial matrix A of a divisor: the one solve of every divisor
+    system, of numbers or of jets, the interpolation system, the Abel
+    Jacobian and the jet flow.  A and B are coefficient arrays of shapes
+    (order + 1, n, n) and (order + 1, n, k); a system of numbers is order 0.
 
-    A is equilibrated first (``_equilibrate``): divisors with far-out points
-    span many orders of magnitude across monomial columns, which plain
-    partial pivoting handles poorly.  SpecialDivisorError when the
+    A_0 is equilibrated once (``_equilibrate``): divisors with far-out
+    points span many orders of magnitude across monomial columns, which
+    plain partial pivoting handles poorly.  SpecialDivisorError when the
     equilibrated E is singular, or when n |E^-1|_1 exceeds SPECIAL_COND (or
     is NaN): an upper bound on the 1-norm condition number |E|_1 |E^-1|_1,
     since no entry of E exceeds 1.  The divisor is then (nearly) special,
-    an involution pair say.  E^-1 comes from the same solve, as identity
-    columns appended to B / r, which leave the bits of X as a solve for B
-    alone gives them.
+    an involution pair say.  E^-1 comes from the order-0 solve, as identity
+    columns appended to B_0 / r, which leave the bits of X_0 as a solve for
+    B_0 alone gives them.  Each higher order reuses the gated E:
+    X_t = A_0^-1 (B_t - sum_{j=1..t} A_j X_(t-j)).
     """
-    E, r, c = _equilibrate(A)
-    k, n = B.shape[1], len(E)
+    E, r, c = _equilibrate(A[0])
+    k, n = B.shape[2], len(E)
     try:
-        Y = np.linalg.solve(E, np.concatenate((B / r[:, None], np.eye(n)), axis=1))
+        Y = np.linalg.solve(E, np.concatenate((B[0] / r[:, None], np.eye(n)), axis=1))
     except np.linalg.LinAlgError as exc:
         raise SpecialDivisorError(f"{what} singular: {exc}") from exc
     cond = n * np.abs(Y[:, k:]).sum(axis=0).max()
     if not cond <= SPECIAL_COND:
         raise SpecialDivisorError(f"{what} (condition {cond:.1e}): divisor is (nearly) special")
-    return Y[:, :k] / c[:, None]
+    X = np.zeros((len(B), n, k), dtype=complex)
+    X[0] = Y[:, :k] / c[:, None]
+    for t in range(1, len(B)):
+        rhs = B[t] - sum(A[j] @ X[t - j] for j in range(1, t + 1))
+        X[t] = np.linalg.solve(E, rhs / r[:, None]) / c[:, None]
+    return X
 
 
 def interpolation_rows(curve: CurveModel, monomials, D: Divisor) -> np.ndarray:
@@ -324,7 +332,7 @@ def interpolate_in_basis(curve: CurveModel, basis: list[Monomial], leads, D: Div
     rows = interpolation_rows(curve, [*basis, *(m for m, _ in leads)], D)
     A = np.ascontiguousarray(rows[:, : len(basis)])
     B = -(rows[:, len(basis) :] * [c for _, c in leads])  # a new C-ordered array
-    return _solve_nonspecial(A, B, "interpolation system")
+    return _solve_nonspecial(A[None], B[None], "interpolation system")[0]
 
 
 def interpolate(curve: CurveModel, w: int, D: Divisor) -> PolyFunction:

@@ -5,9 +5,9 @@ numpy array; all arithmetic truncates at the common order.  Jets drive the
 order-by-order computations in the package: parametrization of a curve at
 infinity, Taylor expansion of a branch y(x), and exact directional
 derivatives of divisor functionals along Jacobian coordinates.  Linear
-systems of jets are not solved here: uniformization stacks their
-coefficients and solves them order by order with the numeric solver of
-the inversion system.
+systems of jets are not solved here: ``divisors._solve_nonspecial``,
+the solver of the inversion system, equilibrates and gates each once, at
+t = 0, and solves its stacked coefficients order by order.
 
 Division requires an invertible constant term.  Everything is plain
 floating-point complex; no symbolic coefficients.

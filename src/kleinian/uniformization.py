@@ -23,9 +23,9 @@ y more strongly, an on-curve check and one Newton polish on the
 better-conditioned of the two, the only polish a simple point takes.
 Derivatives along Jacobian coordinates take one route, basis_flow: the
 basis values as Taylor jets along a u_w coordinate line, exact to
-truncation, from the same solver applied order by order to the jets'
-coefficients.  Downstream identity checks read multi-index wp-values off
-these jets, and extended_34 runs on a record of jets as on one of numbers.
+truncation, from the same solver: every divisor system, of numbers or
+of jets, is equilibrated and gated once.  Identity checks read
+multi-index wp-values off these jets; extended_34 runs on jets as on numbers.
 """
 
 from __future__ import annotations
@@ -120,15 +120,15 @@ def basis_to_divisor(curve: CurveModel, rec: BasisRecord) -> Divisor:
     each root y is read off the graph of whichever of the two has the
     larger |R_y| there (``divisors.graph_y``); a root where both are free
     of y, or a point off the curve by more than 1e-6 relative, raises
-    InconsistentRecordError.  Each
-    simple point then takes one Newton polish on (R_lo, f) or (R_hi, f),
+    InconsistentRecordError, and keys other than the gaps InvalidCurveError.
+    Each simple point then takes one Newton polish on (R_lo, f) or (R_hi, f),
     whichever has the larger |det J| over the product of J's row sums, of
     those with a y-term; its x-root enters that polish as the companion
     eigenvalue, with no polish of its own.  A multiple point keeps the
     root's centre, Newton-polished on the resultant's (m-1)-st derivative.
     """
     if set(rec.p) != set(curve.gaps) or set(rec.q) != set(curve.gaps):
-        raise InconsistentRecordError("record keys must be exactly the gap weights")
+        raise InvalidCurveError(f"record keys must be exactly the gap weights {curve.gaps}")
     R_lo, R_hi = solution_polynomials(curve, rec)
     a, b = y_split(R_lo.coeffs) + [None], y_split(R_hi.coeffs)
     points = []
@@ -175,7 +175,7 @@ def abel_jacobian(curve: CurveModel, D: Divisor) -> np.ndarray:
             raise BranchPointError(f"branch point in divisor at x = {pt.x}")
     basis = curve.basis_monomials()
     U = np.array([[m.eval(pt.x, pt.y) for pt in D.points] for m in basis], dtype=complex)
-    _solve_nonspecial(U.T, np.zeros((g, 0)), "Abel Jacobian")
+    _solve_nonspecial(U.T[None], np.zeros((1, g, 0)), "Abel Jacobian")
     return U / np.array([curve.eval_fy(pt.x, pt.y) for pt in D.points], dtype=complex)
 
 
@@ -184,32 +184,22 @@ def _coefficients(rows) -> np.ndarray:
     return np.moveaxis(np.array([[e.c for e in row] for row in rows]), -1, 0)
 
 
-def _solve_series(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Taylor coefficients V_k of the solution of A(t) V(t) = B(t), from
-    coefficient arrays of shape (order + 1, rows, cols): order by order,
-    V_k = A_0^-1 (B_k - sum_{j=1..k} A_j V_(k-j)), each through
-    ``_solve_nonspecial``, so every order passes the special-divisor gate."""
-    V = np.zeros((len(B), A.shape[2], B.shape[2]), dtype=complex)
-    for k in range(len(B)):
-        V[k] = _solve_nonspecial(
-            A[0], B[k] - sum(A[j] @ V[k - j] for j in range(1, k + 1)), "jet system"
-        )
-    return V
-
-
 def basis_flow(curve: CurveModel, D: Divisor, w_dir: int, order: int):
     """Basis wp-values as Taylor jets along the u_w coordinate line through D.
 
     Returns (p, q), dicts of Jets keyed by gap weight: the jet's k-th
     derivative at 0 is d^k/du_w^k of p[w] or q[w].  The divisor flows by
     dx_k/dt = (M^-1 e_w)_k, and the values solve divisor_to_basis's system
-    on the flowed points, each jet system order by order through its value
-    at t = 0 (_solve_series): exact to truncation.  abel_jacobian's checks
-    guard the flow (BranchPointError, SpecialDivisorError), and every order
-    of every jet system passes the same special-divisor gate.
+    on the flowed points: exact to truncation.  Every jet system is solved
+    order by order through its value at t = 0 (``_solve_nonspecial``),
+    equilibrated and gated once; step m of the flow solves only orders 0..m,
+    the ones it keeps.  abel_jacobian's checks guard the flow
+    (BranchPointError, SpecialDivisorError).
     """
     if w_dir not in curve.gaps:
         raise InvalidCurveError(f"{w_dir} is not a gap weight of the curve")
+    if order < 0:
+        raise InvalidCurveError("series order must be non-negative")
     abel_jacobian(curve, D)
     g = curve.genus
     basis, m_lo, m_hi = solution_monomials(curve)
@@ -222,7 +212,7 @@ def basis_flow(curve: CurveModel, D: Divisor, w_dir: int, order: int):
             [[basis[i].eval(xjs[k], yjs[k]) / curve.eval_fy(xjs[k], yjs[k]) for k in range(g)]
              for i in range(g)]
         )
-        v = _solve_series(M, e_w)
+        v = _solve_nonspecial(M[: m + 1], e_w[: m + 1], "jet system")
         for k in range(g):
             xjs[k].c[m + 1] = v[m, k, 0] / (m + 1)
     yjs = [y_jet(curve, xjs[k], D.points[k].y) for k in range(g)]
@@ -230,7 +220,7 @@ def basis_flow(curve: CurveModel, D: Divisor, w_dir: int, order: int):
     B = _coefficients(
         [[-m_lo.eval(xjs[k], yjs[k]), -2.0 * m_hi.eval(xjs[k], yjs[k])] for k in range(g)]
     )
-    C = _solve_series(A, B)
+    C = _solve_nonspecial(A, B, "jet system")
     p = {w: series.Jet(-C[:, i, 0]) for i, w in enumerate(curve.gaps)}
     q = {w: series.Jet(C[:, i, 1]) for i, w in enumerate(curve.gaps)}
     return p, q

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import kleinian.addition as addition
 import kleinian.divisors as divisors
 from kleinian.addition import add, add27_explicit, negate, quotient_identity_residual_27
+from kleinian.curves import y_split
 from kleinian.divisors import Divisor, complement, fiber_points, interpolate, multiset_distance
 from kleinian.errors import (
     BranchPointError,
@@ -196,6 +197,30 @@ def test_negate_34_on_curve(rng):
     N = negate(curve, D)
     assert N.degree == 3
     assert N.max_curve_residual() < 1e-8
+
+
+def test_negate_34_through_two_points_of_one_fiber():
+    # D = two points over x0 and one over x1: the weight-6 function through
+    # D is (x - x0)(x - x1), exactly x-only in some draws (complement's
+    # x-only branch) and with a y-part at rounding level in the rest (a
+    # graph that cannot be read, so the fiber route with D's points held);
+    # either way -D is the third point over x0 and the two D lacks over x1
+    kinds = set()
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        curve = random_curve(3, 4, rng)
+        x0, x1 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        y0, y1 = fiber_points(curve, [x0, x1])
+        i, j, third = rng.permutation(3)
+        k = int(rng.integers(3))
+        D = Divisor(curve, [(x0, y0[i]), (x0, y0[j]), (x1, y1[k])])
+        R = interpolate(curve, 6, D)
+        r0, *ry = y_split(R.coeffs)
+        assert all(np.abs(r).max() < 1e-13 * np.abs(r0).max() for r in ry)
+        kinds.add(R.y_degree())
+        want = Divisor(curve, [(x0, y0[third])] + [(x1, y) for y in np.delete(y1, k)])
+        assert multiset_distance(negate(curve, D), want) < 1e-10
+    assert kinds == {0, 1}
 
 
 def test_add_commutative(rng):

@@ -159,6 +159,9 @@ def test_unsupported_operation_is_input_error(capsys, tmp_path):
         ("uniformize", "--divisor", [1, 2]),
         ("invert-basis", "--basis", {"p": {"1": [0.1, 0.0]}, "q": {"2": [0.2, 0.0]}, "extended": [1]}),
         ("invert-basis", "--basis", [1]),
+        # keys 1, 3 where the (3,4) curve's gaps are 1, 2, 5
+        ("invert-basis", "--basis", {"p": {"1": [0.1, 0.0], "3": [0.2, 0.0]},
+                                     "q": {"1": [0.3, 0.0], "3": [0.4, 0.0]}}),
     ],
 )
 def test_malformed_json_is_input_error(capsys, tmp_path, curve34_file, verb, flag, payload):

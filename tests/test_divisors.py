@@ -470,9 +470,10 @@ def test_group_law_and_inversion_solve_no_fiber(algebra_ops, monkeypatch):
 
 
 def test_every_divisor_system_is_solved_through_the_special_divisor_gate(rng, monkeypatch):
-    # the interpolation system, the Abel Jacobian and every order of the
-    # jet flow equilibrate only inside _solve_nonspecial, whose gate they
-    # all pass
+    # the interpolation system, the Abel Jacobian and every jet system of
+    # the flow equilibrate only inside _solve_nonspecial, whose gate they
+    # all pass, once per system: the order-3 flow's three steps, its Abel
+    # Jacobian and its values system make order + 2 = 5 calls
     callers, real = [], divisors._equilibrate
 
     def spy(A):
@@ -485,12 +486,28 @@ def test_every_divisor_system_is_solved_through_the_special_divisor_gate(rng, mo
         curve = random_curve(n, s, rng)
         D = random_divisor(curve, curve.genus, rng)
         basis, m_lo, m_hi = uniformization.solution_monomials(curve)
-        for run in (lambda: divisors.interpolate_in_basis(curve, basis, [(m_lo, 1.0), (m_hi, 2.0)], D),
-                    lambda: uniformization.abel_jacobian(curve, D),
-                    lambda: uniformization.basis_flow(curve, D, curve.gaps[-1], 3)):
+        leads = [(m_lo, 1.0), (m_hi, 2.0)]
+        for run, calls in ((lambda: divisors.interpolate_in_basis(curve, basis, leads, D), 1),
+                           (lambda: uniformization.abel_jacobian(curve, D), 1),
+                           (lambda: uniformization.basis_flow(curve, D, curve.gaps[-1], 3), 5)):
             del callers[:]
             run()
-            assert callers and set(callers) == {"_solve_nonspecial"}
+            assert callers == ["_solve_nonspecial"] * calls
+
+
+@pytest.mark.parametrize("order, solves", ((1, 4), (3, 11), (6, 29)))
+def test_each_flow_step_solves_only_the_orders_it_keeps(rng, monkeypatch, order, solves):
+    # step m solves orders 0..m, the Abel Jacobian one, the values system
+    # order + 1: 1 + (order + 1)(order + 2) / 2 solves, each on its
+    # system's one equilibrated A_0
+    calls, real = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(1) or real(*a))
+    for n, s in FAMILIES:
+        curve = random_curve(n, s, rng)
+        D = random_divisor(curve, curve.genus, rng)
+        del calls[:]
+        uniformization.basis_flow(curve, D, curve.gaps[0], order)
+        assert len(calls) == solves
 
 
 def test_poly_mul_raw():

@@ -247,6 +247,13 @@ def test_basis_flow_rejects_a_branch_point(rng, ns):
         basis_flow(curve, bad, 1, 1)
 
 
+def test_basis_flow_rejects_a_negative_order(rng):
+    curve = random_curve(2, 5, rng)
+    D = random_divisor(curve, curve.genus, rng)
+    with pytest.raises(InvalidCurveError, match="non-negative"):
+        basis_flow(curve, D, 1, -1)
+
+
 @pytest.mark.parametrize("ns", FAMILIES, ids=FAMILY_IDS)
 def test_basis_flow_rejects_a_special_divisor(rng, ns):
     # hyperelliptic: an involution pair; (3,4): the full fiber over one x
