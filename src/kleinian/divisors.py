@@ -19,6 +19,11 @@ the curve equation.  The workhorses are
 * :func:`zero_divisor` -- the full divisor of zeros, from the roots of the
   resultant itself.
 
+A resultant's roots come with multiplicities from ``clustered_roots``:
+roots within CLUSTER_TOL are one root, and clusters that rounding split
+off one multiple root merge where the derivative that has a simple root
+there is below MERGE_CERT of its term scale at their mean (``_certified``).
+
 Every resultant, of R with f here and of the two Jacobi inversion
 functions in ``uniformization``, is one Leibniz expansion, ``_poly_det``,
 whose terms are listed once per pattern of live entries.  A function
@@ -39,7 +44,16 @@ from functools import lru_cache
 import numpy as np
 
 from . import series
-from .curves import CurveModel, CurvePoint, Monomial, poly_eval, poly_partials, y_split
+from .curves import (
+    CurveModel,
+    CurvePoint,
+    Monomial,
+    horner_form,
+    poly_eval,
+    poly_partials,
+    x_columns,
+    y_split,
+)
 from .errors import (
     BranchPointError,
     DegenerateComplementError,
@@ -54,12 +68,15 @@ from .roots import cluster_roots, newton_polish, poly_roots
 PAIR_TOL = 1e-9  # one point, or one fiber, relative
 COMMON_ZERO_STEPS = 5  # budget of _polish_common_zero
 MATCH_TOL = 1e-8  # complement's checks, relative
-CLUSTER_TOL = 1e-6  # multiple-root detection, relative to each root
+CLUSTER_TOL = 1e-6  # one root with no certificate, and D's points over a root (_held); relative
+MERGE_TOL = 1e-3  # window of the certified merge of clusters, relative
+MERGE_CERT = 1e-10  # bound of that merge's certificate, relative to the term scale
 SPECIAL_COND = 1e8  # special-divisor gate of every divisor solve, set by the jet flow (~8 digits kept)
 
 
 class PolyFunction:
-    """Element of C[x,y]/f as a table {(i, j): coeff} with j < n."""
+    """Element of C[x,y]/f as a table {(i, j): coeff} with j < n, with the
+    column forms of R, R_x and R_y (``curves.horner_form``) built once."""
 
     def __init__(self, curve: CurveModel, coeffs: dict):
         self.curve = curve
@@ -68,7 +85,7 @@ class PolyFunction:
         }
         if any(j >= curve.n for (_, j) in self.coeffs):
             raise InvalidCurveError("unreduced y-power in PolyFunction")
-        self.partials = poly_partials(self.coeffs)
+        self.forms = tuple(horner_form(t) for t in (self.coeffs, *poly_partials(self.coeffs)))
 
     @property
     def weight(self) -> int:
@@ -78,13 +95,13 @@ class PolyFunction:
         return max(i * n + j * s for (i, j) in self.coeffs)
 
     def eval(self, x, y):
-        return poly_eval(self.coeffs, x, y)
+        return poly_eval(self.forms[0], x, y)
 
     def eval_dx(self, x, y):
-        return poly_eval(self.partials[0], x, y)
+        return poly_eval(self.forms[1], x, y)
 
     def eval_dy(self, x, y):
-        return poly_eval(self.partials[1], x, y)
+        return poly_eval(self.forms[2], x, y)
 
     def term_scale(self, x, y) -> float:
         """max |coeff x^i y^j|; the natural residual normalizer at (x, y)."""
@@ -211,14 +228,18 @@ def y_jet(curve: CurveModel, xj: series.Jet, y0: complex) -> series.Jet:
     """Jet of y along the x-jet xj with f(xj, y) = 0 and y(0) = y0.
 
     Newton doubles the number of correct coefficients per step; the
-    caller ensures d f/d y != 0 at (xj(0), y0).
+    caller ensures d f/d y != 0 at (xj(0), y0).  The columns of f and f_y
+    along xj are formed once (``x_columns``); each step evaluates only
+    their Horner pass in y.
     """
+    f_form, _, fy_form = curve.forms
+    g_y, gy_y = x_columns(f_form, xj), x_columns(fy_form, xj)
     yj = series.const(y0, xj.order)
     for _ in range(max(1, xj.order).bit_length() + 2):
-        g = curve.eval_f(xj, yj)
+        g = poly_eval(g_y, xj, yj)
         if np.max(np.abs(g.c)) < 1e-13 * max(1.0, abs(y0)) ** curve.n:
             break
-        yj = yj - g / curve.eval_fy(xj, yj)
+        yj = yj - g / poly_eval(gy_y, xj, yj)
     return yj
 
 
@@ -301,8 +322,18 @@ def _solve_nonspecial(A: np.ndarray, B: np.ndarray, what: str) -> np.ndarray:
     return X
 
 
+def _ladder(jet: series.Jet, top: int) -> list:
+    """[1, jet, jet^2, ..., jet^top], each power one product from the last."""
+    out = [series.const(1.0, jet.order)]
+    for _ in range(top):
+        out.append(out[-1] * jet)
+    return out
+
+
 def interpolation_rows(curve: CurveModel, monomials, D: Divisor) -> np.ndarray:
-    """Evaluation rows (confluent where points repeat) for the monomial list."""
+    """Evaluation rows (confluent where points repeat) for the monomial list;
+    a repeated point's monomial jets come from one ladder of powers of its
+    x-jet and one of its y-jet."""
     rows = []
     for p, mult in _grouped_points(D):
         if mult == 1:
@@ -310,7 +341,9 @@ def interpolation_rows(curve: CurveModel, monomials, D: Divisor) -> np.ndarray:
         else:
             xj = series.var(p.x, mult - 1)
             yj = branch_jet(curve, p.x, p.y, mult - 1)
-            jets = [m.eval(xj, yj) for m in monomials]
+            xs = _ladder(xj, max(m.i for m in monomials))
+            ys = _ladder(yj, max(m.j for m in monomials))
+            jets = [xs[m.i] * ys[m.j] for m in monomials]
             for r in range(mult):
                 rows.append([j.c[r] for j in jets])
     return np.array(rows, dtype=complex)
@@ -532,13 +565,52 @@ def _polish_common_zero(curve: CurveModel, R: PolyFunction, x: complex, y: compl
 
 def clustered_roots(c: np.ndarray) -> list:
     """(root, multiplicity) of the polynomial c (descending): the centres of
-    ``cluster_roots`` over the unpolished ``poly_roots``.  A multiple centre
-    is Newton-polished on the (m-1)-st derivative, where it is a simple
-    root; a simple one is left to the caller's one polish of its zero."""
+    ``cluster_roots`` over the unpolished ``poly_roots``, then merged where
+    a certificate holds (``_certified``).  A multiple centre is
+    Newton-polished on the (m-1)-st derivative, where it is a simple root;
+    a simple one is left to the caller's one polish of its zero."""
     return [
         (x if m == 1 else complex(newton_polish(np.polyder(c, m - 1), [x])[0]), m)
-        for x, m in cluster_roots(poly_roots(c), CLUSTER_TOL)
+        for x, m in _certified(c, cluster_roots(poly_roots(c), CLUSTER_TOL))
     ]
+
+
+def _certified(c: np.ndarray, clusters: list) -> list:
+    """The clusters [(centre, m)] of c's roots, each group of them within
+    MERGE_TOL (1 + |z|) of its multiplicity-weighted mean z merged into one
+    root of multiplicity m, the sum of theirs, when |c^(m-1)(z)| is at most
+    MERGE_CERT times that derivative's term scale sum |d_k| max(1, |z|)^k.
+
+    Coefficient error e splits an m-fold root by about e^(1/m), past
+    CLUSTER_TOL for a double root once e nears 1e-12 and for a triple one
+    at rounding level, while c^(m-1), which has a simple root there, stays
+    at the level of e at the mean (Zeng, "Computing multiple roots of
+    inexact polynomials", Math. Comp. 74, 2005).  Two simple roots r apart read of
+    order r^2 / 40, so this bound takes pairs closer than about 6e-5 for
+    one double root: on the algebra benchmark's seeds 1-12 its one split
+    double root reads 3.5e-13, its closest simple pairs, 1.8e-4 apart,
+    2.1e-9.  A group that fails keeps its clusters."""
+    groups: list[list] = []  # [sum of m z, sum of m, clusters]
+    for z, m in clusters:
+        for grp in groups:
+            if abs(z - grp[0] / grp[1]) < MERGE_TOL * (1.0 + abs(z)):
+                grp[0] += m * z
+                grp[1] += m
+                grp[2].append((z, m))
+                break
+        else:
+            groups.append([m * z, m, [(z, m)]])
+    out = []
+    for total, m, parts in groups:
+        if len(parts) > 1:
+            z = total / m
+            d = np.polyder(c, m - 1)
+            scale = np.abs(d) @ max(1.0, abs(z)) ** np.arange(len(d) - 1, -1, -1)
+            if abs(np.polyval(d, z)) <= MERGE_CERT * scale:
+                out.append((complex(z), m))
+                continue
+        out.extend(parts)
+    return out
 
 
 def graph_y(curve: CurveModel, R: PolyFunction, x: complex) -> complex:

@@ -3,8 +3,10 @@
 Roots are companion-matrix eigenvalues (``np.roots``), returned as they
 are: each caller polishes a zero once, where it knows what the zero is
 for.  ``newton_polish`` takes Newton steps on the original coefficients
-until a root's step is below rounding or raises |p|, and a clustering
-pass recovers multiplicities from nearly-coincident roots.
+until a root's step is below rounding or raises |p|, and ``cluster_roots``
+groups nearly-coincident roots by distance alone; a multiple root that
+rounding split past that distance is merged by ``divisors.clustered_roots``
+on a certificate, the size of a derivative at the group's mean.
 """
 
 from __future__ import annotations

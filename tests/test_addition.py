@@ -352,14 +352,10 @@ def test_plain_benchmark_ops_pass_roundtrip_and_group_law(algebra_ops, key):
     assert multiset_distance(D1, add(curve, add(curve, D1, D2), negate(curve, D2))) < 1e-7
 
 
-# a confluent (3,4) benchmark op that is wrong today, pinned at the
-# benchmark's tolerance so that a fix shows as an unexpected pass
-
-
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the double x-root of the inversion resultant comes back as two roots "
-    "2.03e-6 apart, past CLUSTER_TOL, each polished as a simple root: gap 3.76e-8"))
 def test_confluent_34_op_11_401_roundtrip(algebra_ops):
+    # the double x-root of the inversion resultant comes back as two roots
+    # about 2e-6 apart, past CLUSTER_TOL; polished as two simple roots they
+    # missed D1 by 3.76e-8, and the certified merge takes them as one
     _, curve, D1, _ = algebra_ops["11:401"]
     back = basis_to_divisor(curve, divisor_to_basis(curve, D1))
     assert multiset_distance(D1, back) < 1e-8
